@@ -4,6 +4,9 @@ A constraint set is an immutable snapshot holding, for every unknown, its
 flat type and one of:
 
   * nothing (the unknown ranges over its whole type),
+  * a deferred range: every value of its type within a recursion depth,
+    not yet built (``Deferred``; the first unification or case split that
+    looks inside unfolds it by one level),
   * a one-level range node whose children are further unknowns
     (unit / pair / fold / inl / inr / or a two-sided {inl, inr} node),
   * an integer interval domain (with binary comparison constraints
@@ -12,14 +15,18 @@ flat type and one of:
 
 Every operation is functional: it returns a new constraint set, sharing
 unchanged dictionaries with the old one.  Contradictions never raise; they
-return a set whose store is failed.  ``denote_restricted`` is a deliberately
-naive brute-force enumeration of the store's meaning used as ground truth
-in tests; nothing else in the engine calls it.
+return a set whose store is failed.  Every write that empties an integer
+domain fails the store, so ``sat`` is a flag test; this assumes non-empty
+integer bounds, which the driver checks.  ``denote_restricted`` is a
+deliberately naive brute-force enumeration of the store's meaning: the
+ground truth in tests, and the last filter ``sample`` applies to small
+ranges entangled with other unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .core import (
@@ -118,7 +125,42 @@ class Alias:
         return f"= ?{self.target}"
 
 
-Binding = object  # RUnit | RPair | RInl | RInr | RBoth | RFold | IntDomain | Alias
+@dataclass(frozen=True)
+class Deferred:
+    """Every value of the unknown's type that unrolls recursive types at
+    most `depth` times along any path; never empty.
+
+    Nothing below it is built.  Unfolding it (``ConstraintSet.expand``)
+    writes the one-level node and gives its children ids derived from
+    `key`, so two branches that unfold the same range agree on the ids and
+    ``union`` can join them id by id.
+    """
+
+    depth: int
+    key: int
+
+    def __str__(self) -> str:
+        return f"<depth {self.depth}>"
+
+
+# Deferred ranges unfold, count and test the same few (type, depth) pairs
+# over and over; each computation walks or substitutes into the type.
+_CACHE_SIZE = 4096
+_unfold_mu = lru_cache(maxsize=_CACHE_SIZE)(unfold_mu)
+
+
+def _child_id(key: int, slot: int) -> int:
+    """The id of child `slot` (0 or 1) when the range `key` is unfolded.
+
+    Negative, so it never meets an id minted by ``fresh``, and distinct for
+    every (key, slot).
+    """
+    n = 2 * key if key >= 0 else -2 * key - 1
+    return -(2 * n + slot + 1)
+
+
+Binding = object  # RUnit | RPair | RInl | RInr | RBoth | RFold | IntDomain
+#                   | Alias | Deferred
 
 
 @dataclass(frozen=True)
@@ -168,9 +210,6 @@ class ConstraintSet:
 
     def fail(self) -> "ConstraintSet":
         return self._copy(failed=True)
-
-    def with_int_bounds(self, lo: int, hi: int) -> "ConstraintSet":
-        return self._copy(int_bounds=(lo, hi))
 
     def find(self, u: int) -> int:
         """Follow alias links to the representative unknown."""
@@ -239,87 +278,88 @@ class ConstraintSet:
     # -- materialization ----------------------------------------------------
 
     def materialize(self, u: int, depth: int):
-        """Expand the unknown's range to the given recursion depth.
+        """Give the unknown the range of its type to the given recursion depth.
 
         Recursive types are unrolled at most `depth` times along any path;
-        branches that would need more are simply absent from the range.
+        values that would need more are absent from the range.  Nothing is
+        built: the range is one ``Deferred`` binding, unfolded on demand.
         Returns (set', nonempty); nonempty is False when no value of the
         type fits within the depth (the caller decides what that means).
         """
-        utypes = dict(self.utypes)
-        bindings = dict(self.bindings)
-        nxt = self.next_fresh
-
-        def build(uid: int, ty: Type, d: int) -> bool:
-            nonlocal nxt
-            if isinstance(ty, TUnit):
-                bindings[uid] = RUnit()
-                return True
-            if isinstance(ty, TInt):
-                if uid not in bindings:
-                    bindings[uid] = IntDomain.bounded(*self.int_bounds)
-                return not bindings[uid].is_empty()
-            if isinstance(ty, TSum):
-                lu, nxt2 = self._mint(utypes, bindings, ty.left, nxt)
-                nxt = nxt2
-                ru, nxt2 = self._mint(utypes, bindings, ty.right, nxt)
-                nxt = nxt2
-                okl = build(lu, ty.left, d)
-                okr = build(ru, ty.right, d)
-                if okl and okr:
-                    bindings[uid] = RBoth(lu, ru)
-                elif okl:
-                    bindings[uid] = RInl(lu)
-                elif okr:
-                    bindings[uid] = RInr(ru)
-                else:
-                    return False
-                return True
-            if isinstance(ty, TProd):
-                fu, nxt2 = self._mint(utypes, bindings, ty.left, nxt)
-                nxt = nxt2
-                su, nxt2 = self._mint(utypes, bindings, ty.right, nxt)
-                nxt = nxt2
-                if build(fu, ty.left, d) and build(su, ty.right, d):
-                    bindings[uid] = RPair(fu, su)
-                    return True
-                return False
-            if isinstance(ty, TMu):
-                if d <= 0:
-                    return False
-                inner = unfold_mu(ty)
-                cu, nxt2 = self._mint(utypes, bindings, inner, nxt)
-                nxt = nxt2
-                if build(cu, inner, d - 1):
-                    bindings[uid] = RFold(cu)
-                    return True
-                return False
-            raise ContractViolation(f"cannot materialize type {ty}")
-
-        root = self.find(u)
-        if root in self.bindings:
-            b = self.bindings[root]
-            if isinstance(b, IntDomain):
-                return self, not b.is_empty()
+        root, b = self.resolve(u)
+        if isinstance(b, IntDomain):
+            return self, not b.is_empty()
+        if b is not None:
             return self, True  # already shaped; leave as is
-        ok = build(root, self.utypes[root], depth)
-        out = self._copy(utypes=utypes, bindings=bindings, next_fresh=nxt)
-        if not ok:
+        ty = self.utypes[root]
+        out = self._set_binding(root, self._range_of(ty, depth, root))
+        if not _nonempty(ty, self.int_bounds, depth):
             return out.fail(), False
         return out, True
+
+    def _range_of(self, ty: Type, depth: int, key: int):
+        """The binding of an unknown ranging over `ty` to `depth`."""
+        if isinstance(ty, TUnit):
+            return RUnit()
+        if isinstance(ty, TInt):
+            return IntDomain.bounded(*self.int_bounds)
+        return Deferred(depth, key)
+
+    def expand(self, u: int):
+        """(set', representative, binding), a deferred range unfolded.
+
+        Any other binding comes back as it is.
+        """
+        root, b = self.resolve(u)
+        if not isinstance(b, Deferred):
+            return self, root, b
+        out, level = self._unfold(b, self.utypes[root], holder=root)
+        return out, root, level
+
+    def _unfold(self, d: Deferred, ty: Type, holder: Optional[int] = None):
+        """One level of the deferred range `d` over `ty`: (set', binding).
+
+        The binding is the node the range's top unknown needs, over
+        children minted with their own ranges; the depth drops by one only
+        across a fold.  With `holder`, the binding is also written there.
+        """
+        utypes = dict(self.utypes)
+        bindings = dict(self.bindings)
+
+        def child(slot: int, cty: Type, depth: int) -> int:
+            c = _child_id(d.key, slot)
+            utypes[c] = cty
+            bindings[c] = self._range_of(cty, depth, c)
+            return c
+
+        if isinstance(ty, TMu):
+            level = RFold(child(0, _unfold_mu(ty), d.depth - 1))
+        elif isinstance(ty, TProd):
+            level = RPair(child(0, ty.left, d.depth),
+                          child(1, ty.right, d.depth))
+        elif isinstance(ty, TSum):
+            okl = _nonempty(ty.left, self.int_bounds, d.depth)
+            okr = _nonempty(ty.right, self.int_bounds, d.depth)
+            if okl and okr:
+                level = RBoth(child(0, ty.left, d.depth),
+                              child(1, ty.right, d.depth))
+            elif okl:
+                level = RInl(child(0, ty.left, d.depth))
+            else:
+                level = RInr(child(1, ty.right, d.depth))
+        else:
+            raise ContractViolation(f"cannot unfold a range of type {ty}")
+        if holder is not None:
+            bindings[holder] = level
+        return self._copy(utypes=utypes, bindings=bindings), level
 
     # -- satisfiability -----------------------------------------------------
 
     def sat(self) -> bool:
         """One-sided check: False guarantees the denotation is empty."""
-        if self.failed:
-            return False
-        for b in self.bindings.values():
-            if isinstance(b, IntDomain) and b.is_empty():
-                return False
-        return True
+        return not self.failed
 
-    # -- brute-force denotation (the oracle; nothing else uses it) ----------
+    # -- brute-force denotation -----------------------------------------------
 
     def denote_restricted(self, us: list[int], cap: int = DENOTE_CAP):
         """All value tuples for `us`, by exhaustive expansion + filtering.
@@ -332,7 +372,6 @@ class ConstraintSet:
             return set()
 
         # pull in constraint neighbours so every constraint can be checked
-        roots: list[int] = []
         seen: set[int] = set()
 
         def reach(u: int):
@@ -387,7 +426,9 @@ class ConstraintSet:
             if budget[0] < 0:
                 raise ContractViolation("denotation larger than cap")
             if b is None:
-                yield from assign_top(r, self.utypes[r], asg)
+                yield from assign_top(r, self.utypes[r], asg, None)
+            elif isinstance(b, Deferred):
+                yield from assign_top(r, self.utypes[r], asg, b.depth)
             elif isinstance(b, RUnit):
                 a2 = dict(asg)
                 a2[r] = Unit()
@@ -431,19 +472,19 @@ class ConstraintSet:
             else:
                 raise ContractViolation(f"bad binding {b!r}")
 
-        def assign_top(r: int, ty: Type, asg: dict):
+        def assign_top(r: int, ty: Type, asg: dict, depth: Optional[int]):
             if isinstance(ty, TUnit):
                 a2 = dict(asg)
                 a2[r] = Unit()
                 yield a2
             elif isinstance(ty, TInt):
                 raise AssertionError("int unknowns always carry a domain")
-            elif isinstance(ty, TMu):
+            elif isinstance(ty, TMu) and depth is None:
                 raise ContractViolation(
                     "denotation of unmaterialized recursive unknown")
-            elif isinstance(ty, (TSum, TProd)):
+            elif isinstance(ty, (TSum, TProd, TMu)):
                 # expand virtually without minting
-                for val in _type_values(ty, self.int_bounds, budget):
+                for val in _type_values(ty, self.int_bounds, budget, depth):
                     a2 = dict(asg)
                     a2[r] = val
                     yield a2
@@ -526,6 +567,15 @@ class ConstraintSet:
         return out._merge_bindings(small, bs, bl)
 
     def _merge_bindings(self, root: int, b1, b2) -> "ConstraintSet":
+        if isinstance(b1, Deferred) and isinstance(b2, Deferred):
+            # two whole ranges of one type: the shallower is their meet
+            return self._set_binding(root, b2 if b2.depth < b1.depth else b1)
+        if isinstance(b1, Deferred):
+            out, b1 = self._unfold(b1, self.utypes[root], holder=root)
+            return out._merge_bindings(root, b1, b2)
+        if isinstance(b2, Deferred):
+            out, b2 = self._unfold(b2, self.utypes[root])
+            return out._merge_bindings(root, b1, b2)
         if isinstance(b1, IntDomain) and isinstance(b2, IntDomain):
             dom = b1.intersect(b2)
             out = self._set_binding(root, dom)
@@ -575,7 +625,10 @@ class ConstraintSet:
         return self._copy(bindings=bindings)
 
     def _unify_uv(self, u: int, v: Expr) -> "ConstraintSet":
-        root, b = self.resolve(u)
+        cs, root, b = self.expand(u)
+        return cs._unify_shaped(root, b, v)
+
+    def _unify_shaped(self, root: int, b, v: Expr) -> "ConstraintSet":
         if isinstance(v, IntLit):
             dom = b if isinstance(b, IntDomain) \
                 else IntDomain.bounded(*self.int_bounds)
@@ -796,6 +849,11 @@ class ConstraintSet:
             return Fold(v, self.utypes[root]) if v is not None else None
         if isinstance(b, RBoth):
             return None
+        if isinstance(b, Deferred):
+            ty = self.utypes[root]
+            if _type_count(ty, self.int_bounds, b.depth) != 1:
+                return None
+            return _type_unrank(ty, 0, self.int_bounds, b.depth)
         raise ContractViolation(f"bad binding {b!r}")
 
     # -- counting and sampling -------------------------------------------------
@@ -814,7 +872,10 @@ class ConstraintSet:
                 raise ContractViolation("shared unknown in counted range")
             seen.add(root)
             if b is None:
-                return _type_count(self.utypes[root], self.int_bounds)
+                return _type_count(self.utypes[root], self.int_bounds, None)
+            if isinstance(b, Deferred):
+                return _type_count(self.utypes[root], self.int_bounds,
+                                   b.depth)
             if isinstance(b, RUnit):
                 return 1
             if isinstance(b, IntDomain):
@@ -835,7 +896,9 @@ class ConstraintSet:
         root, b = self.resolve(u)
         ty = self.utypes[root]
         if b is None:
-            return _type_unrank(ty, i, self.int_bounds)
+            return _type_unrank(ty, i, self.int_bounds, None)
+        if isinstance(b, Deferred):
+            return _type_unrank(ty, i, self.int_bounds, b.depth)
         if isinstance(b, RUnit):
             if i != 0:
                 raise IndexError(i)
@@ -876,31 +939,35 @@ class ConstraintSet:
         """Split the store into one branch per value of the unknown.
 
         Values come out in structural order (left injections first, integer
-        intervals ascending).  Small spaces are materialized and filtered
-        for satisfiability; large ones are virtual and assume the unknown's
-        integer leaves are not entangled with other live unknowns.
+        intervals ascending).  Small spaces whose integer leaves carry
+        binary constraints are materialized and filtered for
+        satisfiability.  The others are virtual: when no leaf is
+        constrained every value pins consistently, and large spaces assume
+        the unknown's integer leaves are not entangled with other live
+        unknowns.
         """
         root = self.find(u)
         total = self.count_values(root)
-        if total <= SAMPLE_FILTER_CAP:
-            leaves: list[int] = []
-            self._range_leaves(root, leaves)
-            entangled = any(self._constraints_of(lf) for lf in leaves)
-            sets = []
-            for i in range(total):
-                v = self._unrank(root, i)
-                pinned = self.unify(Unknown(root), v).propagate(leaves)
-                if pinned.sat():
-                    if entangled:
-                        # a pin may be arc-consistent yet globally empty
-                        try:
-                            if not pinned.denote_restricted([root], cap=4096):
-                                continue
-                        except ContractViolation:
-                            pass
-                    sets.append((v, pinned))
-            return SampleSpace(sets=sets)
-        return SampleSpace(virtual=(self, root, total))
+        if total > SAMPLE_FILTER_CAP:
+            return SampleSpace(virtual=(self, root, total))
+        leaves: list[int] = []
+        self._range_leaves(root, leaves)
+        if not self.failed and not any(self._constraints_of(lf)
+                                       for lf in leaves):
+            return SampleSpace(virtual=(self, root, total))
+        sets = []
+        for i in range(total):
+            v = self._unrank(root, i)
+            pinned = self.unify(Unknown(root), v).propagate(leaves)
+            if pinned.sat():
+                # a pin may be arc-consistent yet globally empty
+                try:
+                    if not pinned.denote_restricted([root], cap=4096):
+                        continue
+                except ContractViolation:
+                    pass
+                sets.append((v, pinned))
+        return SampleSpace(sets=sets)
 
 
 class SampleSpace:
@@ -931,22 +998,50 @@ class SampleSpace:
 
 
 # ---------------------------------------------------------------------------
-# Whole-type expansion (for unknowns never given a shaped range)
+# Whole-type ranges: unknowns never given a shaped range, and deferred ones
+#
+# `depth` bounds the unrollings of recursive types as in ``Deferred``; None
+# (an unknown without a range) admits no recursive type at all.  Values come in structural order: left
+# injections first, pairs first-component-major, integers ascending.
 
 
-def _type_count(ty: Type, int_bounds) -> int:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _nonempty(ty: Type, int_bounds, depth: int) -> bool:
+    if isinstance(ty, TUnit):
+        return True
+    if isinstance(ty, TInt):
+        return int_bounds[0] <= int_bounds[1]
+    if isinstance(ty, TSum):
+        return (_nonempty(ty.left, int_bounds, depth)
+                or _nonempty(ty.right, int_bounds, depth))
+    if isinstance(ty, TProd):
+        return (_nonempty(ty.left, int_bounds, depth)
+                and _nonempty(ty.right, int_bounds, depth))
+    if isinstance(ty, TMu):
+        return depth > 0 and _nonempty(_unfold_mu(ty), int_bounds, depth - 1)
+    raise ContractViolation(f"cannot materialize type {ty}")
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _type_count(ty: Type, int_bounds, depth: Optional[int]) -> int:
     if isinstance(ty, TUnit):
         return 1
     if isinstance(ty, TInt):
         return IntDomain.bounded(*int_bounds).size()
     if isinstance(ty, TSum):
-        return _type_count(ty.left, int_bounds) + _type_count(ty.right, int_bounds)
+        return (_type_count(ty.left, int_bounds, depth)
+                + _type_count(ty.right, int_bounds, depth))
     if isinstance(ty, TProd):
-        return _type_count(ty.left, int_bounds) * _type_count(ty.right, int_bounds)
+        return (_type_count(ty.left, int_bounds, depth)
+                * _type_count(ty.right, int_bounds, depth))
+    if isinstance(ty, TMu) and depth is not None:
+        if depth <= 0:
+            return 0
+        return _type_count(_unfold_mu(ty), int_bounds, depth - 1)
     raise ContractViolation(f"cannot count values of type {ty}")
 
 
-def _type_unrank(ty: Type, i: int, int_bounds) -> Expr:
+def _type_unrank(ty: Type, i: int, int_bounds, depth: Optional[int]) -> Expr:
     if isinstance(ty, TUnit):
         if i != 0:
             raise IndexError(i)
@@ -954,24 +1049,29 @@ def _type_unrank(ty: Type, i: int, int_bounds) -> Expr:
     if isinstance(ty, TInt):
         return IntLit(IntDomain.bounded(*int_bounds).nth(i))
     if isinstance(ty, TSum):
-        nl = _type_count(ty.left, int_bounds)
+        nl = _type_count(ty.left, int_bounds, depth)
         if i < nl:
-            return Inl(_type_unrank(ty.left, i, int_bounds), ty)
-        return Inr(_type_unrank(ty.right, i - nl, int_bounds), ty)
+            return Inl(_type_unrank(ty.left, i, int_bounds, depth), ty)
+        return Inr(_type_unrank(ty.right, i - nl, int_bounds, depth), ty)
     if isinstance(ty, TProd):
-        n2 = _type_count(ty.right, int_bounds)
-        return Pair(_type_unrank(ty.left, i // n2, int_bounds),
-                    _type_unrank(ty.right, i % n2, int_bounds))
+        n2 = _type_count(ty.right, int_bounds, depth)
+        return Pair(_type_unrank(ty.left, i // n2, int_bounds, depth),
+                    _type_unrank(ty.right, i % n2, int_bounds, depth))
+    if isinstance(ty, TMu) and depth is not None:
+        if depth <= 0:
+            raise IndexError(i)
+        return Fold(_type_unrank(_unfold_mu(ty), i, int_bounds, depth - 1),
+                    ty)
     raise ContractViolation(f"cannot enumerate type {ty}")
 
 
-def _type_values(ty: Type, int_bounds, budget):
-    n = _type_count(ty, int_bounds)
+def _type_values(ty: Type, int_bounds, budget, depth: Optional[int]):
+    n = _type_count(ty, int_bounds, depth)
     for i in range(n):
         budget[0] -= 1
         if budget[0] < 0:
             raise ContractViolation("denotation larger than cap")
-        yield _type_unrank(ty, i, int_bounds)
+        yield _type_unrank(ty, i, int_bounds, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -981,9 +1081,10 @@ def _type_values(ty: Type, int_bounds, budget):
 def union(a: ConstraintSet, b: ConstraintSet) -> ConstraintSet:
     """A store whose denotation contains both arguments' denotations.
 
-    Exact when the two stores differ only in integer domains and injection
-    pinnings over the same unknowns (the comparison-matching footprint);
-    anything else widens the differing unknown to its whole type.
+    Exact when the two stores differ only in integer domains, injection
+    pinnings and unfoldings of deferred ranges over the same unknowns (the
+    comparison-matching footprint); anything else widens the differing
+    unknown to its whole type.
     """
     if a.failed:
         return b
@@ -1023,6 +1124,8 @@ def union(a: ConstraintSet, b: ConstraintSet) -> ConstraintSet:
         elif isinstance(b2, RInr) and isinstance(b1, RBoth) \
                 and b2.child == b1.right:
             bindings[u] = b1
+        elif (joined := _join_deferred(b1, b2)) is not None:
+            bindings[u] = joined
         else:
             if not isinstance(utypes.get(u), TMu):
                 dropped.add(u)
@@ -1044,6 +1147,32 @@ def union(a: ConstraintSet, b: ConstraintSet) -> ConstraintSet:
         failed=False,
         int_bounds=a.int_bounds,
     )
+
+
+def _join_deferred(b1, b2):
+    """The union of two bindings of one unknown when one is a deferred range
+    covering the other, else None.
+
+    Two deferred ranges of one type join to the deeper one.  A deferred
+    range covers every node unfolded from it, however refined below: an
+    unfolding made in only one branch is not widened to the whole type.
+    """
+    if isinstance(b1, Deferred) and isinstance(b2, Deferred):
+        return b1 if b1.depth >= b2.depth else b2
+    d, node = (b1, b2) if isinstance(b1, Deferred) else (b2, b1)
+    if not isinstance(d, Deferred):
+        return None
+    if isinstance(node, (RFold, RInl, RInr)):
+        children = {node.child}
+    elif isinstance(node, RPair):
+        children = {node.fst, node.snd}
+    elif isinstance(node, RBoth):
+        children = {node.left, node.right}
+    else:
+        return None
+    if children <= {_child_id(d.key, 0), _child_id(d.key, 1)}:
+        return d
+    return None
 
 
 def rename(uids: list[int], cset: ConstraintSet, floor: int = 0):

@@ -1,8 +1,9 @@
 """Query driver: prepare, generate with retries, replay, enumerate.
 
 A query names a predicate call with free variables standing for values
-to generate.  The driver freshens an unknown for each, materializes its
-range to the depth bound, matches the call against the queried truth
+to generate.  The driver freshens an unknown for each, gives it the range
+of its type within the depth bound (a deferred range, unfolded only as far
+as evaluation looks into it), matches the call against the queried truth
 value, and samples the surviving unknowns.  Each attempt draws from its
 own derived random stream so runs are reproducible from one seed, and
 every recorded choice list can be replayed to the identical value.
@@ -44,7 +45,8 @@ class DriverError(Exception):
 
 @dataclass
 class PreparedQuery:
-    """A compiled query with its unknowns freshened and materialized."""
+    """A compiled query with its unknowns freshened and given their
+    depth-bounded ranges; `base` holds one unknown per queried name."""
 
     program: Program
     compiled: CompiledQuery
@@ -115,6 +117,9 @@ def prepare(prog: Program, query: str, *,
                                  for t in q.unknowns.values()):
         raise DriverError("the queried unknowns contain integers; "
                           "explicit bounds are required (--int-bound LO HI)")
+    if int_bound is not None and int_bound[0] > int_bound[1]:
+        raise DriverError(f"no value fits the empty integer bounds "
+                          f"{int_bound[0]}..{int_bound[1]}")
     cs = ConstraintSet(int_bounds=int_bound) if int_bound else ConstraintSet()
     target = q.target
     uids: dict[str, int] = {}

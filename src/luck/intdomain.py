@@ -74,17 +74,6 @@ class IntDomain:
             i -= width
         raise IndexError(i)
 
-    def rank(self, v: int) -> int:
-        """Position of v in ascending order; v must be a member."""
-        seen = 0
-        for lo, hi in self.intervals:
-            if v < lo:
-                break
-            if v <= hi:
-                return seen + (v - lo)
-            seen += hi - lo + 1
-        raise ValueError(f"{v} not in domain")
-
     def values(self):
         for lo, hi in self.intervals:
             yield from range(lo, hi + 1)

@@ -157,7 +157,7 @@ def unfold_value(v: Expr, cs: ConstraintSet):
     if isinstance(v, Fold):
         return v.arg, cs
     if isinstance(v, Unknown):
-        root, b = cs.resolve(v.uid)
+        cs, root, b = cs.expand(v.uid)
         if isinstance(b, RFold):
             return Unknown(b.child), cs
         if b is None:

@@ -115,6 +115,13 @@ def test_configuration_errors_exit_1(capsys):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_empty_int_bound_is_a_configuration_error(capsys):
+    code, out, err = run_cli(capsys, BST, "bst 3 0 10 t = True",
+                             "--int-bound", "5..1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "no value" in err
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     flagged = run_cli(capsys, BST, "bst 4 0 9 t = True", "--seed", "5",
                       "--int-bound", "0..9")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from luck.constraints import (
     ConstraintSet,
     ContractViolation,
+    Deferred,
     RBoth,
     RInl,
     union,
@@ -27,6 +29,7 @@ from luck.core import (
     TVar,
     Unit,
     Unknown,
+    unfold_mu,
 )
 from luck.intdomain import IntDomain, eval_op
 
@@ -381,3 +384,118 @@ def test_random_cmp_filters(seed):
     before = cs.denote_restricted([a])
     after = cs.post_cmp(op, Unknown(a), k).denote_restricted([a])
     assert after == {t for t in before if eval_op(op, t[0].value, k)}
+
+
+# ---------------------------------------------------------------------------
+# deferred ranges
+
+# (count, sha256 prefix of the values' newline-joined text in structural
+# order) with int bounds 0..1.  Depths 1-4 were recorded from the ranges
+# when they were still built eagerly to the depth bound.
+RANGE_PINS = {
+    ("UNIT_LIST", 0): (0, "e3b0c44298fc1c14"),
+    ("UNIT_LIST", 1): (1, "629bd78ec0fec843"),
+    ("UNIT_LIST", 2): (2, "675fe2a0814e29b3"),
+    ("UNIT_LIST", 3): (3, "d66d560b178aeb0c"),
+    ("UNIT_LIST", 4): (4, "9d784c714966a905"),
+    ("TREE", 0): (0, "e3b0c44298fc1c14"),
+    ("TREE", 1): (1, "629bd78ec0fec843"),
+    ("TREE", 2): (3, "89447ea13eb479dd"),
+    ("TREE", 3): (19, "2c8188008928980e"),
+    ("TREE", 4): (723, "ad2cc369273970d6"),
+}
+
+
+@pytest.mark.parametrize("name,depth", sorted(RANGE_PINS))
+def test_deferred_range_counts_and_order(name, depth):
+    ty = {"UNIT_LIST": UNIT_LIST, "TREE": TREE}[name]
+    cs, (u,) = ConstraintSet(int_bounds=(0, 1)).fresh([ty])
+    cs, ok = cs.materialize(u, depth)
+    assert ok == (depth > 0) and cs.failed == (depth == 0)
+    n = cs.count_values(u)
+    assert n == len(cs.denote_restricted([u]))
+    text = "\n".join(str(cs._unrank(u, i)) for i in range(n))
+    assert (n, hashlib.sha256(text.encode()).hexdigest()[:16]) == \
+        RANGE_PINS[name, depth]
+
+
+def test_materialize_builds_nothing():
+    cs, (u,) = ConstraintSet(int_bounds=(0, 9)).fresh([TREE])
+    cs, ok = cs.materialize(u, 14)
+    assert ok and cs.bindings == {u: Deferred(14, u)}
+
+
+def test_index_of_a_range_with_one_value():
+    cs, (u,) = ConstraintSet().fresh([UNIT_LIST])
+    one, _ = cs.materialize(u, 1)
+    assert one.index(u) == list_value(UNIT_LIST, 0)
+    two, _ = cs.materialize(u, 2)
+    assert two.index(u) is None
+
+
+def test_unfolding_follows_unification_only():
+    cs, (u,) = ConstraintSet(int_bounds=(0, 1)).fresh([TREE])
+    cs, _ = cs.materialize(u, 12)
+    pinned = cs.unify(Unknown(u), Fold(Inl(Unit(), unfold_mu(TREE)), TREE))
+    # fold, the sum node and its unit side; the Node side stays deferred
+    assert len(pinned.bindings) == 4
+    assert pinned.count_values(u) == 1 and pinned.index(u) is not None
+
+
+def test_unifying_two_deferred_ranges_keeps_the_shallower():
+    cs, (a, b) = ConstraintSet().fresh([UNIT_LIST, UNIT_LIST])
+    cs, _ = cs.materialize(a, 4)
+    cs, _ = cs.materialize(b, 2)
+    cs = cs.unify(Unknown(a), Unknown(b))
+    assert cs.denote_restricted([a]) == {
+        (list_value(UNIT_LIST, n),) for n in range(2)}
+
+
+def test_unifying_a_deferred_range_with_a_shaped_one_unfolds_it():
+    cs, (a, b) = ConstraintSet().fresh([UNIT_LIST, UNIT_LIST])
+    cs, _ = cs.materialize(a, 4)
+    cs = cs.unify(Unknown(b), list_value(UNIT_LIST, 2))
+    cs = cs.unify(Unknown(a), Unknown(b))
+    assert cs.index(a) == list_value(UNIT_LIST, 2)
+    too_long = cs.unify(Unknown(a), Unknown(b)).unify(
+        Unknown(a), list_value(UNIT_LIST, 3))
+    assert too_long.failed
+
+
+def test_union_keeps_a_range_unfolded_in_one_branch():
+    cs, (u,) = ConstraintSet().fresh([UNIT_LIST])
+    cs, _ = cs.materialize(u, 3)
+    one = cs.unify(Unknown(u), list_value(UNIT_LIST, 1))
+    whole = cs.denote_restricted([u])
+    assert union(one, cs).denote_restricted([u]) == whole
+    assert union(cs, one).denote_restricted([u]) == whole
+
+
+def test_union_joins_ranges_unfolded_in_both_branches():
+    cs, (u,) = ConstraintSet().fresh([UNIT_LIST])
+    cs, _ = cs.materialize(u, 3)
+    empty = cs.unify(Unknown(u), list_value(UNIT_LIST, 0))
+    longer = cs.unify(Unknown(u), list_value(UNIT_LIST, 1))
+    joined = union(empty, longer).denote_restricted([u])
+    assert joined >= empty.denote_restricted([u]) | \
+        longer.denote_restricted([u])
+    assert joined <= cs.denote_restricted([u])
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_sat_is_the_failed_flag(seed):
+    rng = random.Random(3000 + seed)
+    cs, uids = random_store(rng)
+    for _ in range(3):
+        u = rng.choice(uids)
+        ty = cs.type_of(u)
+        if isinstance(ty, TInt):
+            cs = cs.post_cmp(rng.choice(["<", ">", "==", "/="]), Unknown(u),
+                             rng.randint(-1, 4))
+        elif isinstance(ty, TMu):
+            cs = cs.unify(Unknown(u), list_value(ty, rng.randint(0, 3)))
+        else:
+            cs = cs.unify(Unknown(u), random_value(rng, ty))
+        empty = any(isinstance(b, IntDomain) and b.is_empty()
+                    for b in cs.bindings.values())
+        assert cs.sat() == (not cs.failed and not empty)

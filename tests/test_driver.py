@@ -76,6 +76,20 @@ def test_empty_int_window_is_rejected():
         run_query(load("ex35.luck"), "a u = True", int_bound=(5, 2))
 
 
+def test_empty_int_window_is_rejected_for_structured_queries():
+    # the tree's integers have no value, although Empty would still fit
+    with pytest.raises(DriverError, match="no value"):
+        prepare(load("bst.luck"), "bst 3 0 10 t = True", int_bound=(5, 1))
+
+
+def test_prepared_store_does_not_grow_with_the_depth_bound():
+    prog = load("bst.luck")
+    shallow = prepare(prog, "bst 3 0 10 t = True", int_bound=(0, 10),
+                      depth=8)
+    deep = prepare(prog, "bst 3 0 10 t = True", int_bound=(0, 10), depth=14)
+    assert shallow.base.next_fresh == deep.base.next_fresh == 1
+
+
 def test_depth_bound_limits_structure():
     prog = load("length.luck")
     shallow = run_query(prog, "length l 3 = True", seed=0, int_bound=(0, 3),
