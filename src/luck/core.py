@@ -11,7 +11,9 @@ value of flat (function-free) type is expected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 
 class TypeCheckError(Exception):
@@ -378,9 +380,35 @@ TRUE = Inl(Unit(), BOOL)
 FALSE = Inr(Unit(), BOOL)
 
 
+# An evaluation environment maps variable names to closed values.
+# Evaluators extend it by copying ({**env, x: v}) and never mutate it.
+Env = Mapping[str, Expr]
+EMPTY_ENV: Env = MappingProxyType({})
+
+
+@dataclass(frozen=True)
+class Closure(Expr):
+    """The value of a ``rec`` evaluated under an environment."""
+
+    rec: Rec
+    env: Env
+
+    def body_env(self, arg: Expr) -> Env:
+        """The environment the body runs under when applied to arg.
+
+        The function name is bound last, so it shadows an argument of the
+        same name.
+        """
+        return {**self.env, self.rec.arg_name: arg,
+                self.rec.fun_name: self}
+
+    def __str__(self) -> str:
+        return str(self.rec)
+
+
 def is_value(e: Expr) -> bool:
     """Closed-value check; unknowns count (they stand for values)."""
-    if isinstance(e, (Unit, IntLit, Unknown, Rec)):
+    if isinstance(e, (Unit, IntLit, Unknown, Rec, Closure)):
         return True
     if isinstance(e, Pair):
         return is_value(e.fst) and is_value(e.snd)
@@ -498,7 +526,9 @@ def typecheck(e: Expr, env: dict[str, Type] | None = None,
               utypes: dict[int, Type] | None = None) -> Type:
     """Infer the type of an expression or raise TypeCheckError.
 
-    env maps bound variables, utypes maps unknowns; unknowns must be flat.
+    env maps bound variables to their types, or to the closed values an
+    evaluator bound them to, which are typed where they are used; utypes
+    maps unknowns, which must be flat.
     """
     return _tc(e, env or {}, utypes or {})
 
@@ -512,7 +542,8 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
     if isinstance(e, Var):
         if e.name not in env:
             raise TypeCheckError(f"unbound variable {e.name}")
-        return env[e.name]
+        ty = env[e.name]
+        return _tc(ty, {}, utypes) if isinstance(ty, Expr) else ty
     if isinstance(e, Unit):
         return TUnit()
     if isinstance(e, IntLit):
@@ -573,6 +604,8 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
         inner[e.arg_name] = e.arg_ty
         _expect(_tc(e.body, inner, utypes), e.res_ty, "rec body")
         return fty
+    if isinstance(e, Closure):
+        return TFun(e.rec.arg_ty, e.rec.res_ty)
     if isinstance(e, App):
         fty = _tc(e.fun, env, utypes)
         if not isinstance(fty, TFun):

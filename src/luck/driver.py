@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,13 +150,16 @@ def attempt(prep: PreparedQuery, ctx: RunCtx) -> dict[str, Expr]:
 
 def recheck(prep: PreparedQuery, vals: dict[str, Expr]) -> bool:
     """Confirm a generated valuation by plain predicate evaluation."""
-    concrete = prep.compiled.target
-    for name, v in vals.items():
-        concrete = subst(concrete, name, v)
     try:
-        return pred_eval(concrete) == prep.pattern
+        return pred_eval(prep.compiled.target, env=vals) == prep.pattern
     except EvalFailure:
         return False
+
+
+def _too_deep() -> str:
+    return (f"evaluation went deeper than the Python recursion limit "
+            f"({sys.getrecursionlimit()} frames); lower --depth or the "
+            f"sizes the query asks for")
 
 
 def _show_all(prep: PreparedQuery, vals: dict[str, Expr]) -> dict[str, str]:
@@ -193,6 +197,7 @@ def run_prepared(prep: PreparedQuery, *,
     backtracks = 0
     discards = 0
     attempts = 0
+    error = None
     for i in range(retries + 1):
         ctx = RunCtx(RandomSource(derive_seed(seed, i)), fuel=fuel,
                      local_backtracking=local_backtracking)
@@ -202,6 +207,11 @@ def run_prepared(prep: PreparedQuery, *,
         except (GenFailure, EvalTimeout):
             backtracks += ctx.local_backtracks
             continue
+        except RecursionError:
+            # every retry would recurse as deep again
+            backtracks += ctx.local_backtracks
+            error = _too_deep()
+            break
         backtracks += ctx.local_backtracks
         if check and not recheck(prep, vals):
             discards += 1
@@ -212,7 +222,7 @@ def run_prepared(prep: PreparedQuery, *,
     return GenReport(query, False, seed, None, None, [], Fraction(1),
                      attempts, backtracks, discards,
                      time.perf_counter() - t0,
-                     error=f"no success in {attempts} attempts")
+                     error=error or f"no success in {attempts} attempts")
 
 
 def replay_query(prog: Program, query: str, choices: list[Choice], *,
@@ -226,13 +236,16 @@ def replay_query(prog: Program, query: str, choices: list[Choice], *,
     try:
         vals = attempt(prep, ctx)
     except (GenFailure, EvalTimeout) as ex:
-        return GenReport(query, False, None, None, None, list(ctx.trace),
-                         ctx.q, 1, ctx.local_backtracks, 0,
-                         time.perf_counter() - t0, error=str(ex) or
-                         type(ex).__name__)
-    return GenReport(query, True, None, vals, _show_all(prep, vals),
-                     list(ctx.trace), ctx.q, 1, ctx.local_backtracks, 0,
-                     time.perf_counter() - t0)
+        error = str(ex) or type(ex).__name__
+    except RecursionError:
+        error = _too_deep()
+    else:
+        return GenReport(query, True, None, vals, _show_all(prep, vals),
+                         list(ctx.trace), ctx.q, 1, ctx.local_backtracks, 0,
+                         time.perf_counter() - t0)
+    return GenReport(query, False, None, None, None, list(ctx.trace), ctx.q,
+                     1, ctx.local_backtracks, 0, time.perf_counter() - t0,
+                     error=error)
 
 
 def enumerate_query(prog: Program, query: str, *,
@@ -245,6 +258,7 @@ def enumerate_query(prog: Program, query: str, *,
 
     Yields (trace, q, shown) triples; shown is None for failing traces.
     Local backtracking is disabled so the raw choice tree is exposed.
+    Raises DriverError when an attempt recurses past the Python limit.
     """
     prep = prepare(prog, query, int_bound=int_bound, depth=depth)
 
@@ -254,6 +268,8 @@ def enumerate_query(prog: Program, query: str, *,
             vals = attempt(prep, ctx)
         except GenFailure:
             return list(ctx.trace), (ctx.q, None)
+        except RecursionError:
+            raise DriverError(_too_deep()) from None
         return list(ctx.trace), (ctx.q, _show_all(prep, vals))
 
     for trace, (q, shown) in enumerate_traces(run):

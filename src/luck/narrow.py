@@ -6,14 +6,23 @@ recorded random choice; ``!e`` samples the unknowns of e's value down to
 concrete values.  The result of narrowing is the expression's value
 together with the refined constraint set; the probability of the taken
 path accumulates on the run context as an exact fraction.
+
+Expressions run under an environment of closed values: an application
+runs the function's body under its closure's environment extended with
+the argument, and a case arm under the current one extended with the arm
+variables.  A variable is replaced by its value before the step is
+counted, so evaluation takes the same steps as it would on the term with
+every bound variable substituted.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 from .constraints import ConstraintSet, ContractViolation
 from .core import (
+    EMPTY_ENV,
     FALSE,
     TRUE,
     After,
@@ -22,7 +31,9 @@ from .core import (
     Bang,
     CasePair,
     CaseSum,
+    Closure,
     Cmp,
+    Env,
     Expr,
     Fold,
     Inl,
@@ -32,14 +43,13 @@ from .core import (
     MatchFail,
     Pair,
     Rec,
-    TInt,
     TProd,
     TSum,
     Unfold,
     Unit,
     Unknown,
     Var,
-    subst,
+    subst,  # noqa: F401 -- unused; perfbench traces calls by this name
 )
 from .intdomain import negate_op
 from .trace import RunCtx
@@ -49,40 +59,37 @@ class GenFailure(Exception):
     """The current generation attempt cannot proceed (not a timeout)."""
 
 
-def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx):
-    """Evaluate e over cs; returns (value, refined constraint set)."""
+def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
+    """Evaluate e over cs under env; returns (value, refined store)."""
+    if isinstance(e, Var):
+        e = env.get(e.name, e)
     ctx.tick()
-    if isinstance(e, (Unit, IntLit, Rec, Unknown)):
+    if isinstance(e, (Unit, IntLit, Unknown, Closure)):
         return e, cs
+    if isinstance(e, Rec):
+        return Closure(e, env), cs
     if isinstance(e, Var):
         raise GenFailure(f"unbound variable {e.name}")
     if isinstance(e, MatchFail):
         raise GenFailure("inexhaustive match")
     if isinstance(e, Pair):
-        f, cs = narrow(e.fst, cs, ctx)
-        s, cs = narrow(e.snd, cs, ctx)
+        f, cs = narrow(e.fst, cs, ctx, env)
+        s, cs = narrow(e.snd, cs, ctx, env)
         return Pair(f, s), cs
-    if isinstance(e, Inl):
-        v, cs = narrow(e.arg, cs, ctx)
-        return Inl(v, e.ty), cs
-    if isinstance(e, Inr):
-        v, cs = narrow(e.arg, cs, ctx)
-        return Inr(v, e.ty), cs
-    if isinstance(e, Fold):
-        v, cs = narrow(e.arg, cs, ctx)
-        return Fold(v, e.ty), cs
+    if isinstance(e, (Inl, Inr, Fold)):
+        v, cs = narrow(e.arg, cs, ctx, env)
+        return type(e)(v, e.ty), cs
     if isinstance(e, Unfold):
-        v, cs = narrow(e.arg, cs, ctx)
+        v, cs = narrow(e.arg, cs, ctx, env)
         return unfold_value(v, cs)
     if isinstance(e, App):
-        f, cs = narrow(e.fun, cs, ctx)
-        if not isinstance(f, Rec):
+        f, cs = narrow(e.fun, cs, ctx, env)
+        if not isinstance(f, Closure):
             raise GenFailure(f"application of non-function {f}")
-        a, cs = narrow(e.arg, cs, ctx)
-        body = subst(subst(f.body, f.fun_name, f), f.arg_name, a)
-        return narrow(body, cs, ctx)
+        a, cs = narrow(e.arg, cs, ctx, env)
+        return narrow(f.rec.body, cs, ctx, f.body_env(a))
     if isinstance(e, CasePair):
-        v, cs = narrow(e.scrut, cs, ctx)
+        v, cs = narrow(e.scrut, cs, ctx, env)
         if isinstance(v, Unknown):
             ty = cs.type_of(v.uid)
             if not isinstance(ty, TProd):
@@ -94,60 +101,61 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx):
             v = Pair(Unknown(uf), Unknown(us))
         if not isinstance(v, Pair):
             raise GenFailure(f"pair case over non-pair {v}")
-        body = subst(subst(e.body, e.fst_name, v.fst), e.snd_name, v.snd)
-        return narrow(body, cs, ctx)
+        return narrow(e.body, cs, ctx,
+                      {**env, e.snd_name: v.snd, e.fst_name: v.fst})
     if isinstance(e, CaseSum):
-        v, cs = narrow(e.scrut, cs, ctx)
+        v, cs = narrow(e.scrut, cs, ctx, env)
         if isinstance(v, Inl):
-            return narrow(subst(e.left_body, e.left_name, v.arg), cs, ctx)
+            return narrow(e.left_body, cs, ctx, {**env, e.left_name: v.arg})
         if isinstance(v, Inr):
-            return narrow(subst(e.right_body, e.right_name, v.arg), cs, ctx)
+            return narrow(e.right_body, cs, ctx,
+                          {**env, e.right_name: v.arg})
         if isinstance(v, Unknown):
-            ty = cs.type_of(v.uid)
-            if not isinstance(ty, TSum):
-                raise ContractViolation(f"sum case over {ty}")
-            cs2, (ul, ur) = cs.fresh([ty.left, ty.right])
-            left = cs2.unify(v, Inl(Unknown(ul), ty))
-            right = cs2.unify(v, Inr(Unknown(ur), ty))
+            ul, ur, left, right = split_sum(v, cs)
             side, cs3 = choose(1, left, 1, right, ctx)
             if side == 0:
-                return narrow(subst(e.left_body, e.left_name, Unknown(ul)),
-                              cs3, ctx)
-            return narrow(subst(e.right_body, e.right_name, Unknown(ur)),
-                          cs3, ctx)
+                return narrow(e.left_body, cs3, ctx,
+                              {**env, e.left_name: Unknown(ul)})
+            return narrow(e.right_body, cs3, ctx,
+                          {**env, e.right_name: Unknown(ur)})
         raise GenFailure(f"sum case over non-injection {v}")
     if isinstance(e, Inst):
-        v, cs = narrow(e.arg, cs, ctx)
-        n1, cs = narrow_weight(e.w_left, cs, ctx)
-        n2, cs = narrow_weight(e.w_right, cs, ctx)
+        v, cs = narrow(e.arg, cs, ctx, env)
+        n1, cs = narrow_weight(e.w_left, cs, ctx, env)
+        n2, cs = narrow_weight(e.w_right, cs, ctx, env)
         if isinstance(v, (Inl, Inr)):
             return v, cs  # already decided; weights have no say
         if not isinstance(v, Unknown):
             raise GenFailure(f"instantiation of non-sum value {v}")
-        ty = cs.type_of(v.uid)
-        if not isinstance(ty, TSum):
-            raise ContractViolation(f"instantiation over {ty}")
-        cs2, (ul, ur) = cs.fresh([ty.left, ty.right])
-        left = cs2.unify(v, Inl(Unknown(ul), ty))
-        right = cs2.unify(v, Inr(Unknown(ur), ty))
-        _, cs3 = choose(n1, left, n2, right, ctx)
-        return v, cs3
+        _, _, left, right = split_sum(v, cs)
+        return v, choose(n1, left, n2, right, ctx)[1]
     if isinstance(e, Bang):
-        v, cs = narrow(e.arg, cs, ctx)
+        v, cs = narrow(e.arg, cs, ctx, env)
         return sample_value(v, cs, ctx)
     if isinstance(e, After):
-        v, cs = narrow(e.main, cs, ctx)
-        _, cs = narrow(e.hook, cs, ctx)
+        v, cs = narrow(e.main, cs, ctx, env)
+        _, cs = narrow(e.hook, cs, ctx, env)
         return v, cs
     if isinstance(e, Cmp):
-        l, cs = narrow(e.lhs, cs, ctx)
-        r, cs = narrow(e.rhs, cs, ctx)
+        l, cs = narrow(e.lhs, cs, ctx, env)
+        r, cs = narrow(e.rhs, cs, ctx, env)
         return narrow_cmp(e.op, l, r, cs, ctx)
     if isinstance(e, Arith):
-        l, cs = narrow(e.lhs, cs, ctx)
-        r, cs = narrow(e.rhs, cs, ctx)
+        l, cs = narrow(e.lhs, cs, ctx, env)
+        r, cs = narrow(e.rhs, cs, ctx, env)
         return narrow_arith(e.op, l, r, cs)
     raise ContractViolation(f"cannot narrow {e!r}")
+
+
+def split_sum(v: Unknown, cs: ConstraintSet):
+    """Fresh unknowns ul, ur for the two sides of v's sum type, and the
+    refinements of cs in which v is inl ul and inr ur."""
+    ty = cs.type_of(v.uid)
+    if not isinstance(ty, TSum):
+        raise ContractViolation(f"sum split over {ty}")
+    cs2, (ul, ur) = cs.fresh([ty.left, ty.right])
+    return (ul, ur, cs2.unify(v, Inl(Unknown(ul), ty)),
+            cs2.unify(v, Inr(Unknown(ur), ty)))
 
 
 def unfold_value(v: Expr, cs: ConstraintSet):
@@ -173,13 +181,14 @@ def unfold_value(v: Expr, cs: ConstraintSet):
     raise GenFailure(f"unfold of non-fold {v}")
 
 
-def narrow_weight(e: Expr, cs: ConstraintSet, ctx: RunCtx):
+def narrow_weight(e: Expr, cs: ConstraintSet, ctx: RunCtx,
+                  env: Env = EMPTY_ENV):
     """Weights must come out as non-negative concrete integers.
 
     A zero weight is legal and marks a branch that gets no probability
     mass; choice sites treat such branches as unavailable.
     """
-    v, cs = narrow(e, cs, ctx)
+    v, cs = narrow(e, cs, ctx, env)
     if isinstance(v, Unknown):
         v, cs = sample_value(v, cs, ctx)
     if not isinstance(v, IntLit) or v.value < 0:
@@ -250,39 +259,40 @@ def sample_value(v: Expr, cs: ConstraintSet, ctx: RunCtx):
 
     A drawn value whose pinning turns out inconsistent (possible because
     integer reasoning is interval-approximate) is discarded and a sibling
-    drawn from the remainder; only an exhausted range fails.
+    drawn from the remainder; only an exhausted range fails.  Only the
+    discarded indices are kept, so memory does not grow with the range.
     """
     ctx.tick()
-    if isinstance(v, (Unit, IntLit, Rec)):
+    if isinstance(v, (Unit, IntLit, Closure)):
         return v, cs
     if isinstance(v, Pair):
         f, cs = sample_value(v.fst, cs, ctx)
         s, cs = sample_value(v.snd, cs, ctx)
         return Pair(f, s), cs
-    if isinstance(v, Inl):
+    if isinstance(v, (Inl, Inr, Fold)):
         a, cs = sample_value(v.arg, cs, ctx)
-        return Inl(a, v.ty), cs
-    if isinstance(v, Inr):
-        a, cs = sample_value(v.arg, cs, ctx)
-        return Inr(a, v.ty), cs
-    if isinstance(v, Fold):
-        a, cs = sample_value(v.arg, cs, ctx)
-        return Fold(a, v.ty), cs
+        return type(v)(a, v.ty), cs
     if isinstance(v, Unknown):
         space = cs.sample(v.uid)
         n = space.count
         if n == 0:
             raise GenFailure(f"empty range for ?{v.uid}")
-        live = list(range(n))
-        while live:
-            m = len(live)
+        excluded: list[int] = []  # sorted
+        while len(excluded) < n:
+            m = n - len(excluded)
             if m == 1:
                 k = 0
             else:
                 k = ctx.pick(m)
                 ctx.record(k, m, Fraction(1, m))
-            value, pinned = space.at(live.pop(k))
+            i = k  # the k-th index not excluded
+            for x in excluded:
+                if x > i:
+                    break
+                i += 1
+            value, pinned = space.at(i)
             if not pinned.failed:
                 return value, pinned
+            insort(excluded, i)
         raise GenFailure(f"every value left for ?{v.uid} is inconsistent")
     raise ContractViolation(f"cannot sample {v!r}")

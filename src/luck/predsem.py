@@ -4,20 +4,26 @@ Generator annotations are interpreted transparently here: ``!e`` and
 ``e <- (w1, w2)`` evaluate to whatever e evaluates to (instantiation still
 insists its weights are positive), and ``e1 ;' e2`` evaluates both sides
 but returns the first.  This evaluator is the ground truth the generators
-are checked against: a produced valuation is correct iff substituting it
-into the query makes this evaluator return True.
+are checked against: a produced valuation is correct iff evaluating the
+query under an environment binding each queried name to its value makes
+this evaluator return True.  Bodies run under environments of closed
+values, as in narrowing, with the steps evaluation of the substituted
+term would take.
 """
 
 from __future__ import annotations
 
 from .core import (
+    EMPTY_ENV,
     After,
     App,
     Arith,
     Bang,
     CasePair,
     CaseSum,
+    Closure,
     Cmp,
+    Env,
     Expr,
     Fold,
     Inl,
@@ -31,7 +37,7 @@ from .core import (
     Unit,
     Unknown,
     Var,
-    subst,
+    subst,  # noqa: F401 -- unused; perfbench traces calls by this name
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -57,8 +63,8 @@ class _Fuel:
             raise EvalTimeout()
 
 
-def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
-    """Evaluate a closed expression to a value.
+def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL, env: Env = EMPTY_ENV) -> Expr:
+    """Evaluate an expression, closed by env, to a value.
 
     Raises EvalFailure if the expression is stuck (this includes implicit
     failing match arms) and EvalTimeout if fuel runs out.  Python stack
@@ -69,17 +75,21 @@ def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 50_000))
     try:
-        return _eval(e, _Fuel(fuel))
+        return _eval(e, _Fuel(fuel), env)
     except RecursionError:
         raise EvalTimeout() from None
     finally:
         sys.setrecursionlimit(old)
 
 
-def _eval(e: Expr, fuel: _Fuel) -> Expr:
+def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
+    if isinstance(e, Var):
+        e = env.get(e.name, e)
     fuel.tick()
-    if isinstance(e, (Unit, IntLit, Rec)):
+    if isinstance(e, (Unit, IntLit, Closure)):
         return e
+    if isinstance(e, Rec):
+        return Closure(e, env)
     if isinstance(e, Var):
         raise EvalFailure(f"unbound variable {e.name}")
     if isinstance(e, Unknown):
@@ -87,60 +97,55 @@ def _eval(e: Expr, fuel: _Fuel) -> Expr:
     if isinstance(e, MatchFail):
         raise EvalFailure("inexhaustive match")
     if isinstance(e, Pair):
-        return Pair(_eval(e.fst, fuel), _eval(e.snd, fuel))
-    if isinstance(e, Inl):
-        return Inl(_eval(e.arg, fuel), e.ty)
-    if isinstance(e, Inr):
-        return Inr(_eval(e.arg, fuel), e.ty)
-    if isinstance(e, Fold):
-        return Fold(_eval(e.arg, fuel), e.ty)
+        return Pair(_eval(e.fst, fuel, env), _eval(e.snd, fuel, env))
+    if isinstance(e, (Inl, Inr, Fold)):
+        return type(e)(_eval(e.arg, fuel, env), e.ty)
     if isinstance(e, Unfold):
-        v = _eval(e.arg, fuel)
+        v = _eval(e.arg, fuel, env)
         if not isinstance(v, Fold):
             raise EvalFailure(f"unfold of non-fold value {v}")
         return v.arg
     if isinstance(e, CasePair):
-        v = _eval(e.scrut, fuel)
+        v = _eval(e.scrut, fuel, env)
         if not isinstance(v, Pair):
             raise EvalFailure(f"pair case over non-pair value {v}")
-        body = subst(subst(e.body, e.fst_name, v.fst), e.snd_name, v.snd)
-        return _eval(body, fuel)
+        return _eval(e.body, fuel,
+                     {**env, e.snd_name: v.snd, e.fst_name: v.fst})
     if isinstance(e, CaseSum):
-        v = _eval(e.scrut, fuel)
+        v = _eval(e.scrut, fuel, env)
         if isinstance(v, Inl):
-            return _eval(subst(e.left_body, e.left_name, v.arg), fuel)
+            return _eval(e.left_body, fuel, {**env, e.left_name: v.arg})
         if isinstance(v, Inr):
-            return _eval(subst(e.right_body, e.right_name, v.arg), fuel)
+            return _eval(e.right_body, fuel, {**env, e.right_name: v.arg})
         raise EvalFailure(f"sum case over non-injection value {v}")
     if isinstance(e, App):
-        f = _eval(e.fun, fuel)
-        if not isinstance(f, Rec):
+        f = _eval(e.fun, fuel, env)
+        if not isinstance(f, Closure):
             raise EvalFailure(f"application of non-function {f}")
-        a = _eval(e.arg, fuel)
-        body = subst(subst(f.body, f.fun_name, f), f.arg_name, a)
-        return _eval(body, fuel)
+        a = _eval(e.arg, fuel, env)
+        return _eval(f.rec.body, fuel, f.body_env(a))
     if isinstance(e, Inst):
-        wl = _eval(e.w_left, fuel)
-        wr = _eval(e.w_right, fuel)
+        wl = _eval(e.w_left, fuel, env)
+        wr = _eval(e.w_right, fuel, env)
         for w in (wl, wr):
             if not isinstance(w, IntLit) or w.value <= 0:
                 raise EvalFailure(f"non-positive instantiation weight {w}")
-        return _eval(e.arg, fuel)
+        return _eval(e.arg, fuel, env)
     if isinstance(e, Bang):
-        return _eval(e.arg, fuel)
+        return _eval(e.arg, fuel, env)
     if isinstance(e, After):
-        v = _eval(e.main, fuel)
-        _eval(e.hook, fuel)
+        v = _eval(e.main, fuel, env)
+        _eval(e.hook, fuel, env)
         return v
     if isinstance(e, Cmp):
-        l = _eval(e.lhs, fuel)
-        r = _eval(e.rhs, fuel)
+        l = _eval(e.lhs, fuel, env)
+        r = _eval(e.rhs, fuel, env)
         if not isinstance(l, IntLit) or not isinstance(r, IntLit):
             raise EvalFailure("comparison of non-integers")
         return _bool_value(_compare(e.op, l.value, r.value))
     if isinstance(e, Arith):
-        l = _eval(e.lhs, fuel)
-        r = _eval(e.rhs, fuel)
+        l = _eval(e.lhs, fuel, env)
+        r = _eval(e.rhs, fuel, env)
         if not isinstance(l, IntLit) or not isinstance(r, IntLit):
             raise EvalFailure("arithmetic on non-integers")
         return IntLit(_arith(e.op, l.value, r.value))

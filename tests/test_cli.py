@@ -1,6 +1,8 @@
 """Command-line behavior: output modes, exit codes, and reproducibility."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -149,3 +151,37 @@ def test_installed_entry_point_round_trip(tmp_path):
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == 0 and a.stdout == b.stdout
     assert a.stdout.strip() in {"1", "2", "3"}
+
+
+# Queries that once ended in a traceback: OverflowError or MemoryError from
+# a sample that listed every index of its range, and RecursionError from
+# evaluating a 300-cell list.
+CRASHERS = [
+    ("redex.luck", "isRedex t = True", "0..3", None),
+    ("length.luck", "length l 30 = True", "0..3", "31"),
+    ("length.luck", "length l 100 = True", "0..3", "101"),
+    ("length.luck", "length l 300 = True", "0..3", "301"),
+]
+MEMORY_LIMIT = 1_500_000_000
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+@pytest.mark.parametrize("file,query,bound,depth", CRASHERS,
+                         ids=["redex", "length-30", "length-100",
+                              "length-300"])
+def test_query_ends_without_a_traceback(file, query, bound, depth):
+    cmd = [sys.executable, "-m", "luck.cli", str(CORPUS / file), query,
+           "--int-bound", bound, "--count", "5", "--seed", "1"]
+    if depth is not None:
+        cmd += ["--depth", depth]
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                         env=env, preexec_fn=_limit_memory)
+    assert run.returncode in (0, 2), run.stderr
+    assert "Traceback" not in run.stderr

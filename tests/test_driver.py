@@ -143,3 +143,25 @@ fun anyList l = True
     assert seen == {"[]", "[True]", "[False]",
                     "[True, True]", "[True, False]",
                     "[False, True]", "[False, False]"}
+
+
+DEEP = """
+sig down :: Int -> Int -> Bool
+fun down n u =
+  if n == 0 then u == 0 else down (n - 1) u
+"""
+
+
+def test_recursion_past_the_python_limit_ends_the_valuation():
+    prog = Program.from_source(DEEP)
+    assert run_query(prog, "down 20 u = True", int_bound=(0, 1),
+                     seed=1).ok
+    query = "down 5000 u = True"
+    report = run_query(prog, query, int_bound=(0, 1), seed=1)
+    # every retry would recurse as deep, so there is no second attempt
+    assert not report.ok and report.attempts == 1
+    assert "recursion limit" in report.error
+    report = replay_query(prog, query, [], int_bound=(0, 1))
+    assert not report.ok and "recursion limit" in report.error
+    with pytest.raises(DriverError, match="recursion limit"):
+        list(enumerate_query(prog, query, int_bound=(0, 1)))

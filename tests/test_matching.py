@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from luck.constraints import ConstraintSet
+from luck.constraints import ConstraintSet, ContractViolation
 from luck.core import (
     BOOL,
     FALSE,
     TRUE,
     After,
     App,
+    Arith,
     Bang,
     CaseSum,
     Cmp,
@@ -22,6 +23,7 @@ from luck.core import (
     MatchFail,
     Pair,
     Rec,
+    TFun,
     TInt,
     TMu,
     TProd,
@@ -328,6 +330,45 @@ def test_value_clash_is_structural_and_conservative():
     assert not heads_clash(Var("x"), TRUE)
     assert not heads_clash(Unknown(0), FALSE)
     assert not heads_clash(App(Var("f"), Unit()), TRUE)
+
+
+def test_value_clash_looks_through_bound_variables():
+    assert heads_clash(Var("y"), TRUE, {"y": FALSE})
+    assert not heads_clash(Var("y"), TRUE, {"y": TRUE})
+    assert heads_clash(Pair(Unit(), Var("y")), Pair(Unit(), TRUE),
+                       {"y": FALSE})
+    assert not heads_clash(Var("y"), TRUE, {"y": Unknown(0)})
+
+
+# -- environments -------------------------------------------------------------
+
+
+def test_curried_function_closes_over_the_earlier_argument():
+    # (rec add x. rec inner y. y + x) 10 u = 7 pins u to -3
+    inner = Rec("inner", "y", TInt(), Arith("+", Var("y"), Var("x")), TInt())
+    add = Rec("add", "x", TInt(), inner, TFun(TInt(), TInt()))
+    cs, u = int_unknown(-5, 5)
+    out = match_eval(App(App(add, IntLit(10)), Unknown(u)), IntLit(7), cs,
+                     ctx_with())
+    assert out.count_values(u) == 1 and out.index(u) == IntLit(-3)
+
+
+def test_arm_variable_shadows_an_outer_binding():
+    # case inl 5 of inl x -> x == 5 | inr x -> False, with x = 0 outside
+    ints = TSum(TInt(), TInt())
+    e = CaseSum(Inl(IntLit(5), ints), "x", Cmp("==", Var("x"), IntLit(5)),
+                "x", FALSE)
+    assert match_eval(e, TRUE, ConstraintSet(), ctx_with(),
+                      {"x": IntLit(0)}) is not None
+    assert match_eval(e, FALSE, ConstraintSet(), ctx_with(),
+                      {"x": IntLit(5)}) is None
+
+
+def test_function_name_shadows_an_argument_of_the_same_name():
+    # the body names the function, not the argument, so it is no boolean
+    r = Rec("f", "f", BOOL, Var("f"), BOOL)
+    with pytest.raises(ContractViolation):
+        match_eval(App(r, TRUE), TRUE, ConstraintSet(), ctx_with())
 
 
 # -- combine ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Narrowing evaluation: running expressions over a constraint store."""
 
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +15,9 @@ from luck.core import (
     App,
     Arith,
     Bang,
+    CasePair,
     CaseSum,
+    Closure,
     Cmp,
     Inl,
     Inr,
@@ -22,16 +26,29 @@ from luck.core import (
     MatchFail,
     Pair,
     Rec,
+    TFun,
     TInt,
     TProd,
+    TSum,
     TUnit,
     Unit,
     Unknown,
     Var,
 )
+from luck.desugar import Program
+from luck.driver import DEFAULT_FUEL, attempt, prepare
 from luck.narrow import GenFailure, narrow, sample_value
 from luck.predsem import EvalTimeout, pred_eval
-from luck.trace import Choice, RunCtx, ScriptedSource, enumerate_traces
+from luck.trace import (
+    Choice,
+    RandomSource,
+    RunCtx,
+    ScriptedSource,
+    derive_seed,
+    enumerate_traces,
+)
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def ctx_with(*choices):
@@ -215,6 +232,73 @@ def test_inst_on_concrete_value_passes_through():
     assert v == FALSE and ctx.trace == []
 
 
+# -- environments -------------------------------------------------------------
+
+
+def curried_sub():
+    """rec sub x. rec inner y. x - y: inner closes over sub's argument."""
+    inner = Rec("inner", "y", TInt(), Arith("-", Var("x"), Var("y")), TInt())
+    return Rec("sub", "x", TInt(), inner, TFun(TInt(), TInt()))
+
+
+def test_curried_function_closes_over_the_earlier_argument():
+    e = App(App(curried_sub(), IntLit(10)), IntLit(3))
+    v, _ = narrow(e, ConstraintSet(), ctx_with())
+    assert v == pred_eval(e) == IntLit(7)
+
+
+def test_closure_keeps_its_own_binding_of_a_rebound_name():
+    # case (sub 10, 5) of (f, x) -> f x: the outer x = 5 must not leak
+    # into the closure, whose x is 10
+    e = CasePair(Pair(App(curried_sub(), IntLit(10)), IntLit(5)), "f", "x",
+                 App(Var("f"), Var("x")))
+    v, _ = narrow(e, ConstraintSet(), ctx_with())
+    assert v == pred_eval(e) == IntLit(5)
+
+
+def test_arm_variable_shadows_an_outer_binding():
+    ints = TSum(TInt(), TInt())
+    outer = {"x": IntLit(9)}
+    e = CaseSum(Inl(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    assert narrow(e, ConstraintSet(), ctx_with(), outer)[0] == IntLit(1)
+    e = CaseSum(Inr(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    assert narrow(e, ConstraintSet(), ctx_with(), outer)[0] == IntLit(9)
+
+
+def test_function_name_shadows_an_argument_of_the_same_name():
+    r = Rec("f", "f", TInt(), Var("f"), TInt())
+    v, _ = narrow(App(r, IntLit(3)), ConstraintSet(), ctx_with())
+    assert isinstance(v, Closure) and v.rec is r
+
+
+# Evaluation steps of one attempt of each query for seeds 0-5, recorded
+# with the evaluator that substituted values into function bodies.
+# Evaluating under an environment must take exactly the same steps.
+ATTEMPT_STEPS = [
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10),
+     [165, 98, 165, 165, 111, 98]),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20),
+     [790, 1399, 1599, 721, 1511, 1152]),
+]
+
+
+@pytest.mark.parametrize("file,query,int_bound,steps", ATTEMPT_STEPS,
+                         ids=["bst", "rbt"])
+def test_attempt_takes_the_recorded_number_of_steps(file, query, int_bound,
+                                                    steps):
+    prog = Program.from_source((CORPUS / file).read_text())
+    prep = prepare(prog, query, int_bound=int_bound)
+    used = []
+    for seed in range(len(steps)):
+        ctx = RunCtx(RandomSource(derive_seed(seed, 0)))
+        try:
+            attempt(prep, ctx)
+        except GenFailure:
+            pass
+        used.append(DEFAULT_FUEL - ctx.fuel)
+    assert used == steps
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -345,3 +429,61 @@ def test_narrowing_constraint_then_sample():
     # one of three samples; every sampled value lands in {1,2,3}
     assert sorted(val.value for _, val in good) == [1, 2, 3]
     assert all(t[-1].arity == 3 for t, _ in good)
+
+
+class _FakeSpace:
+    """A sample space of n integers whose `bad` indices pin inconsistently."""
+
+    def __init__(self, n, bad):
+        self.count = n
+        self.bad = bad
+
+    def at(self, i):
+        return IntLit(i), SimpleNamespace(failed=i in self.bad)
+
+
+def _store_of(space):
+    return SimpleNamespace(sample=lambda uid: space)
+
+
+def _reference_draw(space, trace):
+    """The index a list of the live indices reaches on a recorded trace."""
+    live = list(range(space.count))
+    choices = iter(trace)
+    while live:
+        if len(live) == 1:
+            k = 0
+        else:
+            c = next(choices)
+            assert c.arity == len(live)
+            k = c.index
+        i = live.pop(k)
+        if i not in space.bad:
+            return i
+    return None
+
+
+def test_inconsistent_draws_are_replaced_from_the_remainder():
+    space = _FakeSpace(6, {0, 2, 3})
+
+    def run(source):
+        ctx = RunCtx(source)
+        v, _ = sample_value(Unknown(0), _store_of(space), ctx)
+        return list(ctx.trace), v.value
+
+    outcomes = list(enumerate_traces(run))
+    assert len(outcomes) > space.count - len(space.bad)
+    for trace, got in outcomes:
+        assert got == _reference_draw(space, trace)
+
+
+def test_sampling_a_huge_range_lists_none_of_it():
+    n = 10 ** 40
+    space = _FakeSpace(n, {0, 1, 5})
+    ctx = ctx_with(Choice(0, n), Choice(0, n - 1), Choice(3, n - 2),
+                   Choice(3, n - 3))
+    v, _ = sample_value(Unknown(0), _store_of(space), ctx)
+    # indices 0 and 1 are dropped, the third draw maps 3 past them to the
+    # inconsistent 5, and the fourth maps 3 past 0, 1 and 5 to 6
+    assert v == IntLit(6)
+    assert ctx.q == Fraction(1, n * (n - 1) * (n - 2) * (n - 3))

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from luck.core import (
@@ -9,6 +12,7 @@ from luck.core import (
     Bang,
     CasePair,
     CaseSum,
+    Closure,
     Cmp,
     Fold,
     Inl,
@@ -18,14 +22,21 @@ from luck.core import (
     MatchFail,
     Pair,
     Rec,
+    TFun,
     TInt,
+    TSum,
     TUnit,
     Unfold,
     Unit,
     Var,
     erase,
+    subst,
 )
+from luck.desugar import Program
+from luck.driver import prepare, run_prepared
 from luck.predsem import EvalFailure, EvalTimeout, pred_eval
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def test_arith_and_cmp():
@@ -103,3 +114,100 @@ def test_erasure_agreement():
     ]
     for e in exprs:
         assert pred_eval(e) == pred_eval(erase(e))
+
+
+# -- environments -------------------------------------------------------------
+
+
+def curried_sub():
+    """rec sub x. rec inner y. x - y: inner closes over sub's argument."""
+    inner = Rec("inner", "y", TInt(), Arith("-", Var("x"), Var("y")), TInt())
+    return Rec("sub", "x", TInt(), inner, TFun(TInt(), TInt()))
+
+
+def test_curried_function_closes_over_the_earlier_argument():
+    assert pred_eval(App(App(curried_sub(), IntLit(10)), IntLit(3))) \
+        == IntLit(7)
+    # the pair case rebinds x to 5, which must not reach the closure
+    e = CasePair(Pair(App(curried_sub(), IntLit(10)), IntLit(5)), "f", "x",
+                 App(Var("f"), Var("x")))
+    assert pred_eval(e) == IntLit(5)
+
+
+def test_arm_variable_shadows_an_outer_binding():
+    ints = TSum(TInt(), TInt())
+    e = CaseSum(Inl(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    assert pred_eval(e, env={"x": IntLit(9)}) == IntLit(1)
+    e = CaseSum(Inr(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    assert pred_eval(e, env={"x": IntLit(9)}) == IntLit(9)
+
+
+def test_function_name_shadows_an_argument_of_the_same_name():
+    r = Rec("f", "f", TInt(), Var("f"), TInt())
+    v = pred_eval(App(r, IntLit(3)))
+    assert isinstance(v, Closure) and v.rec is r
+
+
+def outcome(e, env=None):
+    try:
+        return pred_eval(e, env=env) if env is not None else pred_eval(e)
+    except EvalFailure as ex:
+        return type(ex)
+
+
+# (file, query, int bound, depth)
+QUERIES = [
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), 8),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), 8),
+    ("distinct.luck", "distinct l = True", (0, 9), 8),
+    ("member.luck", "member 3 l = True", (0, 5), 8),
+    ("length.luck", "length l 3 = True", (0, 3), 5),
+    ("redex.luck", "isRedex t = True", (0, 1), 4),
+    ("ex35.luck", "b u = True", (0, 9), 8),
+]
+
+
+@pytest.mark.parametrize("file,query,int_bound,depth", QUERIES,
+                         ids=[q.split()[0] for _, q, _, _ in QUERIES])
+def test_environment_agrees_with_substitution(file, query, int_bound, depth):
+    # over generated valuations, which mostly satisfy the query, and over
+    # values drawn from the unknowns' whole ranges, which mostly do not
+    prep = prepare(Program.from_source((CORPUS / file).read_text()), query,
+                   int_bound=int_bound, depth=depth)
+    rng = random.Random(7)
+    valuations = []
+    for seed in range(4):
+        report = run_prepared(prep, seed=seed, retries=20)
+        if report.ok:
+            valuations.append(report.values)
+        spaces = {n: prep.base.sample(u) for n, u in prep.uids.items()}
+        valuations.append({n: s.at(rng.randrange(s.count))[0]
+                           for n, s in spaces.items()})
+    target = prep.compiled.target
+    for vals in valuations:
+        closed = target
+        for name, v in vals.items():
+            closed = subst(closed, name, v)
+        assert outcome(target, vals) == outcome(closed)
+
+
+# Steps the recheck of the valuation from seeds 0-2 needs, recorded with
+# the evaluator that substituted values into function bodies.
+RECHECK_STEPS = [
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), [262, 132, 262]),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), [2524, 1328, 4171]),
+    ("distinct.luck", "distinct l = True", (0, 9), [90, 90, 25]),
+]
+
+
+@pytest.mark.parametrize("file,query,int_bound,steps", RECHECK_STEPS,
+                         ids=[q.split()[0] for _, q, _, _ in RECHECK_STEPS])
+def test_recheck_takes_the_recorded_number_of_steps(file, query, int_bound,
+                                                    steps):
+    prep = prepare(Program.from_source((CORPUS / file).read_text()), query,
+                   int_bound=int_bound)
+    for seed, fuel in enumerate(steps):
+        vals = run_prepared(prep, seed=seed).values
+        assert pred_eval(prep.compiled.target, fuel, vals) == TRUE
+        with pytest.raises(EvalTimeout):
+            pred_eval(prep.compiled.target, fuel - 1, vals)
