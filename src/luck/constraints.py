@@ -17,10 +17,24 @@ Every operation is functional: it returns a new constraint set, sharing
 unchanged dictionaries with the old one.  Contradictions never raise; they
 return a set whose store is failed.  Every write that empties an integer
 domain fails the store, so ``sat`` is a flag test; this assumes non-empty
-integer bounds, which the driver checks.  ``denote_restricted`` is a
-deliberately naive brute-force enumeration of the store's meaning: the
-ground truth in tests, and the last filter ``sample`` applies to small
-ranges entangled with other unknowns.
+integer bounds, which the driver checks.  Binary constraints are indexed
+by representative: ``cons[r]`` lists every constraint with an end whose
+representative is r, and only representatives are keys.
+
+``sample`` keeps a value of a constrained range when pinning it leaves a
+store with a solution.  It decides that by certificate where it can:
+
+  * whole range: the store's integer constraints are difference
+    constraints, whose solutions are closed under translation and
+    componentwise min (Dechter, Meiri & Pearl 1991).  When the range has
+    one integer leaf x, no linked constraint is ``/=``, every linked
+    domain [L_i, U_i] is one interval, and both all-L and all-U are
+    solutions, then for v in [L_x, U_x] the assignment
+    min(U, L + (v - L_x)) is a solution with x = v: every value pins;
+  * per value: a pin whose all-least assignment is a solution is kept;
+  * otherwise ``denote_restricted``, a deliberately naive brute-force
+    enumeration of the store's meaning (also the ground truth in tests),
+    decides.
 """
 
 from __future__ import annotations
@@ -373,6 +387,7 @@ class ConstraintSet:
 
         # pull in constraint neighbours so every constraint can be checked
         seen: set[int] = set()
+        ints: list[int] = []
 
         def reach(u: int):
             r = self.find(u)
@@ -386,25 +401,13 @@ class ConstraintSet:
             elif isinstance(b, (RInl, RInr, RFold)):
                 reach(b.child)
             elif isinstance(b, IntDomain):
-                for c in self.cons.get(r, ()) + tuple(
-                        c for key, cs in self.cons.items()
-                        if self.find(key) == r for c in cs):
-                    reach(c.lhs)
-                    reach(c.rhs)
+                ints.append(r)
 
         for u in us:
             reach(u)
-        # adjacency keys may be stale ids; second pass closes over them
-        changed = True
-        while changed:
-            changed = False
-            for key, cs in self.cons.items():
-                for c in cs:
-                    if self.find(c.lhs) in seen or self.find(c.rhs) in seen:
-                        for end in (c.lhs, c.rhs):
-                            if self.find(end) not in seen:
-                                reach(end)
-                                changed = True
+        all_cons = self._linked(ints)
+        for c in all_cons:
+            seen.update((self.find(c.lhs), self.find(c.rhs)))
 
         budget = [cap]
 
@@ -490,12 +493,6 @@ class ConstraintSet:
                     yield a2
             else:
                 raise ContractViolation(f"cannot enumerate type {ty}")
-
-        all_cons = []
-        for key, cs in self.cons.items():
-            for c in cs:
-                if c not in all_cons:
-                    all_cons.append(c)
 
         out = set()
         for asg in assignments(sorted(seen), {}):
@@ -750,14 +747,27 @@ class ConstraintSet:
             return b
         return IntDomain.bounded(*self.int_bounds)
 
-    def _constraints_of(self, root: int) -> list[Constraint]:
-        out = []
-        for key, cs in self.cons.items():
-            if self.find(key) == root:
-                for c in cs:
-                    if c not in out:
-                        out.append(c)
-        return out
+    def _linked(self, seeds: list[int]) -> list[Constraint]:
+        """Every constraint reachable from the seeds through shared ends."""
+        out: dict[Constraint, None] = {}
+        seen: set[int] = set()
+        todo = [self.find(s) for s in seeds]
+        while todo:
+            r = todo.pop()
+            if r in seen:
+                continue
+            seen.add(r)
+            for c in self.cons.get(r, ()):
+                if c not in out:
+                    out[c] = None
+                    todo += (self.find(c.lhs), self.find(c.rhs))
+        return list(out)
+
+    def _solved_by(self, cons: list[Constraint], pick) -> bool:
+        """Whether giving every unknown pick(its domain) satisfies `cons`."""
+        return all(eval_op(c.op, pick(self._domain(c.lhs)),
+                           pick(self._domain(c.rhs)) + c.offset)
+                   for c in cons)
 
     def propagate(self, seeds: list[int]) -> "ConstraintSet":
         """AC-3 over the binary constraints, starting from the seeds."""
@@ -777,7 +787,8 @@ class ConstraintSet:
         queued: set = set()
 
         def enqueue_for(root: int):
-            for c in self._constraints_of(root):
+            # a merge concatenates two lists; `queued` skips a repeated `c`
+            for c in self.cons.get(root, ()):
                 for target in ("lhs", "rhs"):
                     key = (c, target)
                     if key not in queued:
@@ -939,12 +950,15 @@ class ConstraintSet:
         """Split the store into one branch per value of the unknown.
 
         Values come out in structural order (left injections first, integer
-        intervals ascending).  Small spaces whose integer leaves carry
-        binary constraints are materialized and filtered for
-        satisfiability.  The others are virtual: when no leaf is
-        constrained every value pins consistently, and large spaces assume
-        the unknown's integer leaves are not entangled with other live
-        unknowns.
+        intervals ascending).  A small space keeps the values whose pinned
+        store has a solution among the unknowns linked to the range (or
+        whose brute-force check exceeds its cap).  It is virtual, pinning
+        only the drawn value, when no integer leaf is constrained or the
+        whole-range certificate (module docstring) holds; otherwise each
+        value is pinned, kept at once when its all-least assignment is a
+        solution, and otherwise checked by ``denote_restricted``.  Large
+        spaces are virtual and assume the unknown's integer leaves are not
+        entangled with other live unknowns.
         """
         root = self.find(u)
         total = self.count_values(root)
@@ -952,22 +966,36 @@ class ConstraintSet:
             return SampleSpace(virtual=(self, root, total))
         leaves: list[int] = []
         self._range_leaves(root, leaves)
-        if not self.failed and not any(self._constraints_of(lf)
-                                       for lf in leaves):
+        linked = self._linked(leaves)
+        if not self.failed and (not linked
+                                or self._every_value_pins(leaves, linked)):
             return SampleSpace(virtual=(self, root, total))
         sets = []
         for i in range(total):
             v = self._unrank(root, i)
-            pinned = self.unify(Unknown(root), v).propagate(leaves)
-            if pinned.sat():
+            # unify has run AC-3 from every leaf it wrote
+            pinned = self.unify(Unknown(root), v)
+            if pinned.failed:
+                continue
+            if not pinned._solved_by(linked, IntDomain.min):
                 # a pin may be arc-consistent yet globally empty
                 try:
                     if not pinned.denote_restricted([root], cap=4096):
                         continue
                 except ContractViolation:
                     pass
-                sets.append((v, pinned))
+            sets.append((v, pinned))
         return SampleSpace(sets=sets)
+
+    def _every_value_pins(self, leaves: list[int],
+                          linked: list[Constraint]) -> bool:
+        """The whole-range certificate of the module docstring."""
+        if len(leaves) != 1 or any(c.op == "/=" for c in linked):
+            return False
+        ends = {e for c in linked for e in (c.lhs, c.rhs)}
+        return (all(len(self._domain(e).intervals) == 1 for e in ends)
+                and self._solved_by(linked, IntDomain.min)
+                and self._solved_by(linked, IntDomain.max))
 
 
 class SampleSpace:
@@ -988,9 +1016,7 @@ class SampleSpace:
             return self._sets[i]
         cset, root, _ = self._virtual
         v = cset._unrank(root, i)
-        leaves: list[int] = []
-        cset._range_leaves(root, leaves)
-        return v, cset.unify(Unknown(root), v).propagate(leaves)
+        return v, cset.unify(Unknown(root), v)
 
     def __iter__(self) -> Iterator:
         for i in range(self.count):

@@ -33,6 +33,7 @@ from .trace import (
     derive_seed,
     enumerate_traces,
     format_trace,
+    fraction_text,
 )
 
 DEFAULT_DEPTH = 8
@@ -92,7 +93,7 @@ class GenReport:
             "seed": self.seed,
             "values": self.shown,
             "choices": [[c.index, c.arity] for c in self.trace],
-            "q": f"{self.q.numerator}/{self.q.denominator}",
+            "q": fraction_text(self.q),
             "attempts": self.attempts,
             "local_backtracks": self.local_backtracks,
             "discards": self.discards,

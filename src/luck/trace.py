@@ -28,6 +28,40 @@ class Choice:
         return f"({self.index},{self.arity})"
 
 
+# Long integers are converted to and from decimal text in chunks of this
+# many digits, below the smallest limit ``sys.set_int_max_str_digits``
+# accepts (640), so a q of any length prints and parses under any limit.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_text(n: int) -> str:
+    """The decimal text of n, however many digits it has."""
+    if n < 0:
+        return "-" + int_text(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def parse_int(text: str) -> int:
+    """The integer written by ``int_text``."""
+    if text.startswith("-"):
+        return -parse_int(text[1:])
+    head = len(text) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(text[:head])
+    for i in range(head, len(text), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(text[i:i + _CHUNK_DIGITS])
+    return n
+
+
+def fraction_text(q: Fraction) -> str:
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
+
+
 def format_trace(seed: Optional[int], choices: list[Choice], q: Fraction,
                  result: Optional[str] = None) -> str:
     body = "[" + ",".join(str(c) for c in choices) + "]"
@@ -35,7 +69,7 @@ def format_trace(seed: Optional[int], choices: list[Choice], q: Fraction,
     if seed is not None:
         parts.append(f"seed={seed}")
     parts.append(f"choices={body}")
-    parts.append(f"q={q.numerator}/{q.denominator}")
+    parts.append(f"q={fraction_text(q)}")
     if result is not None:
         parts.append(f"result={result}")
     return " ".join(parts)
@@ -57,7 +91,7 @@ def parse_trace(line: str):
     if body:
         for part in re.findall(r"\((-?\d+),(-?\d+)\)", body):
             choices.append(Choice(int(part[0]), int(part[1])))
-    q = Fraction(int(m.group(3)), int(m.group(4)))
+    q = Fraction(parse_int(m.group(3)), parse_int(m.group(4)))
     return seed, choices, q, m.group(5)
 
 

@@ -153,14 +153,22 @@ def test_installed_entry_point_round_trip(tmp_path):
     assert a.stdout.strip() in {"1", "2", "3"}
 
 
-# Queries that once ended in a traceback: OverflowError or MemoryError from
-# a sample that listed every index of its range, and RecursionError from
-# evaluating a 300-cell list.
-CRASHERS = [
-    ("redex.luck", "isRedex t = True", "0..3", None),
-    ("length.luck", "length l 30 = True", "0..3", "31"),
-    ("length.luck", "length l 100 = True", "0..3", "101"),
-    ("length.luck", "length l 300 = True", "0..3", "301"),
+# One representative query per corpus file.  redex and length once ended
+# in a traceback (OverflowError or MemoryError from a sample that listed
+# every index of its range, RecursionError from evaluating a 300-cell
+# list), and sorted at seed 36 reaches a q longer than the interpreter's
+# default limit on integer-to-text conversion (4300 digits).
+CORPUS_SWEEP = [
+    ("redex.luck", "isRedex t = True", "0..3", None, "1"),
+    ("length.luck", "length l 30 = True", "0..3", "31", "1"),
+    ("length.luck", "length l 100 = True", "0..3", "101", "1"),
+    ("length.luck", "length l 300 = True", "0..3", "301", "1"),
+    ("bst.luck", "bst 3 0 10 t = True", "0..10", None, "1"),
+    ("distinct.luck", "distinct l = True", "0..9", None, "1"),
+    ("ex35.luck", "b u = True", "0..9", None, "1"),
+    ("member.luck", "member 3 l = True", "0..5", None, "1"),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", "0..20", None, "1"),
+    ("sorted.luck", "sorted l = True", "0..20", None, "36"),
 ]
 MEMORY_LIMIT = 1_500_000_000
 
@@ -169,12 +177,14 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-@pytest.mark.parametrize("file,query,bound,depth", CRASHERS,
+@pytest.mark.parametrize("file,query,bound,depth,seed", CORPUS_SWEEP,
                          ids=["redex", "length-30", "length-100",
-                              "length-300"])
-def test_query_ends_without_a_traceback(file, query, bound, depth):
+                              "length-300", "bst", "distinct", "ex35",
+                              "member", "rbt", "sorted"])
+def test_query_ends_without_a_traceback(file, query, bound, depth, seed):
     cmd = [sys.executable, "-m", "luck.cli", str(CORPUS / file), query,
-           "--int-bound", bound, "--count", "5", "--seed", "1"]
+           "--int-bound", bound, "--count", "5", "--seed", seed,
+           "--output", "json"]
     if depth is not None:
         cmd += ["--depth", depth]
     src = str(Path(__file__).parent.parent / "src")

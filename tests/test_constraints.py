@@ -499,3 +499,179 @@ def test_sat_is_the_failed_flag(seed):
         empty = any(isinstance(b, IntDomain) and b.is_empty()
                     for b in cs.bindings.values())
         assert cs.sat() == (not cs.failed and not empty)
+
+
+# ---------------------------------------------------------------------------
+# the certified sampler against the filter it replaces
+
+OPS = ["==", "/=", "<", "<=", ">", ">="]
+
+
+def filtered_sample(cs, u):
+    """The reference: pin every value, propagate from every leaf, and keep
+    the pins that survive both AC-3 and the brute-force denotation."""
+    root = cs.find(u)
+    leaves = []
+    cs._range_leaves(root, leaves)
+    kept = []
+    for i in range(cs.count_values(root)):
+        v = cs._unrank(root, i)
+        pinned = cs.unify(Unknown(root), v).propagate(leaves)
+        if pinned.sat():
+            try:
+                if not pinned.denote_restricted([root], cap=4096):
+                    continue
+            except ContractViolation:
+                pass
+            kept.append((v, pinned))
+    return kept
+
+
+def random_int_store(rng):
+    """2-4 integer unknowns over 0..5 under random comparisons (all six
+    operators, offsets -1..2), aliasing, and unions that leave holes in
+    domains; sometimes also a pair unknown over two of them."""
+    cs, uids = ConstraintSet(int_bounds=(0, 5)).fresh(
+        [TInt()] * rng.randint(2, 4))
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        a, b = rng.sample(uids, 2)
+        if kind < 0.55:
+            cs = cs.post_cmp(rng.choice(OPS), Unknown(a), Unknown(b),
+                             offset=rng.randint(-1, 2))
+        elif kind < 0.7:
+            cs = cs.post_cmp(rng.choice(OPS), Unknown(a), rng.randint(0, 5))
+        elif kind < 0.8:
+            cs = cs.unify(Unknown(a), Unknown(b))
+        else:
+            lo = rng.randint(0, 3)
+            cs = union(cs.post_cmp("<=", Unknown(a), lo),
+                       cs.post_cmp(">=", Unknown(a), rng.randint(lo + 2, 5)))
+        if cs.failed:
+            return cs, uids
+    reps = sorted({cs.find(u) for u in uids})
+    if len(reps) >= 2 and rng.random() < 0.3:
+        a, b = rng.sample(reps, 2)
+        cs, (p,) = cs.fresh([TProd(TInt(), TInt())])
+        cs = cs.unify(Unknown(p), Pair(Unknown(a), Unknown(b)))
+        uids = uids + [p]
+    return cs, uids
+
+
+def test_certified_sample_equals_the_pin_and_filter_reference():
+    rng = random.Random(4)
+    stores = 0
+    for _ in range(1500):
+        cs, uids = random_int_store(rng)
+        if cs.failed:
+            continue
+        stores += 1
+        for u in uids:
+            got = [(v, k.failed, k.bindings) for v, k in cs.sample(u)]
+            want = [(v, k.failed, k.bindings)
+                    for v, k in filtered_sample(cs, u)]
+            assert got == want, (str(cs), u)
+    assert stores > 900
+
+
+def int_store(n):
+    return ConstraintSet(int_bounds=(0, 5)).fresh([TInt()] * n)
+
+
+def kept(cs, u):
+    return [v.value for v, _ in cs.sample(u)]
+
+
+def test_a_hole_forces_the_per_value_path():
+    cs, (a, b) = int_store(2)
+    cs = union(cs.post_cmp("<=", Unknown(b), 0),
+               cs.post_cmp(">=", Unknown(b), 5))
+    cs = cs.post_cmp("<=", Unknown(a), Unknown(b))
+    cs = cs.post_cmp("<=", Unknown(b), Unknown(a))
+    assert str(cs.bindings[b]) == "{0, 5}"
+    # the all-least and all-greatest assignments are solutions, but
+    # a = 1..4 pins b into the hole
+    assert kept(cs, a) == [0, 5]
+
+
+def test_a_disequality_blocks_the_whole_range_certificate():
+    cs, (a, b) = int_store(2)
+    cs = cs.post_cmp(">=", Unknown(a), 4)
+    cs = cs.post_cmp("/=", Unknown(b), Unknown(a), offset=-1)
+    cs = cs.post_cmp("/=", Unknown(a), Unknown(b), offset=2)
+    # b = 3 excludes both a = 4 and a = 5
+    assert kept(cs, b) == [0, 1, 2, 4, 5]
+
+
+def test_the_brute_force_check_decides_when_the_least_witness_fails(
+        monkeypatch):
+    cs, (a, b, c) = int_store(3)
+    cs = cs.post_cmp("<=", Unknown(a), Unknown(b))
+    cs = cs.post_cmp("/=", Unknown(b), Unknown(c))
+    checks = []
+    denote = ConstraintSet.denote_restricted
+
+    def counted(self, us, cap=100_000):
+        checks.append(us)
+        return denote(self, us, cap)
+
+    monkeypatch.setattr(ConstraintSet, "denote_restricted", counted)
+    # pinning a = 0 leaves b = c = 0 as the least assignment, which
+    # breaks b /= c; b = 0, c = 1 is a solution
+    assert kept(cs, a) == [0, 1, 2, 3, 4, 5]
+    assert checks
+
+
+def test_an_arc_consistent_pin_without_a_solution_is_dropped():
+    cs, (w, x, y, z) = int_store(4)
+    for u in (x, y, z):
+        cs = cs.post_cmp("<=", Unknown(u), 1)
+    for u, v in ((x, y), (y, z), (x, z)):
+        cs = cs.post_cmp("/=", Unknown(u), Unknown(v))
+    cs = cs.post_cmp("<=", Unknown(w), Unknown(x))
+    # three pairwise different values in {0, 1}: AC-3 cannot tell
+    assert not cs.failed and cs.unify(Unknown(w), IntLit(0)).sat()
+    assert kept(cs, w) == []
+
+
+def test_a_certified_range_pins_only_the_drawn_value(monkeypatch):
+    cs, (a, b, c) = int_store(3)
+    cs = cs.post_cmp("<", Unknown(a), Unknown(b))
+    cs = cs.post_cmp("==", Unknown(c), Unknown(b), offset=1)
+    pins = []
+    unify = ConstraintSet.unify
+
+    def counted(self, x, y):
+        pins.append((x, y))
+        return unify(self, x, y)
+
+    monkeypatch.setattr(ConstraintSet, "unify", counted)
+    space = cs.sample(a)
+    assert space.count == 4 and not pins
+    value, pinned = space.at(3)
+    assert value == IntLit(3) and pinned.index(b) == IntLit(4)
+    assert pinned.index(c) == IntLit(5)
+
+
+# ---------------------------------------------------------------------------
+# constraints are indexed by representative
+
+
+def assert_indexed_by_representative(cs):
+    for key in cs.cons:
+        assert cs.find(key) == key
+    for c in {c for cons in cs.cons.values() for c in cons}:
+        for end in (c.lhs, c.rhs):
+            assert c in cs.cons[cs.find(end)]
+
+
+def test_constraint_keys_are_representatives():
+    rng = random.Random(5)
+    for _ in range(400):
+        cs, uids = random_int_store(rng)
+        assert_indexed_by_representative(cs)
+        renamed, _ = rename(rng.sample(uids, 2), cs, floor=cs.next_fresh)
+        assert_indexed_by_representative(renamed)
+        assert_indexed_by_representative(union(cs, renamed))
+        a, b = rng.sample(uids[:2], 2)
+        assert_indexed_by_representative(cs.unify(Unknown(a), Unknown(b)))

@@ -9,6 +9,7 @@ import pytest
 from luck.desugar import Program
 from luck.driver import (
     DriverError,
+    GenReport,
     enumerate_query,
     prepare,
     recheck,
@@ -16,7 +17,7 @@ from luck.driver import (
     run_prepared,
     run_query,
 )
-from luck.trace import Choice
+from luck.trace import Choice, parse_int
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -126,6 +127,14 @@ def test_json_report_round_trips():
     assert Fraction(*map(int, d["q"].split("/"))) == r.q
 
 
+def test_json_report_with_a_q_past_the_integer_digit_limit():
+    q = Fraction(1, 2**92934)
+    r = GenReport("sorted l = True", True, 36, None, {"l": "[]"}, [], q,
+                  1, 0, 0, 0.0)
+    num, den = json.loads(r.to_json())["q"].split("/")
+    assert Fraction(parse_int(num), parse_int(den)) == q
+
+
 def test_generation_without_constraints_is_uniform_to_depth():
     # a predicate that never examines its argument leaves the whole
     # depth-bounded range; sampling must still work
@@ -165,3 +174,31 @@ def test_recursion_past_the_python_limit_ends_the_valuation():
     assert not report.ok and "recursion limit" in report.error
     with pytest.raises(DriverError, match="recursion limit"):
         list(enumerate_query(prog, query, int_bound=(0, 1)))
+
+
+# The paper's soundness and completeness theorems at small bounds: the
+# successes of the exhaustive enumeration are exactly the valuations that
+# satisfy the predicate within the bounds, and the probabilities of all
+# traces sum to one.
+THEOREM_QUERIES = [
+    ("bst.luck", "bst 2 0 3 t = True", (0, 3)),
+    ("distinct.luck", "distinct l = True", (0, 2)),
+    ("sorted.luck", "sorted l = True", (0, 2)),
+    ("rbt.luck", "isRBT 1 0 3 Black t = True", (0, 3)),
+]
+
+
+@pytest.mark.parametrize("file,query,bound", THEOREM_QUERIES,
+                         ids=[q.split()[0] for _, q, _ in THEOREM_QUERIES])
+def test_enumeration_is_sound_complete_and_sums_to_one(file, query, bound):
+    prog = load(file)
+    prep = prepare(prog, query, int_bound=bound, depth=3)
+    (name, uid), = prep.uids.items()
+    ty = prep.compiled.surface_types[name]
+    satisfying = {prog.show_value(v, ty)
+                  for v, in prep.base.denote_restricted([uid])
+                  if recheck(prep, {name: v})}
+    rows = list(enumerate_query(prog, query, int_bound=bound, depth=3))
+    assert sum(q for _, q, _ in rows) == 1
+    assert {shown[name] for _, _, shown in rows if shown} == satisfying
+    assert satisfying

@@ -16,6 +16,8 @@ from luck.trace import (
     derive_seed,
     enumerate_traces,
     format_trace,
+    int_text,
+    parse_int,
     parse_trace,
 )
 
@@ -44,6 +46,20 @@ def test_parse_rejects_garbage():
 def test_parse_empty_choices():
     line = format_trace(1, [], Fraction(1))
     assert parse_trace(line) == (1, [], Fraction(1), None)
+
+
+@pytest.mark.parametrize("n", [0, 7, -7, 10**600 - 1, 10**600, -10**600,
+                               10**1200 + 1, 3**5000])
+def test_long_integer_text_agrees_with_str(n):
+    assert int_text(n) == str(n)
+    assert parse_int(str(n)) == n
+
+
+def test_a_q_past_the_integer_digit_limit_round_trips():
+    q = Fraction(1, 2**92934)
+    line = format_trace(36, [Choice(1, 2)], q, result="[1, 2]")
+    assert len(line.split("q=1/")[1].split()[0]) == 27976
+    assert parse_trace(line) == (36, [Choice(1, 2)], q, "[1, 2]")
 
 
 def test_derive_seed_deterministic_and_spread():
