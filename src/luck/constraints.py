@@ -21,20 +21,13 @@ integer bounds, which the driver checks.  Binary constraints are indexed
 by representative: ``cons[r]`` lists every constraint with an end whose
 representative is r, and only representatives are keys.
 
-``sample`` keeps a value of a constrained range when pinning it leaves a
-store with a solution.  It decides that by certificate where it can:
-
-  * whole range: the store's integer constraints are difference
-    constraints, whose solutions are closed under translation and
-    componentwise min (Dechter, Meiri & Pearl 1991).  When the range has
-    one integer leaf x, no linked constraint is ``/=``, every linked
-    domain [L_i, U_i] is one interval, and both all-L and all-U are
-    solutions, then for v in [L_x, U_x] the assignment
-    min(U, L + (v - L_x)) is a solution with x = v: every value pins;
-  * per value: a pin whose all-least assignment is a solution is kept;
-  * otherwise ``denote_restricted``, a deliberately naive brute-force
-    enumeration of the store's meaning (also the ground truth in tests),
-    decides.
+``sample`` pins one value of a range at a time, on demand, and keeps the
+pin when the store it leaves still has a solution.  One rule decides, at
+any range size: the pin must not fail (its writes ran AC-3), and then
+either the all-least assignment of the constraints linked to the range is
+a solution or ``denote_restricted``, a deliberately naive brute-force
+enumeration of the store's meaning (also the ground truth in tests), finds
+one within a small cap; a check that exceeds its cap keeps the pin.
 """
 
 from __future__ import annotations
@@ -192,7 +185,6 @@ class Constraint:
 
 
 DENOTE_CAP = 100_000
-SAMPLE_FILTER_CAP = 100_000
 
 
 class ConstraintSet:
@@ -947,80 +939,61 @@ class ConstraintSet:
             self._range_leaves(b.right, acc)
 
     def sample(self, u: int) -> "SampleSpace":
-        """Split the store into one branch per value of the unknown.
+        """The unknown's values as a lazy space of (value, pinned store)
+        pairs, in structural order (left injections first, integer
+        intervals ascending).
 
-        Values come out in structural order (left injections first, integer
-        intervals ascending).  A small space keeps the values whose pinned
-        store has a solution among the unknowns linked to the range (or
-        whose brute-force check exceeds its cap).  It is virtual, pinning
-        only the drawn value, when no integer leaf is constrained or the
-        whole-range certificate (module docstring) holds; otherwise each
-        value is pinned, kept at once when its all-least assignment is a
-        solution, and otherwise checked by ``denote_restricted``.  Large
-        spaces are virtual and assume the unknown's integer leaves are not
-        entangled with other live unknowns.
+        Nothing is pinned here.  ``SampleSpace.at`` pins the value it is
+        asked for and keeps the pin by one rule, whatever the range size:
+        the pin must not fail, and then either the all-least assignment of
+        the constraints linked to the range's integer leaves is a solution
+        or ``denote_restricted`` finds one among at most 4,096 candidate
+        assignments (a check past that cap keeps the pin).
         """
         root = self.find(u)
-        total = self.count_values(root)
-        if total > SAMPLE_FILTER_CAP:
-            return SampleSpace(virtual=(self, root, total))
+        if self.failed:
+            return SampleSpace(self, root, 0, [])
         leaves: list[int] = []
         self._range_leaves(root, leaves)
-        linked = self._linked(leaves)
-        if not self.failed and (not linked
-                                or self._every_value_pins(leaves, linked)):
-            return SampleSpace(virtual=(self, root, total))
-        sets = []
-        for i in range(total):
-            v = self._unrank(root, i)
-            # unify has run AC-3 from every leaf it wrote
-            pinned = self.unify(Unknown(root), v)
-            if pinned.failed:
-                continue
-            if not pinned._solved_by(linked, IntDomain.min):
-                # a pin may be arc-consistent yet globally empty
-                try:
-                    if not pinned.denote_restricted([root], cap=4096):
-                        continue
-                except ContractViolation:
-                    pass
-            sets.append((v, pinned))
-        return SampleSpace(sets=sets)
-
-    def _every_value_pins(self, leaves: list[int],
-                          linked: list[Constraint]) -> bool:
-        """The whole-range certificate of the module docstring."""
-        if len(leaves) != 1 or any(c.op == "/=" for c in linked):
-            return False
-        ends = {e for c in linked for e in (c.lhs, c.rhs)}
-        return (all(len(self._domain(e).intervals) == 1 for e in ends)
-                and self._solved_by(linked, IntDomain.min)
-                and self._solved_by(linked, IntDomain.max))
+        return SampleSpace(self, root, self.count_values(root),
+                           self._linked(leaves))
 
 
+@dataclass(frozen=True)
 class SampleSpace:
-    """The result of sample(): a sequence of (value, pinned-store) pairs."""
+    """The values of one unknown, each pinned when it is asked for.
 
-    def __init__(self, sets=None, virtual=None):
-        self._sets = sets
-        self._virtual = virtual
+    `count` is the size of the unknown's range, ignoring binary
+    constraints (0 for a failed store).  ``at(i)`` unranks value i, pins
+    the unknown to it and returns (value, pinned store); the store is
+    failed unless the pin passes the rule of ``ConstraintSet.sample``.
+    Iteration yields only the kept pairs, in order.
+    """
 
-    @property
-    def count(self) -> int:
-        if self._sets is not None:
-            return len(self._sets)
-        return self._virtual[2]
+    cset: ConstraintSet
+    root: int
+    count: int
+    linked: list[Constraint]
 
     def at(self, i: int):
-        if self._sets is not None:
-            return self._sets[i]
-        cset, root, _ = self._virtual
-        v = cset._unrank(root, i)
-        return v, cset.unify(Unknown(root), v)
+        v = self.cset._unrank(self.root, i)
+        # unify has run AC-3 from every leaf it wrote
+        pinned = self.cset.unify(Unknown(self.root), v)
+        if pinned.failed or pinned._solved_by(self.linked, IntDomain.min):
+            return v, pinned
+        # a pin may be arc-consistent yet globally empty
+        try:
+            if not pinned.denote_restricted([self.root], cap=4096):
+                return v, pinned.fail()
+        except ContractViolation:
+            pass
+        return v, pinned
 
     def __iter__(self) -> Iterator:
         for i in range(self.count):
-            yield self.at(i)
+            v, pinned = self.at(i)
+            if not pinned.failed:
+                yield v, pinned
 
 
 # ---------------------------------------------------------------------------

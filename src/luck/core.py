@@ -406,17 +406,6 @@ class Closure(Expr):
         return str(self.rec)
 
 
-def is_value(e: Expr) -> bool:
-    """Closed-value check; unknowns count (they stand for values)."""
-    if isinstance(e, (Unit, IntLit, Unknown, Rec, Closure)):
-        return True
-    if isinstance(e, Pair):
-        return is_value(e.fst) and is_value(e.snd)
-    if isinstance(e, (Inl, Inr, Fold)):
-        return is_value(e.arg)
-    return False
-
-
 def is_pattern(e: Expr) -> bool:
     """Patterns are function-free values possibly containing unknowns."""
     if isinstance(e, (Unit, IntLit, Unknown)):

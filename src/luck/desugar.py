@@ -804,11 +804,7 @@ class _Lower:
         return mk, dty
 
     def app(self, e: SApp, env: dict) -> tuple[Mk, STy]:
-        spine, head = [], e
-        while isinstance(head, SApp):
-            spine.append(head.arg)
-            head = head.fun
-        spine.reverse()
+        head, spine = _spine(e)
         where = f"line {e.line}"
         if isinstance(head, SCon):
             args = [self.des(a, env) for a in spine]
@@ -914,17 +910,8 @@ class _Lower:
                      for nm, item, ti in zip(names, term.items, t.items)]
             body = _conj(parts)
 
-            def mk() -> Expr:
-                out = body()
-                k = len(names)
-                rests = [f"{nm}r" for nm in names[:k - 2]]
-                scruts = [occ()] + [Var(r) for r in rests]
-                for i in range(k - 2, -1, -1):
-                    second = names[i + 1] if i == k - 2 else rests[i]
-                    out = CasePair(scruts[i], names[i], second, out)
-                return out
-
-            return mk
+            rests = [f"{nm}r" for nm in names[:-2]]
+            return lambda: _case_pairs(body(), occ(), names, rests)
         if isinstance(t, STCon) and t.name in self.p.datas:
             cname, args = _term_spine(term)
             if cname is None or cname not in self.p.ctors:
@@ -957,13 +944,8 @@ class _Lower:
                         App(Rec(self.p.fresh("eqf"), names[0],
                                 self.p.core_type(arg_tys[0]),
                                 payload_eq(), BOOL), cur)
-                out = payload_eq()
-                rests = [self.fresh("er") for _ in range(k - 2)]
-                scruts = [cur] + [Var(r) for r in rests]
-                for i in range(k - 2, -1, -1):
-                    second = names[i + 1] if i == k - 2 else rests[i]
-                    out = CasePair(scruts[i], names[i], second, out)
-                return out
+                return _case_pairs(payload_eq(), cur, names,
+                                   [self.fresh("er") for _ in range(k - 2)])
 
             def mk() -> Expr:
                 cur: Expr = Unfold(occ()) if recursive else occ()
@@ -1076,17 +1058,7 @@ class _Lower:
             sub = self.lower_tree(node.sub, env2, rmeta)
             names = [nm for nm, _ in node.comps]
             rests = [self.fresh("t") for _ in range(len(names) - 2)]
-
-            def mk() -> Expr:
-                out = sub()
-                k = len(names)
-                scruts = [occ_core] + [Var(r) for r in rests]
-                for i in range(k - 2, -1, -1):
-                    second = names[i + 1] if i == k - 2 else rests[i]
-                    out = CasePair(scruts[i], names[i], second, out)
-                return out
-
-            return mk
+            return lambda: _case_pairs(sub(), occ_core, names, rests)
         return self.lower_node(node, env, rmeta)
 
     def lower_node(self, node: CaseNode, env: dict, rmeta: STy) -> Mk:
@@ -1125,17 +1097,7 @@ class _Lower:
             pname = self.fresh("p")
             rests = [self.fresh("t") for _ in range(len(names) - 2)]
             top = cur if cur is not None else Var(pname)
-
-            def chain() -> Expr:
-                out = sub()
-                k = len(names)
-                scruts = [top] + [Var(r) for r in rests]
-                for i in range(k - 2, -1, -1):
-                    second = names[i + 1] if i == k - 2 else rests[i]
-                    out = CasePair(scruts[i], names[i], second, out)
-                return out
-
-            return pname, chain
+            return pname, lambda: _case_pairs(sub(), top, names, rests)
 
         if n == 1:
             _, body = payload(kids[0], scrut)
@@ -1205,13 +1167,9 @@ def _closed_term(e: SExpr) -> Optional[SExpr]:
     if isinstance(e, SInt):
         return e
     if isinstance(e, SApp):
-        spine, head = [], e
-        while isinstance(head, SApp):
-            spine.append(head.arg)
-            head = head.fun
+        head, spine = _spine(e)
         if not isinstance(head, SCon):
             return None
-        spine.reverse()
         parts = [_closed_term(a) for a in spine]
         if any(p is None for p in parts):
             return None
@@ -1240,18 +1198,34 @@ def _closed_term(e: SExpr) -> Optional[SExpr]:
     return None
 
 
+def _spine(e: SExpr) -> tuple[SExpr, list[SExpr]]:
+    """The head of an application chain and its arguments, in order."""
+    args = []
+    while isinstance(e, SApp):
+        args.append(e.arg)
+        e = e.fun
+    args.reverse()
+    return e, args
+
+
 def _term_spine(e: SExpr) -> tuple[Optional[str], list[SExpr]]:
-    if isinstance(e, SCon):
-        return e.name, []
-    if isinstance(e, SApp):
-        spine, head = [], e
-        while isinstance(head, SApp):
-            spine.append(head.arg)
-            head = head.fun
-        if isinstance(head, SCon):
-            spine.reverse()
-            return head.name, spine
+    head, args = _spine(e)
+    if isinstance(head, SCon):
+        return head.name, args
     return None, []
+
+
+def _case_pairs(body: Expr, top: Expr, names: list[str],
+                rests: list[str]) -> Expr:
+    """`body` under CasePairs binding names[0..k-1] (k >= 2) to the
+    components of the right-nested tuple `top`; rests[i] names the tuple
+    of the components after names[i]."""
+    k = len(names)
+    scruts = [top] + [Var(r) for r in rests]
+    for i in range(k - 2, -1, -1):
+        second = names[i + 1] if i == k - 2 else rests[i]
+        body = CasePair(scruts[i], names[i], second, body)
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,12 @@ def choose(w_left: int, left: ConstraintSet, w_right: int,
 def sample_value(v: Expr, cs: ConstraintSet, ctx: RunCtx):
     """Pin every unknown inside v to concrete values, uniformly at random.
 
-    A drawn value whose pinning turns out inconsistent (possible because
-    integer reasoning is interval-approximate) is discarded and a sibling
-    drawn from the remainder; only an exhausted range fails.  Only the
-    discarded indices are kept, so memory does not grow with the range.
+    Each draw is uniform over the whole range of the unknown.  A drawn
+    value whose pin fails, or leaves a store without a solution (possible
+    because integer reasoning is interval-approximate), is rejected and a
+    sibling drawn from the remainder, so the value returned is uniform
+    over the kept values; only an exhausted range fails.  Only the
+    rejected indices are kept, so memory does not grow with the range.
     """
     ctx.tick()
     if isinstance(v, (Unit, IntLit, Closure)):

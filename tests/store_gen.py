@@ -7,7 +7,7 @@ so the brute-force denotation stays cheap.
 
 import random
 
-from luck.constraints import ConstraintSet
+from luck.constraints import ConstraintSet, union
 from luck.core import (
     BOOL,
     Expr,
@@ -112,3 +112,26 @@ def random_store(rng: random.Random):
         if cs.failed:
             break
     return cs, uids
+
+
+def holed_store():
+    """(store, a): a <= b <= a with b in {0, 5}, so a = 1..4 pin b into
+    the hole between its two intervals; a's range is still 0..5."""
+    cs, (a, b) = ConstraintSet(int_bounds=(0, 5)).fresh([TInt(), TInt()])
+    cs = union(cs.post_cmp("<=", Unknown(b), 0),
+               cs.post_cmp(">=", Unknown(b), 5))
+    cs = cs.post_cmp("<=", Unknown(a), Unknown(b))
+    return cs.post_cmp("<=", Unknown(b), Unknown(a)), a
+
+
+def pigeonhole_store():
+    """(store, w): w <= x and x, y, z pairwise different in {0, 1}.
+
+    AC-3 cannot tell: x, y and z keep both values and every pin of w is
+    arc-consistent, yet no assignment is a solution."""
+    cs, (w, x, y, z) = ConstraintSet(int_bounds=(0, 5)).fresh([TInt()] * 4)
+    for u in (x, y, z):
+        cs = cs.post_cmp("<=", Unknown(u), 1)
+    for u, v in ((x, y), (y, z), (x, z)):
+        cs = cs.post_cmp("/=", Unknown(u), Unknown(v))
+    return cs.post_cmp("<=", Unknown(w), Unknown(x)), w

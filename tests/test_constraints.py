@@ -33,7 +33,14 @@ from luck.core import (
 )
 from luck.intdomain import IntDomain, eval_op
 
-from .store_gen import UNIT_LIST, list_value, random_store, random_value
+from .store_gen import (
+    UNIT_LIST,
+    holed_store,
+    list_value,
+    pigeonhole_store,
+    random_store,
+    random_value,
+)
 
 TREE = TMu("X", TSum(TUnit(), TProd(TInt(), TProd(TVar("X"), TVar("X")))))
 
@@ -502,7 +509,7 @@ def test_sat_is_the_failed_flag(seed):
 
 
 # ---------------------------------------------------------------------------
-# the certified sampler against the filter it replaces
+# the sampler against a reference that pins and filters every value
 
 OPS = ["==", "/=", "<", "<=", ">", ">="]
 
@@ -651,6 +658,40 @@ def test_a_certified_range_pins_only_the_drawn_value(monkeypatch):
     value, pinned = space.at(3)
     assert value == IntLit(3) and pinned.index(b) == IntLit(4)
     assert pinned.index(c) == IntLit(5)
+
+
+def count_unify_calls(monkeypatch):
+    calls = []
+    unify = ConstraintSet.unify
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return unify(self, x, y)
+
+    monkeypatch.setattr(ConstraintSet, "unify", counted)
+    return calls
+
+
+def test_sample_pins_nothing_until_a_value_is_asked_for(monkeypatch):
+    cs, a = holed_store()
+    calls = count_unify_calls(monkeypatch)
+    space = cs.sample(a)
+    assert space.count == 6 and not calls
+    assert not space.at(0)[1].failed and space.at(1)[1].failed
+    assert len(calls) == 2
+
+
+def test_a_pin_without_a_solution_comes_back_failed():
+    cs, w = pigeonhole_store()
+    space = cs.sample(w)
+    assert space.count == 2
+    assert space.at(0)[1].failed and space.at(1)[1].failed
+
+
+def test_a_failed_store_has_no_values_to_sample():
+    cs, (u,) = ConstraintSet().fresh([TInt()])
+    assert cs.sample(u).count == 2**63
+    assert cs.fail().sample(u).count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Driver: seeded generation, retries, replay, and exhaustive enumeration."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,3 +203,67 @@ def test_enumeration_is_sound_complete_and_sums_to_one(file, query, bound):
     assert sum(q for _, q, _ in rows) == 1
     assert {shown[name] for _, _, shown in rows if shown} == satisfying
     assert satisfying
+
+
+# Exact output distributions at small bounds: for each shown valuation, the
+# sum of q over the enumerated traces that end in it.
+F = Fraction
+SORTED = ("sorted.luck", "sorted l = True", (0, 3), 4)
+EXACT_DISTRIBUTIONS = [
+    (SORTED, {
+        "[]": F(1, 4),
+        "[0]": F(1, 16), "[1]": F(1, 16), "[2]": F(1, 16), "[3]": F(1, 16),
+        "[0, 1]": F(1, 36), "[0, 2]": F(1, 36), "[0, 3]": F(1, 36),
+        "[1, 2]": F(1, 36), "[1, 3]": F(1, 36), "[2, 3]": F(1, 36),
+        "[0, 1, 2]": F(1, 12), "[0, 1, 3]": F(1, 12), "[0, 2, 3]": F(1, 12),
+        "[1, 2, 3]": F(1, 12),
+    }),
+    (("distinct.luck", "distinct l = True", (0, 2), 3), {
+        "[]": F(1, 2),
+        "[0]": F(1, 12), "[1]": F(1, 12), "[2]": F(1, 12),
+        "[0, 1]": F(1, 24), "[0, 2]": F(1, 24), "[1, 0]": F(1, 24),
+        "[1, 2]": F(1, 24), "[2, 0]": F(1, 24), "[2, 1]": F(1, 24),
+    }),
+    (("bst.luck", "bst 2 0 3 t = True", (0, 3), 3), {
+        "Empty": F(1, 3),
+        "Node 1 Empty Empty": F(1, 12),
+        "Node 2 Empty Empty": F(1, 12),
+        "Node 1 Empty (Node 2 Empty Empty)": F(1, 12),
+        "Node 2 (Node 1 Empty Empty) Empty": F(1, 12),
+    }),
+]
+
+
+def exact_distribution(file, query, bound, depth):
+    dist = Counter()
+    for _, q, shown in enumerate_query(load(file), query, int_bound=bound,
+                                       depth=depth):
+        if shown:
+            (text,) = shown.values()
+            dist[text] += q
+    return dict(dist)
+
+
+@pytest.mark.parametrize("case,expected", EXACT_DISTRIBUTIONS,
+                         ids=[c[1].split()[0] for c, _ in EXACT_DISTRIBUTIONS])
+def test_the_exact_distribution_is_pinned(case, expected):
+    assert exact_distribution(*case) == expected
+
+
+# chi-square with 14 degrees of freedom (15 outcomes) at p = 0.001
+CHI2_CRITICAL_DF14 = 36.12
+
+
+def test_seeded_runs_follow_the_exact_distribution():
+    file, query, bound, depth = SORTED
+    exact = exact_distribution(*SORTED)
+    # run_prepared retries failed attempts: successes are conditioned
+    total = sum(exact.values())
+    prep = prepare(load(file), query, int_bound=bound, depth=depth)
+    n = 2000
+    seen = Counter(run_prepared(prep, seed=seed).shown["l"]
+                   for seed in range(n))
+    assert set(seen) <= set(exact)
+    chi2 = sum((seen[k] - n * p / total) ** 2 / (n * p / total)
+               for k, p in exact.items())
+    assert chi2 < CHI2_CRITICAL_DF14

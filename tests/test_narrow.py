@@ -48,6 +48,8 @@ from luck.trace import (
     enumerate_traces,
 )
 
+from .store_gen import pigeonhole_store
+
 CORPUS = Path(__file__).parent.parent / "corpus"
 
 
@@ -487,3 +489,13 @@ def test_sampling_a_huge_range_lists_none_of_it():
     # inconsistent 5, and the fourth maps 3 past 0, 1 and 5 to 6
     assert v == IntLit(6)
     assert ctx.q == Fraction(1, n * (n - 1) * (n - 2) * (n - 3))
+
+
+def test_sampling_fails_when_no_pin_has_a_solution():
+    cs, w = pigeonhole_store()
+    ctx = ctx_with()
+    with pytest.raises(GenFailure):
+        sample_value(Unknown(w), cs, ctx)
+    # both values were drawn: the first by a recorded choice, the last
+    # because it was the only one left
+    assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(1, 2)
