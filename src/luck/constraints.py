@@ -8,7 +8,8 @@ flat type and one of:
     not yet built (``Deferred``; the first unification or case split that
     looks inside unfolds it by one level),
   * a one-level range node whose children are further unknowns
-    (unit / pair / fold / inl / inr / or a two-sided {inl, inr} node),
+    (unit / pair / fold / sum; a sum node holds one child per injection
+    the unknown can still take, so one side may be ruled out),
   * an integer interval domain (with binary comparison constraints
     attached off to the side), or
   * an alias to another unknown it has been unified with.
@@ -90,29 +91,22 @@ class RPair:
 
 
 @dataclass(frozen=True)
-class RInl:
-    child: int
+class RSum:
+    """The injections the unknown can still take.
+
+    Each side is the child holding that injection's argument, or None
+    when the side is ruled out; at least one side is present, and a
+    present side denotes at least one value.
+    """
+
+    left: Optional[int]
+    right: Optional[int]
 
     def __str__(self) -> str:
-        return f"inl ?{self.child}"
-
-
-@dataclass(frozen=True)
-class RInr:
-    child: int
-
-    def __str__(self) -> str:
-        return f"inr ?{self.child}"
-
-
-@dataclass(frozen=True)
-class RBoth:
-    """Either injection; both sides denote at least one value."""
-
-    left: int
-    right: int
-
-    def __str__(self) -> str:
+        if self.right is None:
+            return f"inl ?{self.left}"
+        if self.left is None:
+            return f"inr ?{self.right}"
         return f"{{inl ?{self.left} | inr ?{self.right}}}"
 
 
@@ -166,8 +160,19 @@ def _child_id(key: int, slot: int) -> int:
     return -(2 * n + slot + 1)
 
 
-Binding = object  # RUnit | RPair | RInl | RInr | RBoth | RFold | IntDomain
-#                   | Alias | Deferred
+Binding = object  # RUnit | RPair | RSum | RFold | IntDomain | Alias | Deferred
+
+
+def _children(b: Binding) -> tuple[int, ...]:
+    """The child ids of a range node, left to right (none for any other
+    binding)."""
+    if isinstance(b, RPair):
+        return (b.fst, b.snd)
+    if isinstance(b, RFold):
+        return (b.child,)
+    if isinstance(b, RSum):
+        return tuple(c for c in (b.left, b.right) if c is not None)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -344,15 +349,12 @@ class ConstraintSet:
             level = RPair(child(0, ty.left, d.depth),
                           child(1, ty.right, d.depth))
         elif isinstance(ty, TSum):
-            okl = _nonempty(ty.left, self.int_bounds, d.depth)
-            okr = _nonempty(ty.right, self.int_bounds, d.depth)
-            if okl and okr:
-                level = RBoth(child(0, ty.left, d.depth),
-                              child(1, ty.right, d.depth))
-            elif okl:
-                level = RInl(child(0, ty.left, d.depth))
-            else:
-                level = RInr(child(1, ty.right, d.depth))
+            bounds = self.int_bounds
+            level = RSum(
+                child(0, ty.left, d.depth)
+                if _nonempty(ty.left, bounds, d.depth) else None,
+                child(1, ty.right, d.depth)
+                if _nonempty(ty.right, bounds, d.depth) else None)
         else:
             raise ContractViolation(f"cannot unfold a range of type {ty}")
         if holder is not None:
@@ -387,13 +389,10 @@ class ConstraintSet:
                 return
             seen.add(r)
             b = self.bindings.get(r)
-            if isinstance(b, (RPair, RBoth)):
-                reach(b.fst if isinstance(b, RPair) else b.left)
-                reach(b.snd if isinstance(b, RPair) else b.right)
-            elif isinstance(b, (RInl, RInr, RFold)):
-                reach(b.child)
-            elif isinstance(b, IntDomain):
+            if isinstance(b, IntDomain):
                 ints.append(r)
+            for c in _children(b):
+                reach(c)
 
         for u in us:
             reach(u)
@@ -441,23 +440,15 @@ class ConstraintSet:
                         a4 = dict(a3)
                         a4[r] = Pair(a3[self.find(b.fst)], a3[self.find(b.snd)])
                         yield a4
-            elif isinstance(b, (RInl, RInr)):
+            elif isinstance(b, RSum):
                 ty = self.utypes[r]
-                for a2 in assign_one(b.child, asg):
-                    a3 = dict(a2)
-                    inj = Inl if isinstance(b, RInl) else Inr
-                    a3[r] = inj(a2[self.find(b.child)], ty)
-                    yield a3
-            elif isinstance(b, RBoth):
-                ty = self.utypes[r]
-                for a2 in assign_one(b.left, asg):
-                    a3 = dict(a2)
-                    a3[r] = Inl(a2[self.find(b.left)], ty)
-                    yield a3
-                for a2 in assign_one(b.right, asg):
-                    a3 = dict(a2)
-                    a3[r] = Inr(a2[self.find(b.right)], ty)
-                    yield a3
+                for inj, c in ((Inl, b.left), (Inr, b.right)):
+                    if c is None:
+                        continue
+                    for a2 in assign_one(c, asg):
+                        a3 = dict(a2)
+                        a3[r] = inj(a2[self.find(c)], ty)
+                        yield a3
             elif isinstance(b, RFold):
                 ty = self.utypes[r]
                 for a2 in assign_one(b.child, asg):
@@ -578,34 +569,20 @@ class ConstraintSet:
             return out.unify(Unknown(b1.snd), Unknown(b2.snd))
         if isinstance(b1, RFold) and isinstance(b2, RFold):
             return self.unify(Unknown(b1.child), Unknown(b2.child))
-        if isinstance(b1, RInl) and isinstance(b2, RInl):
-            return self.unify(Unknown(b1.child), Unknown(b2.child))
-        if isinstance(b1, RInr) and isinstance(b2, RInr):
-            return self.unify(Unknown(b1.child), Unknown(b2.child))
-        if isinstance(b1, RInl) and isinstance(b2, RInr):
-            return self.fail()
-        if isinstance(b1, RInr) and isinstance(b2, RInl):
-            return self.fail()
-        if isinstance(b1, RBoth) and isinstance(b2, (RInl, RInr)):
-            side = b2.child
-            keep = b1.left if isinstance(b2, RInl) else b1.right
-            out = self._set_binding(root, type(b2)(keep))
-            return out.unify(Unknown(keep), Unknown(side))
-        if isinstance(b2, RBoth) and isinstance(b1, (RInl, RInr)):
-            keep = b2.left if isinstance(b1, RInl) else b2.right
-            out = self._set_binding(root, type(b1)(b1.child))
-            return out.unify(Unknown(b1.child), Unknown(keep))
-        if isinstance(b1, RBoth) and isinstance(b2, RBoth):
-            tryl = self.unify(Unknown(b1.left), Unknown(b2.left))
-            if not tryl.failed:
-                both = tryl.unify(Unknown(b1.right), Unknown(b2.right))
-                if not both.failed:
-                    return both._set_binding(root, b1)
-                return tryl._set_binding(root, RInl(b1.left))
-            tryr = self.unify(Unknown(b1.right), Unknown(b2.right))
-            if not tryr.failed:
-                return tryr._set_binding(root, RInr(b1.right))
-            return self.fail()
+        if isinstance(b1, RSum) and isinstance(b2, RSum):
+            # side by side, left first: a side both nodes keep survives
+            # when its children unify; the node keeps `b1`'s children
+            out, sides = self, [None, None]
+            for k, (c1, c2) in enumerate(((b1.left, b2.left),
+                                          (b1.right, b2.right))):
+                if c1 is not None and c2 is not None:
+                    tried = out.unify(Unknown(c1), Unknown(c2))
+                    if not tried.failed:
+                        out, sides[k] = tried, c1
+            if sides == [None, None]:
+                return self.fail()
+            node = RSum(*sides)
+            return out if node == b1 else out._set_binding(root, node)
         raise ContractViolation(f"merge of incompatible bindings {b1} / {b2}")
 
     def _set_binding(self, u: int, b) -> "ConstraintSet":
@@ -639,22 +616,19 @@ class ConstraintSet:
                 side_ty = ty.left if want_left else ty.right
                 utypes = dict(self.utypes)
                 bindings = dict(self.bindings)
-                child, nxt = self._mint(utypes, bindings, side_ty,
-                                        self.next_fresh)
-                bindings[root] = RInl(child) if want_left else RInr(child)
+                keep, nxt = self._mint(utypes, bindings, side_ty,
+                                       self.next_fresh)
+                bindings[root] = RSum(keep, None) if want_left \
+                    else RSum(None, keep)
                 out = self._copy(utypes=utypes, bindings=bindings,
                                  next_fresh=nxt)
-                return out.unify(Unknown(child), v.arg)
-            if isinstance(b, RBoth):
-                keep = b.left if want_left else b.right
-                out = self._set_binding(root,
-                                        RInl(keep) if want_left else RInr(keep))
-                return out.unify(Unknown(keep), v.arg)
-            if isinstance(b, RInl) and want_left:
-                return self.unify(Unknown(b.child), v.arg)
-            if isinstance(b, RInr) and not want_left:
-                return self.unify(Unknown(b.child), v.arg)
-            return self.fail()
+            elif not isinstance(b, RSum) or \
+                    (keep := b.left if want_left else b.right) is None:
+                return self.fail()
+            else:
+                node = RSum(keep, None) if want_left else RSum(None, keep)
+                out = self if node == b else self._set_binding(root, node)
+            return out.unify(Unknown(keep), v.arg)
         if isinstance(v, Pair):
             if b is None:
                 ty = self.utypes[root]
@@ -841,17 +815,15 @@ class ConstraintSet:
             f = self.index(b.fst)
             s = self.index(b.snd)
             return Pair(f, s) if f is not None and s is not None else None
-        if isinstance(b, RInl):
-            v = self.index(b.child)
-            return Inl(v, self.utypes[root]) if v is not None else None
-        if isinstance(b, RInr):
-            v = self.index(b.child)
-            return Inr(v, self.utypes[root]) if v is not None else None
+        if isinstance(b, RSum):
+            if b.left is not None and b.right is not None:
+                return None
+            inj, c = (Inl, b.left) if b.right is None else (Inr, b.right)
+            v = self.index(c)
+            return inj(v, self.utypes[root]) if v is not None else None
         if isinstance(b, RFold):
             v = self.index(b.child)
             return Fold(v, self.utypes[root]) if v is not None else None
-        if isinstance(b, RBoth):
-            return None
         if isinstance(b, Deferred):
             ty = self.utypes[root]
             if _type_count(ty, self.int_bounds, b.depth) != 1:
@@ -867,7 +839,13 @@ class ConstraintSet:
         Raises ContractViolation on shared sub-unknowns (the count would be
         wrong) or unmaterialized recursive unknowns.
         """
+        return self._count_table(u)[u]
+
+    def _count_table(self, u: int) -> dict[int, int]:
+        """The range size of u and of every unknown below it, by the id its
+        parent node holds (``count_values``'s walk)."""
         seen: set[int] = set()
+        counts: dict[int, int] = {}
 
         def go(uid: int) -> int:
             root, b = self.resolve(uid)
@@ -875,27 +853,36 @@ class ConstraintSet:
                 raise ContractViolation("shared unknown in counted range")
             seen.add(root)
             if b is None:
-                return _type_count(self.utypes[root], self.int_bounds, None)
-            if isinstance(b, Deferred):
-                return _type_count(self.utypes[root], self.int_bounds,
-                                   b.depth)
-            if isinstance(b, RUnit):
-                return 1
-            if isinstance(b, IntDomain):
-                return b.size()
-            if isinstance(b, RPair):
-                return go(b.fst) * go(b.snd)
-            if isinstance(b, RInl) or isinstance(b, RInr) \
-                    or isinstance(b, RFold):
-                return go(b.child)
-            if isinstance(b, RBoth):
-                return go(b.left) + go(b.right)
-            raise ContractViolation(f"bad binding {b!r}")
+                n = _type_count(self.utypes[root], self.int_bounds, None)
+            elif isinstance(b, Deferred):
+                n = _type_count(self.utypes[root], self.int_bounds, b.depth)
+            elif isinstance(b, RUnit):
+                n = 1
+            elif isinstance(b, IntDomain):
+                n = b.size()
+            elif isinstance(b, RPair):
+                n = go(b.fst) * go(b.snd)
+            elif isinstance(b, RFold):
+                n = go(b.child)
+            elif isinstance(b, RSum):
+                n = (0 if b.left is None else go(b.left)) \
+                    + (0 if b.right is None else go(b.right))
+            else:
+                raise ContractViolation(f"bad binding {b!r}")
+            counts[uid] = n
+            return n
 
-        return go(u)
+        go(u)
+        return counts
 
-    def _unrank(self, u: int, i: int) -> Expr:
-        """The i-th value of the unknown's range in structural order."""
+    def _unrank(self, u: int, i: int,
+                counts: Optional[dict[int, int]] = None) -> Expr:
+        """The i-th value of the unknown's range in structural order.
+
+        `counts` is u's ``_count_table``, built here when not given.
+        """
+        if counts is None:
+            counts = self._count_table(u)
         root, b = self.resolve(u)
         ty = self.utypes[root]
         if b is None:
@@ -909,34 +896,24 @@ class ConstraintSet:
         if isinstance(b, IntDomain):
             return IntLit(b.nth(i))
         if isinstance(b, RPair):
-            n2 = self.count_values(b.snd)
-            return Pair(self._unrank(b.fst, i // n2),
-                        self._unrank(b.snd, i % n2))
-        if isinstance(b, RInl):
-            return Inl(self._unrank(b.child, i), ty)
-        if isinstance(b, RInr):
-            return Inr(self._unrank(b.child, i), ty)
+            n2 = counts[b.snd]
+            return Pair(self._unrank(b.fst, i // n2, counts),
+                        self._unrank(b.snd, i % n2, counts))
         if isinstance(b, RFold):
-            return Fold(self._unrank(b.child, i), ty)
-        if isinstance(b, RBoth):
-            nl = self.count_values(b.left)
+            return Fold(self._unrank(b.child, i, counts), ty)
+        if isinstance(b, RSum):
+            nl = 0 if b.left is None else counts[b.left]
             if i < nl:
-                return Inl(self._unrank(b.left, i), ty)
-            return Inr(self._unrank(b.right, i - nl), ty)
+                return Inl(self._unrank(b.left, i, counts), ty)
+            return Inr(self._unrank(b.right, i - nl, counts), ty)
         raise ContractViolation(f"bad binding {b!r}")
 
     def _range_leaves(self, u: int, acc: list[int]) -> None:
         root, b = self.resolve(u)
         if isinstance(b, IntDomain):
             acc.append(root)
-        elif isinstance(b, RPair):
-            self._range_leaves(b.fst, acc)
-            self._range_leaves(b.snd, acc)
-        elif isinstance(b, (RInl, RInr, RFold)):
-            self._range_leaves(b.child, acc)
-        elif isinstance(b, RBoth):
-            self._range_leaves(b.left, acc)
-            self._range_leaves(b.right, acc)
+        for c in _children(b):
+            self._range_leaves(c, acc)
 
     def sample(self, u: int) -> "SampleSpace":
         """The unknown's values as a lazy space of (value, pinned store)
@@ -952,11 +929,12 @@ class ConstraintSet:
         """
         root = self.find(u)
         if self.failed:
-            return SampleSpace(self, root, 0, [])
+            return SampleSpace(self, root, 0, [], {})
         leaves: list[int] = []
         self._range_leaves(root, leaves)
-        return SampleSpace(self, root, self.count_values(root),
-                           self._linked(leaves))
+        counts = self._count_table(root)
+        return SampleSpace(self, root, counts[root], self._linked(leaves),
+                           counts)
 
 
 @dataclass(frozen=True)
@@ -964,19 +942,21 @@ class SampleSpace:
     """The values of one unknown, each pinned when it is asked for.
 
     `count` is the size of the unknown's range, ignoring binary
-    constraints (0 for a failed store).  ``at(i)`` unranks value i, pins
-    the unknown to it and returns (value, pinned store); the store is
-    failed unless the pin passes the rule of ``ConstraintSet.sample``.
-    Iteration yields only the kept pairs, in order.
+    constraints (0 for a failed store).  ``at(i)`` unranks value i from
+    `counts`, the range's count table, pins the unknown to it and returns
+    (value, pinned store); the store is failed unless the pin passes the
+    rule of ``ConstraintSet.sample``.  Iteration yields only the kept
+    pairs, in order.
     """
 
     cset: ConstraintSet
     root: int
     count: int
     linked: list[Constraint]
+    counts: dict[int, int]
 
     def at(self, i: int):
-        v = self.cset._unrank(self.root, i)
+        v = self.cset._unrank(self.root, i, self.counts)
         # unify has run AC-3 from every leaf it wrote
         pinned = self.cset.unify(Unknown(self.root), v)
         if pinned.failed or pinned._solved_by(self.linked, IntDomain.min):
@@ -1107,22 +1087,12 @@ def union(a: ConstraintSet, b: ConstraintSet) -> ConstraintSet:
             continue
         if isinstance(b1, IntDomain) and isinstance(b2, IntDomain):
             bindings[u] = b1.union(b2)
-        elif isinstance(b1, RInl) and isinstance(b2, RInr):
-            bindings[u] = RBoth(b1.child, b2.child)
-        elif isinstance(b1, RInr) and isinstance(b2, RInl):
-            bindings[u] = RBoth(b2.child, b1.child)
-        elif isinstance(b1, RInl) and isinstance(b2, RBoth) \
-                and b1.child == b2.left:
-            bindings[u] = b2
-        elif isinstance(b1, RInr) and isinstance(b2, RBoth) \
-                and b1.child == b2.right:
-            bindings[u] = b2
-        elif isinstance(b2, RInl) and isinstance(b1, RBoth) \
-                and b2.child == b1.left:
-            bindings[u] = b1
-        elif isinstance(b2, RInr) and isinstance(b1, RBoth) \
-                and b2.child == b1.right:
-            bindings[u] = b1
+        elif isinstance(b1, RSum) and isinstance(b2, RSum) and all(
+                c1 is None or c2 is None or c1 == c2
+                for c1, c2 in ((b1.left, b2.left), (b1.right, b2.right))):
+            # every injection either store keeps, over the same child
+            bindings[u] = RSum(b2.left if b1.left is None else b1.left,
+                               b2.right if b1.right is None else b1.right)
         elif (joined := _join_deferred(b1, b2)) is not None:
             bindings[u] = joined
         else:
@@ -1161,15 +1131,8 @@ def _join_deferred(b1, b2):
     d, node = (b1, b2) if isinstance(b1, Deferred) else (b2, b1)
     if not isinstance(d, Deferred):
         return None
-    if isinstance(node, (RFold, RInl, RInr)):
-        children = {node.child}
-    elif isinstance(node, RPair):
-        children = {node.fst, node.snd}
-    elif isinstance(node, RBoth):
-        children = {node.left, node.right}
-    else:
-        return None
-    if children <= {_child_id(d.key, 0), _child_id(d.key, 1)}:
+    children = set(_children(node))
+    if children and children <= {_child_id(d.key, 0), _child_id(d.key, 1)}:
         return d
     return None
 
@@ -1186,20 +1149,16 @@ def rename(uids: list[int], cset: ConstraintSet, floor: int = 0):
         mapping[u] = nxt
         nxt += 1
 
-    def m(u: int) -> int:
-        return mapping.get(u, u)
+    def m(u: Optional[int]) -> Optional[int]:
+        return mapping.get(u, u)  # a ruled-out sum side stays None
 
     def mb(b):
         if isinstance(b, RPair):
             return RPair(m(b.fst), m(b.snd))
-        if isinstance(b, RInl):
-            return RInl(m(b.child))
-        if isinstance(b, RInr):
-            return RInr(m(b.child))
+        if isinstance(b, RSum):
+            return RSum(m(b.left), m(b.right))
         if isinstance(b, RFold):
             return RFold(m(b.child))
-        if isinstance(b, RBoth):
-            return RBoth(m(b.left), m(b.right))
         if isinstance(b, Alias):
             return Alias(m(b.target))
         return b

@@ -24,7 +24,7 @@ from .core import FALSE, TRUE, Expr, TInt, Type, Unknown, subst
 from .desugar import CompiledQuery, Program
 from .matching import match_eval
 from .narrow import GenFailure, sample_value
-from .predsem import EvalFailure, EvalTimeout, pred_eval
+from .predsem import DEFAULT_FUEL, EvalFailure, EvalTimeout, pred_eval
 from .trace import (
     Choice,
     RandomSource,
@@ -38,7 +38,6 @@ from .trace import (
 
 DEFAULT_DEPTH = 8
 DEFAULT_RETRIES = 1000
-DEFAULT_FUEL = 1_000_000
 
 
 class DriverError(Exception):

@@ -40,6 +40,8 @@ from .core import (
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
 )
 
+# evaluation steps one valuation may take; the driver and RunCtx default
+# to the same budget
 DEFAULT_FUEL = 1_000_000
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .predsem import EvalTimeout
+from .predsem import DEFAULT_FUEL, EvalTimeout
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class ScriptedSource:
 class RunCtx:
     """Mutable state threaded through one generation attempt."""
 
-    def __init__(self, source, fuel: int = 1_000_000,
+    def __init__(self, source, fuel: int = DEFAULT_FUEL,
                  local_backtracking: bool = True) -> None:
         self.source = source
         self.trace: list[Choice] = []

@@ -7,8 +7,6 @@ from luck.constraints import (
     ConstraintSet,
     ContractViolation,
     Deferred,
-    RBoth,
-    RInl,
     union,
     rename,
 )
@@ -312,6 +310,77 @@ def test_union_with_failed_side():
     bad = cs.unify(Unknown(u), TRUE).unify(Unknown(u), FALSE)
     assert union(t, bad) is t
     assert union(bad, t) is t
+
+
+# ---------------------------------------------------------------------------
+# sum nodes: every pair of shapes under unify and union
+
+SUM = TSum(TInt(), TInt())
+SHAPES = ["inl", "inr", "both"]
+# (left, right) child intervals of x, then of y: overlapping on both sides,
+# disjoint on the left, disjoint on the right, disjoint on both
+SUM_DOMAINS = [
+    (((0, 1), (1, 3)), ((1, 3), (0, 2))),
+    (((0, 1), (1, 3)), ((2, 3), (0, 2))),
+    (((0, 1), (1, 3)), ((1, 3), (0, 0))),
+    (((0, 1), (2, 3)), ((2, 3), (0, 1))),
+]
+
+
+def shape_sum(cs, u, shape, dom_l, dom_r):
+    """Unfold the sum unknown u, bound its two children to the intervals,
+    then keep the sides that `shape` names."""
+    cs, _, node = cs.expand(u)
+    for child, (lo, hi) in ((node.left, dom_l), (node.right, dom_r)):
+        cs = cs.post_cmp(">=", Unknown(child), lo)
+        cs = cs.post_cmp("<=", Unknown(child), hi)
+    if shape == "inl":
+        cs = cs.unify(Unknown(u), Inl(Unknown(node.left), SUM))
+    elif shape == "inr":
+        cs = cs.unify(Unknown(u), Inr(Unknown(node.right), SUM))
+    assert not cs.failed
+    return cs
+
+
+def sum_store(n):
+    cs, uids = ConstraintSet(int_bounds=(0, 3)).fresh([SUM] * n)
+    for u in uids:
+        cs, ok = cs.materialize(u, 1)
+        assert ok
+    return cs, uids
+
+
+@pytest.mark.parametrize("doms", SUM_DOMAINS)
+@pytest.mark.parametrize("sx", SHAPES)
+@pytest.mark.parametrize("sy", SHAPES)
+def test_unifying_two_sum_shapes_meets_their_denotations(sx, sy, doms):
+    cs, (x, y) = sum_store(2)
+    cs = shape_sum(cs, x, sx, *doms[0])
+    cs = shape_sum(cs, y, sy, *doms[1])
+    meet = cs.denote_restricted([x]) & cs.denote_restricted([y])
+    out = cs.unify(Unknown(x), Unknown(y))
+    assert out.failed == (not meet)
+    assert out.denote_restricted([x]) == meet
+    assert out.denote_restricted([y]) == meet
+
+
+@pytest.mark.parametrize("doms", SUM_DOMAINS)
+@pytest.mark.parametrize("s1", SHAPES)
+@pytest.mark.parametrize("s2", SHAPES)
+def test_union_of_two_sum_shapes_covers_both(s1, s2, doms):
+    cs, (x,) = sum_store(1)
+    one = shape_sum(cs, x, s1, *doms[0])
+    two = shape_sum(cs, x, s2, *doms[1])
+    d1, d2 = one.denote_restricted([x]), two.denote_restricted([x])
+    joined = union(one, two).denote_restricted([x])
+    assert joined >= d1 | d2
+    # a side kept by only one store joins the other store's unused child
+    # domain, so the union is exact when those domains agree
+    def sides(shape):
+        return {0, 1} if shape == "both" else {SHAPES.index(shape)}
+
+    if all(doms[0][k] == doms[1][k] for k in sides(s1) ^ sides(s2)):
+        assert joined == d1 | d2
 
 
 def test_rename_is_consistent():

@@ -60,6 +60,30 @@ MEMBER = [
     "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 3, \"values\": {\"l\": \"[1, 3, 2, 5, 2, 3]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [88497, 335922]], \"q\": \"1/42998016\", \"attempts\": 1, \"local_backtracks\": 4, \"discards\": 0, \"error\": null}",
 ]
 
+SORTED = [
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 0, \"values\": {\"l\": \"[6, 13]\"}, \"choices\": [[1, 2], [1, 2], [0, 2], [132, 400]], \"q\": \"1/2400\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 1, \"values\": {\"l\": \"[2, 5, 6, 9, 10]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [0, 2], [374831, 1419857], [369160, 1419856], [273313, 1419855], [793146, 1419854], [957920, 1419853], [1208723, 1419852], [138200, 1419851], [65857, 1419850], [249718, 1419849], [1194700, 1419848], [1041437, 1419847], [1064277, 1419846], [1197546, 1419845], [994174, 1419844], [849346, 1419843], [823009, 1419842], [1280028, 1419841], [565126, 1419840], [781178, 1419839], [614209, 1419838], [1074762, 1419837], [1194548, 1419836], [61529, 1419835], [386141, 1419834], [1189354, 1419833], [565779, 1419832], [278056, 1419831], [713817, 1419830], [1014461, 1419829], [670688, 1419828], [786951, 1419827], [278890, 1419826], [668200, 1419825], [239330, 1419824], [383260, 1419823], [84715, 1419822], [1241784, 1419821], [926579, 1419820], [401433, 1419819], [1319705, 1419818], [765721, 1419817], [716045, 1419816], [1344392, 1419815], [664550, 1419814], [913178, 1419813], [341349, 1419812], [898565, 1419811], [139820, 1419810], [1004841, 1419809], [1381943, 1419808], [632238, 1419807], [1271593, 1419806], [651308, 1419805], [614467, 1419804], [908173, 1419803], [119309, 1419802], [672541, 1419801], [1400031, 1419800], [442346, 1419799], [519498, 1419798], [389296, 1419797], [1176275, 1419796], [487368, 1419795], [1390523, 1419794], [1414468, 1419793], [550091, 1419792], [668806, 1419791], [865457, 1419790], [240067, 1419789], [501765, 1419788], [147986, 1419787], [1417814, 1419786], [203746, 1419785], [323684, 1419784], [1177576, 1419783], [369282, 1419782], [1251078, 1419781], [1355469, 1419780], [19960, 1419779], [1164894, 1419778], [1058015, 1419777], [1012010, 1419776], [228868, 1419775], [594414, 1419774], [612127, 1419773], [1157923, 1419772], [1021243, 1419771], [708202, 1419770], [916002, 1419769], [348858, 1419768], [593659, 1419767], [966985, 1419766], [279638, 1419765], [589888, 1419764], [681879, 1419763], [500612, 1419762], [1292349, 1419761], [208562, 1419760], [896491, 1419759], [187950, 1419758]], \"q\": \"1/33835423367297298770096338842931606461016943122392758158609356294962717805629922530905102287962674267805595970168364871503396956398413108369259308323705750573808791325967191318878016467100569469577672410443752572214388240050890781032027321454307806076634402366256217783100749176174398905979608328031383492356564327119099071222371968232676660166808932317033533798945351796572587916415478983936445077678882449609096828809255210956345412329766553494500536577772027425463129942976927423342935390162223064513926674070286887977776096669481096237445951113125851547628189716702105900234876701498146816000000000000000000000000\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 2, \"values\": {\"l\": \"[7]\"}, \"choices\": [[1, 2], [0, 2], [7, 21]], \"q\": \"1/84\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 3, \"values\": {\"l\": \"[3, 8, 9, 13]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [0, 2], [73531, 104976], [17787, 104975], [100858, 104974], [87839, 104973], [20219, 104972], [33462, 104971], [22124, 104970], [27267, 104969], [1170, 104968], [19898, 104967]], \"q\": \"1/2193046287738337756955485788435189926081657165952000\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 4, \"values\": {\"l\": \"[0, 12, 19]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [6438, 6859], [2480, 6858], [226, 6857]], \"q\": \"1/2902919164686\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 5, \"values\": {\"l\": \"[3, 5]\"}, \"choices\": [[1, 2], [1, 2], [0, 2], [64, 400]], \"q\": \"1/2400\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"sorted l = True\", \"ok\": true, \"seed\": 6, \"values\": {\"l\": \"[3, 5, 14, 18]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [0, 2], [13186, 104976], [2563, 104975], [58864, 104974], [63110, 104973], [62650, 104972], [35812, 104971], [48715, 104970], [30789, 104969], [97592, 104968], [101314, 104967], [26459, 104966], [56855, 104965], [94209, 104964], [93751, 104963], [93688, 104962], [43894, 104961], [26579, 104960], [78162, 104959], [76027, 104958], [58872, 104957], [24246, 104956], [86127, 104955], [17524, 104954], [82237, 104953], [7074, 104952], [61379, 104951], [44914, 104950], [82273, 104949], [30533, 104948], [26893, 104947], [97283, 104946], [60128, 104945], [19019, 104944]], \"q\": \"1/66699078918141897227653329178738471696304403742566582843173998778245583833562787085380329005071911616808049000676560414072506684332549406326119329408550436864000000000\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+]
+
+LENGTH = [
+    "{\"query\": \"length l 3 = True\", \"ok\": true, \"seed\": 0, \"values\": {\"l\": \"[3, 3, 2]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [62, 64]], \"q\": \"1/1024\", \"attempts\": 1, \"local_backtracks\": 2, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"length l 3 = True\", \"ok\": true, \"seed\": 1, \"values\": {\"l\": \"[1, 0, 0]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [16, 64]], \"q\": \"1/1024\", \"attempts\": 1, \"local_backtracks\": 2, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"length l 3 = True\", \"ok\": true, \"seed\": 2, \"values\": {\"l\": \"[2, 0, 1]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [33, 64]], \"q\": \"1/1024\", \"attempts\": 1, \"local_backtracks\": 4, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"length l 3 = True\", \"ok\": true, \"seed\": 3, \"values\": {\"l\": \"[1, 0, 1]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [17, 64]], \"q\": \"1/1024\", \"attempts\": 1, \"local_backtracks\": 1, \"discards\": 0, \"error\": null}",
+]
+
+REDEX = [
+    "{\"query\": \"isRedex t = True\", \"ok\": true, \"seed\": 0, \"values\": {\"t\": \"App (Lam 1 (App (Var 0) (Var 1))) (Lam 1 (App (Var 1) (Var 0)))\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [2094, 2440]], \"q\": \"1/3660\", \"attempts\": 1, \"local_backtracks\": 1, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"isRedex t = True\", \"ok\": true, \"seed\": 1, \"values\": {\"t\": \"App (Lam 0 (Lam 1 (Var 1))) (App (App (Var 1) (Var 0)) (App (Var 1) (Var 1)))\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [721, 2440]], \"q\": \"1/3660\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"isRedex t = True\", \"ok\": true, \"seed\": 2, \"values\": {\"t\": \"App (Lam 0 (App (Var 1) (Var 0))) (App (App (Var 0) (Var 0)) (Var 0))\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [1058, 2440]], \"q\": \"1/3660\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"isRedex t = True\", \"ok\": true, \"seed\": 3, \"values\": {\"t\": \"App (Lam 0 (App (Var 0) (Var 1))) (App (App (Var 0) (Var 1)) (App (Var 1) (Var 0)))\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [0, 2], [954, 2440]], \"q\": \"1/3660\", \"attempts\": 1, \"local_backtracks\": 0, \"discards\": 0, \"error\": null}",
+]
+
 # (file, query, int bound, depth, expected lines for seeds 0, 1, ...)
 CASES = [
     ("bst.luck", "bst 3 0 10 t = True", (0, 10), 8, BST),
@@ -69,6 +93,9 @@ CASES = [
     ("ex35.luck", "a u = True", (0, 9), 8, EX35_A),
     ("ex35.luck", "b u = True", (0, 9), 8, EX35_B),
     ("member.luck", "member 3 l = True", (0, 5), 8, MEMBER),
+    ("sorted.luck", "sorted l = True", (0, 20), 8, SORTED),
+    ("length.luck", "length l 3 = True", (0, 3), 8, LENGTH),
+    ("redex.luck", "isRedex t = True", (0, 1), 4, REDEX),
 ]
 
 
