@@ -152,6 +152,10 @@ def main(argv=None) -> int:
     try:
         if ns.count < 1:
             raise DriverError("--count must be at least 1")
+        if ns.retries < 0:
+            raise DriverError("--retries must be at least 0")
+        if ns.fuel < 1:
+            raise DriverError("--fuel must be at least 1")
         int_bound = parse_bound(ns.int_bound) if ns.int_bound else None
         master = pick_master_seed(ns.seed)
         source = Path(ns.file).read_text()

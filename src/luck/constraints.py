@@ -3,7 +3,8 @@
 A constraint set is an immutable snapshot holding, for every unknown, its
 flat type and one of:
 
-  * nothing (the unknown ranges over its whole type),
+  * nothing: the unknown ranges over its whole type, and ``expand``
+    gives it its type's node the first time something looks inside it,
   * a deferred range: every value of its type within a recursion depth,
     not yet built (``Deferred``; the first unification or case split that
     looks inside unfolds it by one level),
@@ -278,14 +279,6 @@ class ConstraintSet:
             nxt += 1
         return self._copy(utypes=utypes, bindings=bindings, next_fresh=nxt), uids
 
-    def _mint(self, utypes, bindings, ty: Type, nxt: int,
-              int_dom: Optional[IntDomain] = None):
-        utypes[nxt] = ty
-        if isinstance(ty, TInt):
-            bindings[nxt] = int_dom if int_dom is not None \
-                else IntDomain.bounded(*self.int_bounds)
-        return nxt, nxt + 1
-
     # -- materialization ----------------------------------------------------
 
     def materialize(self, u: int, depth: int):
@@ -317,15 +310,32 @@ class ConstraintSet:
         return Deferred(depth, key)
 
     def expand(self, u: int):
-        """(set', representative, binding), a deferred range unfolded.
+        """(set', representative, node): u's one-level range node.
 
-        Any other binding comes back as it is.
+        This is the one place an unknown is opened.  A deferred range is
+        unfolded by one level.  An unknown of unit, sum, product or
+        recursive type without a binding gets its type's node, over fresh
+        children that range over their whole types.  Either node is written
+        to the store.  An integer unknown's binding and an existing node
+        come back as they are.
         """
         root, b = self.resolve(u)
-        if not isinstance(b, Deferred):
+        if isinstance(b, Deferred):
+            out, level = self._unfold(b, self.utypes[root], holder=root)
+            return out, root, level
+        ty = self.utypes[root]
+        if b is not None or isinstance(ty, TInt):
             return self, root, b
-        out, level = self._unfold(b, self.utypes[root], holder=root)
-        return out, root, level
+        if isinstance(ty, TUnit):
+            return self._set_binding(root, RUnit()), root, RUnit()
+        if isinstance(ty, TMu):
+            out, ids = self.fresh([_unfold_mu(ty)])
+        else:
+            out, ids = self.fresh([ty.left, ty.right])
+        node = (RFold if isinstance(ty, TMu) else
+                RPair if isinstance(ty, TProd) else RSum)(*ids)
+        out.bindings[root] = node  # `fresh` gave `out` its own dictionary
+        return out, root, node
 
     def _unfold(self, d: Deferred, ty: Type, holder: Optional[int] = None):
         """One level of the deferred range `d` over `ty`: (set', binding).
@@ -557,11 +567,7 @@ class ConstraintSet:
             out, b2 = self._unfold(b2, self.utypes[root])
             return out._merge_bindings(root, b1, b2)
         if isinstance(b1, IntDomain) and isinstance(b2, IntDomain):
-            dom = b1.intersect(b2)
-            out = self._set_binding(root, dom)
-            if dom.is_empty():
-                return out.fail()
-            return out.propagate([root])
+            return self._set_domain(root, b1.intersect(b2))
         if isinstance(b1, RUnit) and isinstance(b2, RUnit):
             return self
         if isinstance(b1, RPair) and isinstance(b2, RPair):
@@ -590,75 +596,39 @@ class ConstraintSet:
         bindings[u] = b
         return self._copy(bindings=bindings)
 
+    def _set_domain(self, root: int, dom: IntDomain) -> "ConstraintSet":
+        """Write root's integer domain: failed when it is empty, else
+        propagated from root."""
+        out = self._set_binding(root, dom)
+        if dom.is_empty():
+            return out.fail()
+        return out.propagate([root])
+
     def _unify_uv(self, u: int, v: Expr) -> "ConstraintSet":
         cs, root, b = self.expand(u)
         return cs._unify_shaped(root, b, v)
 
     def _unify_shaped(self, root: int, b, v: Expr) -> "ConstraintSet":
+        """Unify root, whose binding ``expand`` gave as b, with the value v."""
         if isinstance(v, IntLit):
-            dom = b if isinstance(b, IntDomain) \
-                else IntDomain.bounded(*self.int_bounds)
-            dom = dom.intersect(IntDomain.of_values([v.value]))
-            out = self._set_binding(root, dom)
-            if dom.is_empty():
-                return out.fail()
-            return out.propagate([root])
+            only = IntDomain.of_values([v.value])
+            return self._set_domain(root, self._domain(root).intersect(only))
         if isinstance(v, Unit):
-            if b is None:
-                return self._set_binding(root, RUnit())
             return self if isinstance(b, RUnit) else self.fail()
         if isinstance(v, (Inl, Inr)):
             want_left = isinstance(v, Inl)
-            if b is None:
-                ty = self.utypes[root]
-                if not isinstance(ty, TSum):
-                    return self.fail()
-                side_ty = ty.left if want_left else ty.right
-                utypes = dict(self.utypes)
-                bindings = dict(self.bindings)
-                keep, nxt = self._mint(utypes, bindings, side_ty,
-                                       self.next_fresh)
-                bindings[root] = RSum(keep, None) if want_left \
-                    else RSum(None, keep)
-                out = self._copy(utypes=utypes, bindings=bindings,
-                                 next_fresh=nxt)
-            elif not isinstance(b, RSum) or \
+            if not isinstance(b, RSum) or \
                     (keep := b.left if want_left else b.right) is None:
                 return self.fail()
-            else:
-                node = RSum(keep, None) if want_left else RSum(None, keep)
-                out = self if node == b else self._set_binding(root, node)
+            node = RSum(keep, None) if want_left else RSum(None, keep)
+            out = self if node == b else self._set_binding(root, node)
             return out.unify(Unknown(keep), v.arg)
         if isinstance(v, Pair):
-            if b is None:
-                ty = self.utypes[root]
-                if not isinstance(ty, TProd):
-                    return self.fail()
-                utypes = dict(self.utypes)
-                bindings = dict(self.bindings)
-                fu, nxt = self._mint(utypes, bindings, ty.left, self.next_fresh)
-                su, nxt = self._mint(utypes, bindings, ty.right, nxt)
-                bindings[root] = RPair(fu, su)
-                out = self._copy(utypes=utypes, bindings=bindings,
-                                 next_fresh=nxt)
-                return out.unify(Unknown(fu), v.fst).unify(Unknown(su), v.snd)
             if isinstance(b, RPair):
                 out = self.unify(Unknown(b.fst), v.fst)
                 return out.unify(Unknown(b.snd), v.snd)
             return self.fail()
         if isinstance(v, Fold):
-            if b is None:
-                ty = self.utypes[root]
-                if not isinstance(ty, TMu):
-                    return self.fail()
-                utypes = dict(self.utypes)
-                bindings = dict(self.bindings)
-                cu, nxt = self._mint(utypes, bindings, unfold_mu(ty),
-                                     self.next_fresh)
-                bindings[root] = RFold(cu)
-                out = self._copy(utypes=utypes, bindings=bindings,
-                                 next_fresh=nxt)
-                return out.unify(Unknown(cu), v.arg)
             if isinstance(b, RFold):
                 return self.unify(Unknown(b.child), v.arg)
             return self.fail()
@@ -673,14 +643,9 @@ class ConstraintSet:
         if not isinstance(lhs, Unknown) and not isinstance(rhs, Unknown):
             return self if eval_op(op, lhs, rhs + offset) else self.fail()
         if isinstance(lhs, Unknown) and not isinstance(rhs, Unknown):
-            root, b = self.resolve(lhs.uid)
-            dom = b if isinstance(b, IntDomain) \
-                else IntDomain.bounded(*self.int_bounds)
-            dom = dom.restrict_op_const(op, rhs + offset)
-            out = self._set_binding(root, dom)
-            if dom.is_empty():
-                return out.fail()
-            return out.propagate([root])
+            root = self.find(lhs.uid)
+            return self._set_domain(root, revise(
+                self._domain(root), op, IntDomain.of_values([rhs + offset])))
         if not isinstance(lhs, Unknown) and isinstance(rhs, Unknown):
             return self.post_cmp(flip_op(op), rhs, lhs - offset)
         ra, rb = self.find(lhs.uid), self.find(rhs.uid)
@@ -699,12 +664,8 @@ class ConstraintSet:
         interval rather than the default bounds, so a shift may carry
         values past the configured range without clamping u in return.
         """
-        utypes = dict(self.utypes)
-        bindings = dict(self.bindings)
-        dom = self._domain(u).shift(offset)
-        w, nxt = self._mint(utypes, bindings, TInt(), self.next_fresh,
-                            int_dom=dom)
-        out = self._copy(utypes=utypes, bindings=bindings, next_fresh=nxt)
+        out, (w,) = self.fresh([TInt()])
+        out.bindings[w] = self._domain(u).shift(offset)  # `out`'s own copy
         return out.post_cmp("==", Unknown(w), Unknown(u), offset=offset), w
 
     def _domain(self, u: int) -> IntDomain:

@@ -406,55 +406,6 @@ class Closure(Expr):
         return str(self.rec)
 
 
-def is_pattern(e: Expr) -> bool:
-    """Patterns are function-free values possibly containing unknowns."""
-    if isinstance(e, (Unit, IntLit, Unknown)):
-        return True
-    if isinstance(e, Pair):
-        return is_pattern(e.fst) and is_pattern(e.snd)
-    if isinstance(e, (Inl, Inr, Fold)):
-        return is_pattern(e.arg)
-    return False
-
-
-def free_unknowns(e: Expr) -> set[int]:
-    out: set[int] = set()
-    _walk_unknowns(e, out)
-    return out
-
-
-def _walk_unknowns(e: Expr, out: set[int]) -> None:
-    if isinstance(e, Unknown):
-        out.add(e.uid)
-    elif isinstance(e, Pair):
-        _walk_unknowns(e.fst, out)
-        _walk_unknowns(e.snd, out)
-    elif isinstance(e, (Inl, Inr, Fold, Unfold, Bang)):
-        _walk_unknowns(e.arg, out)
-    elif isinstance(e, CasePair):
-        _walk_unknowns(e.scrut, out)
-        _walk_unknowns(e.body, out)
-    elif isinstance(e, CaseSum):
-        _walk_unknowns(e.scrut, out)
-        _walk_unknowns(e.left_body, out)
-        _walk_unknowns(e.right_body, out)
-    elif isinstance(e, Rec):
-        _walk_unknowns(e.body, out)
-    elif isinstance(e, App):
-        _walk_unknowns(e.fun, out)
-        _walk_unknowns(e.arg, out)
-    elif isinstance(e, Inst):
-        _walk_unknowns(e.arg, out)
-        _walk_unknowns(e.w_left, out)
-        _walk_unknowns(e.w_right, out)
-    elif isinstance(e, After):
-        _walk_unknowns(e.main, out)
-        _walk_unknowns(e.hook, out)
-    elif isinstance(e, (Cmp, Arith)):
-        _walk_unknowns(e.lhs, out)
-        _walk_unknowns(e.rhs, out)
-
-
 def subst(e: Expr, name: str, value: Expr) -> Expr:
     """Substitute a closed value for a variable.
 
@@ -603,7 +554,7 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
         return fty.res
     if isinstance(e, Inst):
         ty = _tc(e.arg, env, utypes)
-        if not _is_sum_like(ty):
+        if not isinstance(ty, TSum):
             raise TypeCheckError(f"instantiation of non-sum {ty}")
         _expect(_tc(e.w_left, env, utypes), TInt(), "left weight")
         _expect(_tc(e.w_right, env, utypes), TInt(), "right weight")
@@ -632,10 +583,6 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
     if isinstance(e, MatchFail):
         return e.ty
     raise AssertionError(f"unhandled expression {e!r}")
-
-
-def _is_sum_like(ty: Type) -> bool:
-    return isinstance(ty, TSum)
 
 
 # ---------------------------------------------------------------------------

@@ -119,22 +119,6 @@ class IntDomain:
     def shift(self, c: int) -> "IntDomain":
         return IntDomain(tuple((lo + c, hi + c) for lo, hi in self.intervals))
 
-    def restrict_op_const(self, op: str, k: int) -> "IntDomain":
-        """Absorb the unary constraint  self OP k  into the domain."""
-        if op == "==":
-            return self.intersect(IntDomain.of_values([k]))
-        if op == "/=":
-            return self.remove(k)
-        if op == "<":
-            return self.restrict_le(k - 1)
-        if op == "<=":
-            return self.restrict_le(k)
-        if op == ">":
-            return self.restrict_ge(k + 1)
-        if op == ">=":
-            return self.restrict_ge(k)
-        raise ValueError(f"bad comparison {op}")
-
     def __str__(self) -> str:
         return "{" + ", ".join(
             f"{lo}" if lo == hi else f"{lo}..{hi}" for lo, hi in self.intervals

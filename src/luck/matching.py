@@ -13,7 +13,10 @@ is the weight of this failing derivation.  Hard errors (empty sample
 spaces, bad weights) raise GenFailure instead and abort the attempt.
 
 Like narrowing, matching runs under an environment of closed values; a
-case arm's variables are bound to the unknowns its scrutinee matched.
+case arm's variables are bound to the unknowns its scrutinee matched.  A
+constructor matched against a pattern is matched part by part against
+the pattern's parts (``narrow.open_value``), and an instantiation splits
+the pattern with ``narrow.split_sum``; neither mints unknowns.
 """
 
 from __future__ import annotations
@@ -54,11 +57,10 @@ from .core import (
     Var,
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
     typecheck,
-    unfold_mu,
 )
 from .intdomain import negate_op
-from .narrow import (GenFailure, choose, narrow, narrow_weight, sample_value,
-                     split_sum)
+from .narrow import (GenFailure, choose, narrow, narrow_weight, open_value,
+                     sample_value, split_sum)
 from .trace import RunCtx
 
 MatchResult = Optional[ConstraintSet]
@@ -107,25 +109,17 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
         raise GenFailure("inexhaustive match")
     if isinstance(e, (Rec, Closure)):
         raise ContractViolation("cannot match a function value")
-    if isinstance(e, Pair):
-        t1 = expr_type(e.fst, cs, env)
-        t2 = expr_type(e.snd, cs, env)
-        cs1, (u1, u2) = cs.fresh([t1, t2])
-        cs0 = cs1.unify(Pair(Unknown(u1), Unknown(u2)), p)
-        if not cs0.sat():
+    if isinstance(e, (Pair, Inl, Inr, Fold)):
+        opened = open_value(p, type(e), cs)
+        if opened is None:
             return None
-        first = match_eval(e.fst, Unknown(u1), cs0, ctx, env)
-        if first is None:
-            return None
-        return match_eval(e.snd, Unknown(u2), first, ctx, env)
-    if isinstance(e, (Inl, Inr, Fold)):
-        arg_ty = (e.ty.left if isinstance(e, Inl) else
-                  e.ty.right if isinstance(e, Inr) else unfold_mu(e.ty))
-        cs1, (u,) = cs.fresh([arg_ty])
-        cs2 = cs1.unify(type(e)(Unknown(u), e.ty), p)
-        if not cs2.sat():
-            return None
-        return match_eval(e.arg, Unknown(u), cs2, ctx, env)
+        parts, got = opened
+        subs = (e.fst, e.snd) if isinstance(e, Pair) else (e.arg,)
+        for sub, part in zip(subs, parts):
+            got = match_eval(sub, part, got, ctx, env)
+            if got is None:
+                return None
+        return got
     if isinstance(e, Unfold):
         mu = expr_type(e.arg, cs, env)
         return match_eval(e.arg, Fold(p, mu), cs, ctx, env)
@@ -155,10 +149,7 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
             return None
         n1, got = narrow_weight(e.w_left, got, ctx, env)
         n2, got = narrow_weight(e.w_right, got, ctx, env)
-        ty = expr_type(e.arg, cs, env)
-        cs0, (u1, u2) = got.fresh([ty.left, ty.right])
-        left = cs0.unify(p, Inl(Unknown(u1), ty))
-        right = cs0.unify(p, Inr(Unknown(u2), ty))
+        _, _, left, right = split_sum(p, got)
         return choose(n1, left, n2, right, ctx)[1]
     if isinstance(e, Cmp):
         return match_cmp(e, p, cs, ctx, env)
@@ -260,14 +251,14 @@ def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
                           {**env, e.right_name: v.arg})
     if not isinstance(v, Unknown):
         raise GenFailure(f"case dispatch over non-sum value {v}")
-    ul, ur, left, right = split_sum(v, cs)
+    vl, vr, left, right = split_sum(v, cs)
 
     def run(side: int, branch: ConstraintSet) -> MatchResult:
         if side == 0:
             return match_eval(e.left_body, p, branch, ctx,
-                              {**env, e.left_name: Unknown(ul)})
+                              {**env, e.left_name: vl})
         return match_eval(e.right_body, p, branch, ctx,
-                          {**env, e.right_name: Unknown(ur)})
+                          {**env, e.right_name: vr})
 
     return backtracking_choose(n1, left, n2, right, ctx, run)
 

@@ -13,6 +13,10 @@ the argument, and a case arm under the current one extended with the arm
 variables.  A variable is replaced by its value before the step is
 counted, so evaluation takes the same steps as it would on the term with
 every bound variable substituted.
+
+A split of an unknown reads the children of the node the store gives it
+(``open_value`` and ``split_sum``, shared with matching); no split mints
+unknowns of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 
-from .constraints import ConstraintSet, ContractViolation
+from .constraints import ConstraintSet, ContractViolation, RFold, RPair, RSum
 from .core import (
     EMPTY_ENV,
     FALSE,
@@ -43,8 +47,6 @@ from .core import (
     MatchFail,
     Pair,
     Rec,
-    TProd,
-    TSum,
     Unfold,
     Unit,
     Unknown,
@@ -81,7 +83,11 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
         return type(e)(v, e.ty), cs
     if isinstance(e, Unfold):
         v, cs = narrow(e.arg, cs, ctx, env)
-        return unfold_value(v, cs)
+        opened = open_value(v, Fold, cs)
+        if opened is None:
+            raise GenFailure(f"unfold of non-fold {v}")
+        (arg,), cs = opened
+        return arg, cs
     if isinstance(e, App):
         f, cs = narrow(e.fun, cs, ctx, env)
         if not isinstance(f, Closure):
@@ -90,19 +96,12 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
         return narrow(f.rec.body, cs, ctx, f.body_env(a))
     if isinstance(e, CasePair):
         v, cs = narrow(e.scrut, cs, ctx, env)
-        if isinstance(v, Unknown):
-            ty = cs.type_of(v.uid)
-            if not isinstance(ty, TProd):
-                raise ContractViolation(f"pair case over {ty}")
-            cs, (uf, us) = cs.fresh([ty.left, ty.right])
-            cs = cs.unify(v, Pair(Unknown(uf), Unknown(us)))
-            if cs.failed:
-                raise GenFailure("pair split failed")
-            v = Pair(Unknown(uf), Unknown(us))
-        if not isinstance(v, Pair):
+        opened = open_value(v, Pair, cs)
+        if opened is None:
             raise GenFailure(f"pair case over non-pair {v}")
+        (fst, snd), cs = opened
         return narrow(e.body, cs, ctx,
-                      {**env, e.snd_name: v.snd, e.fst_name: v.fst})
+                      {**env, e.snd_name: snd, e.fst_name: fst})
     if isinstance(e, CaseSum):
         v, cs = narrow(e.scrut, cs, ctx, env)
         if isinstance(v, Inl):
@@ -111,13 +110,11 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
             return narrow(e.right_body, cs, ctx,
                           {**env, e.right_name: v.arg})
         if isinstance(v, Unknown):
-            ul, ur, left, right = split_sum(v, cs)
+            vl, vr, left, right = split_sum(v, cs)
             side, cs3 = choose(1, left, 1, right, ctx)
             if side == 0:
-                return narrow(e.left_body, cs3, ctx,
-                              {**env, e.left_name: Unknown(ul)})
-            return narrow(e.right_body, cs3, ctx,
-                          {**env, e.right_name: Unknown(ur)})
+                return narrow(e.left_body, cs3, ctx, {**env, e.left_name: vl})
+            return narrow(e.right_body, cs3, ctx, {**env, e.right_name: vr})
         raise GenFailure(f"sum case over non-injection {v}")
     if isinstance(e, Inst):
         v, cs = narrow(e.arg, cs, ctx, env)
@@ -147,38 +144,45 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
     raise ContractViolation(f"cannot narrow {e!r}")
 
 
-def split_sum(v: Unknown, cs: ConstraintSet):
-    """Fresh unknowns ul, ur for the two sides of v's sum type, and the
-    refinements of cs in which v is inl ul and inr ur."""
-    ty = cs.type_of(v.uid)
-    if not isinstance(ty, TSum):
-        raise ContractViolation(f"sum split over {ty}")
-    cs2, (ul, ur) = cs.fresh([ty.left, ty.right])
-    return (ul, ur, cs2.unify(v, Inl(Unknown(ul), ty)),
-            cs2.unify(v, Inr(Unknown(ur), ty)))
+def open_value(v: Expr, kind: type, cs: ConstraintSet):
+    """(parts, cs'): the parts of v as a `kind` value (``Pair``, ``Inl``,
+    ``Inr`` or ``Fold``) and the store that says so, or None when v has
+    another constructor.
+
+    For an unknown, the parts are the children of the node ``expand``
+    gives it; a sum node is narrowed to the asked side with ``unify``, and
+    None is returned when that side is ruled out.  A node of a kind that
+    does not fit raises ContractViolation.
+    """
+    if not isinstance(v, Unknown):
+        if type(v) is not kind:
+            return None
+        return ((v.fst, v.snd) if kind is Pair else (v.arg,)), cs
+    cs, root, node = cs.expand(v.uid)
+    if kind is Pair and isinstance(node, RPair):
+        return (Unknown(node.fst), Unknown(node.snd)), cs
+    if kind is Fold and isinstance(node, RFold):
+        return (Unknown(node.child),), cs
+    if kind in (Inl, Inr) and isinstance(node, RSum):
+        side = node.left if kind is Inl else node.right
+        if side is None:
+            return None
+        return (Unknown(side),), cs.unify(v, kind(Unknown(side),
+                                                  cs.utypes[root]))
+    raise ContractViolation(f"{kind.__name__} split of ?{v.uid} bound to "
+                            f"{node}")
 
 
-def unfold_value(v: Expr, cs: ConstraintSet):
-    from .constraints import RFold
-    from .core import TMu, unfold_mu
-
-    if isinstance(v, Fold):
-        return v.arg, cs
+def split_sum(v: Expr, cs: ConstraintSet):
+    """(left, right, as_left, as_right) for the sum pattern v: its two sides,
+    each None when ruled out, and the refinements of cs in which v is the
+    left and the right injection (failed for a ruled-out side)."""
     if isinstance(v, Unknown):
-        cs, root, b = cs.expand(v.uid)
-        if isinstance(b, RFold):
-            return Unknown(b.child), cs
-        if b is None:
-            ty = cs.utypes[root]
-            if not isinstance(ty, TMu):
-                raise ContractViolation(f"unfold of {ty}")
-            cs2, (c,) = cs.fresh([unfold_mu(ty)])
-            cs2 = cs2.unify(Unknown(root), Fold(Unknown(c), ty))
-            if cs2.failed:
-                raise GenFailure("unfold failed")
-            return Unknown(c), cs2
-        raise GenFailure(f"unfold of unknown bound to {b}")
-    raise GenFailure(f"unfold of non-fold {v}")
+        cs = cs.expand(v.uid)[0]  # both sides read one node
+    sides = [open_value(v, kind, cs) or ((None,), cs.fail())
+             for kind in (Inl, Inr)]
+    ((left,), as_left), ((right,), as_right) = sides
+    return left, right, as_left, as_right
 
 
 def narrow_weight(e: Expr, cs: ConstraintSet, ctx: RunCtx,

@@ -76,7 +76,7 @@ def format_trace(seed: Optional[int], choices: list[Choice], q: Fraction,
 
 
 _TRACE_RE = re.compile(
-    r"(?:seed=(\d+)\s+)?choices=\[([^\]]*)\]\s+q=(-?\d+)/(\d+)"
+    r"(?:seed=(-?\d+)\s+)?choices=\[([^\]]*)\]\s+q=(-?\d+)/(\d+)"
     r"(?:\s+result=(.+))?$")
 
 

@@ -111,6 +111,8 @@ def test_configuration_errors_exit_1(capsys):
         (EX35, "a u = Frue", "--int-bound", "0..9"),
         (EX35, "a u = True"),  # int unknown without bounds
         (EX35, "a u = True", "--int-bound", "0..9", "--count", "0"),
+        (EX35, "a u = True", "--int-bound", "0..9", "--retries", "-1"),
+        (EX35, "a u = True", "--int-bound", "0..9", "--fuel", "0"),
     ]
     for args in cases:
         code, out, err = run_cli(capsys, *args)

@@ -7,6 +7,10 @@ from luck.constraints import (
     ConstraintSet,
     ContractViolation,
     Deferred,
+    RFold,
+    RPair,
+    RSum,
+    RUnit,
     union,
     rename,
 )
@@ -785,3 +789,23 @@ def test_constraint_keys_are_representatives():
         assert_indexed_by_representative(union(cs, renamed))
         a, b = rng.sample(uids[:2], 2)
         assert_indexed_by_representative(cs.unify(Unknown(a), Unknown(b)))
+
+
+@pytest.mark.parametrize("ty,node", [
+    (TUnit(), RUnit), (BOOL, RSum), (TProd(TInt(), BOOL), RPair),
+    (UNIT_LIST, RFold)])
+def test_expand_gives_an_unbound_unknown_its_types_node(ty, node):
+    cs, (u,) = ConstraintSet(int_bounds=(0, 3)).fresh([ty])
+    out, root, b = cs.expand(u)
+    assert root == u and isinstance(b, node) and out.bindings[u] == b
+    # the node is written: looking again mints nothing
+    again, _, b2 = out.expand(u)
+    assert b2 == b and again.next_fresh == out.next_fresh
+    if node is not RFold:  # a range with no depth bound has no count
+        assert out.count_values(u) == cs.count_values(u)
+
+
+def test_expand_leaves_an_integer_unknown_its_domain():
+    cs, (u,) = ConstraintSet(int_bounds=(0, 3)).fresh([TInt()])
+    out, root, b = cs.expand(u)
+    assert out is cs and root == u and b == IntDomain.bounded(0, 3)

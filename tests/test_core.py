@@ -14,7 +14,6 @@ from luck.core import (
     Inr,
     Inst,
     IntLit,
-    Pair,
     Rec,
     TFun,
     TInt,
@@ -29,9 +28,7 @@ from luck.core import (
     Unknown,
     Var,
     erase,
-    free_unknowns,
     is_flat,
-    is_pattern,
     subst,
     type_eq,
     typecheck,
@@ -136,17 +133,6 @@ def test_typecheck_cmp_and_arith():
     assert type_eq(typecheck(Arith("+", IntLit(1), IntLit(2))), TInt())
     with pytest.raises(TypeCheckError):
         typecheck(Cmp("<", Unit(), IntLit(2)))
-
-
-def test_patterns():
-    assert is_pattern(Pair(Unknown(1), Fold(Inl(Unit(), unfold_mu(NAT)), NAT)))
-    assert not is_pattern(App(Rec("f", "x", TInt(), Var("x"), TInt()), IntLit(1)))
-    assert not is_pattern(Cmp("<", IntLit(0), IntLit(1)))
-
-
-def test_free_unknowns():
-    e = Pair(Unknown(3), Inst(Unknown(4), IntLit(1), Bang(Unknown(5))))
-    assert free_unknowns(e) == {3, 4, 5}
 
 
 def test_erase_strips_annotations():

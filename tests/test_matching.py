@@ -405,3 +405,15 @@ def test_combine_renames_colliding_fresh_ids():
     # the union ranges over both derivations, so a's private pin widens
     assert out.count_values(a1) == 2
     assert out.utypes[a1] == BOOL  # ...but nobody rebound it to b's unit
+
+
+def test_constructor_and_inst_rules_read_the_patterns_node():
+    cs = ConstraintSet(int_bounds=(0, 3))
+    cs, (w, b) = cs.fresh([TProd(TInt(), TInt()), BOOL])
+    cs = cs.expand(w)[0].expand(b)[0]
+    out = match_eval(Pair(IntLit(3), IntLit(1)), Unknown(w), cs, ctx_with())
+    assert out.index(w) == Pair(IntLit(3), IntLit(1))
+    assert out.next_fresh == cs.next_fresh
+    out = match_eval(Inst(Unknown(b), IntLit(1), IntLit(0)), Unknown(b), cs,
+                     ctx_with())
+    assert out.index(b) == TRUE and out.next_fresh == cs.next_fresh

@@ -19,6 +19,7 @@ from luck.core import (
     CaseSum,
     Closure,
     Cmp,
+    Fold,
     Inl,
     Inr,
     Inst,
@@ -31,13 +32,14 @@ from luck.core import (
     TProd,
     TSum,
     TUnit,
+    Unfold,
     Unit,
     Unknown,
     Var,
 )
 from luck.desugar import Program
 from luck.driver import DEFAULT_FUEL, attempt, prepare
-from luck.narrow import GenFailure, narrow, sample_value
+from luck.narrow import GenFailure, narrow, open_value, sample_value, split_sum
 from luck.predsem import EvalTimeout, pred_eval
 from luck.trace import (
     Choice,
@@ -48,7 +50,7 @@ from luck.trace import (
     enumerate_traces,
 )
 
-from .store_gen import pigeonhole_store
+from .store_gen import UNIT_LIST, pigeonhole_store
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -499,3 +501,41 @@ def test_sampling_fails_when_no_pin_has_a_solution():
     # both values were drawn: the first by a recorded choice, the last
     # because it was the only one left
     assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(1, 2)
+
+
+def opened_store():
+    """A pair, a sum and a list unknown, each already holding its node."""
+    cs, us = ConstraintSet(int_bounds=(0, 3)).fresh(
+        [TProd(TInt(), BOOL), BOOL, UNIT_LIST])
+    for u in us:
+        cs = cs.expand(u)[0]
+    return cs, us
+
+
+def test_splits_read_an_existing_node_and_mint_nothing():
+    cs, (p, s, lst) = opened_store()
+    n = cs.next_fresh
+    node = cs.bindings[p]
+    v, out = narrow(CasePair(Unknown(p), "a", "b", Pair(Var("b"), Var("a"))),
+                    cs, ctx_with())
+    assert v == Pair(Unknown(node.snd), Unknown(node.fst))
+    assert out.next_fresh == n
+    left, right, as_left, as_right = split_sum(Unknown(s), cs)
+    assert (left, right) == (Unknown(cs.bindings[s].left),
+                             Unknown(cs.bindings[s].right))
+    assert as_left.next_fresh == as_right.next_fresh == n
+    assert (as_left.index(s), as_right.index(s)) == (TRUE, FALSE)
+    # an injection value splits without the store
+    left, right, as_left, as_right = split_sum(TRUE, cs)
+    assert (left, right, as_left, as_right.failed) == (Unit(), None, cs, True)
+    v, out = narrow(Unfold(Unknown(lst)), cs, ctx_with())
+    assert v == Unknown(cs.bindings[lst].child) and out.next_fresh == n
+
+
+def test_a_split_of_the_wrong_node_kind_is_a_contract_violation():
+    cs, (p, s, lst) = opened_store()
+    for u, kind in ((p, Inl), (s, Pair), (lst, Inr), (s, Fold)):
+        with pytest.raises(ContractViolation):
+            open_value(Unknown(u), kind, cs)
+    with pytest.raises(ContractViolation):
+        split_sum(Unknown(p), cs)

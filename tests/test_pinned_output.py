@@ -6,6 +6,7 @@ engine that alters any random choice, count or value shows up here; one
 that changes the stream on purpose must re-record these lines and say so.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -126,3 +127,41 @@ def test_bst_output_does_not_depend_on_the_depth_bound():
     deep = report_lines("bst.luck", "bst 3 0 10 t = True", (0, 10), 14,
                         range(12))
     assert shallow == deep
+
+
+# (file, query, int bound, depth, seeds 0..n-1, sha256 of their lines, each
+# ending in a newline): a wider net than the lines above, for refactors
+# that must leave the output byte-identical
+DIGESTS = [
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), 8, 40,
+     "bb4c1a4f4a1a608e82f37c1c0e85ce56f410150a2b6a3dd51375e512398b6a9f"),
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), 12, 20,
+     "07ec98cb20b0998a09296ad4cda8580c3a52258080ff477b130895961613a911"),
+    ("bst.luck", "bst 6 0 40 t = True", (0, 40), 8, 20,
+     "bf3b9554552465548324ca0b3914f78fe49f5a962989aecfc85170353c963d9d"),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), 8, 20,
+     "74f145ebec0d25f86ab516fbe21afbe583323f1381ba54a7c8f7c7cc846b4acf"),
+    ("distinct.luck", "distinct l = True", (0, 9), 8, 60,
+     "e81630c3cede5626594937fa3afc9f7aa35b227ebff17db2fedfac1e59c3c467"),
+    ("ex35.luck", "a u = True", (0, 9), 8, 30,
+     "11e593acb4efc3145f1b687dd85f222b6807c904e1dacd3469f14d9b89bcf371"),
+    ("ex35.luck", "b u = True", (0, 9), 8, 30,
+     "aa8a5a85402b7963d550496273985dfb7040063c2a6f04277fe81770382a1d3d"),
+    ("member.luck", "member 3 l = True", (0, 5), 8, 20,
+     "1700db4c5692d50834e52e77b71cc057b29da4652bae1e17719f27fa1a0959d5"),
+    ("sorted.luck", "sorted l = True", (0, 20), 8, 30,
+     "f7d5134798a4791a98eba1d118578a232d053cca34a69ae3a2d489af43143b66"),
+    ("length.luck", "length l 3 = True", (0, 3), 8, 30,
+     "a39f12ad0724d1d216d761e0d20cf64e0e6baa1a1a158183ccc396d3f0fcf2f3"),
+    ("redex.luck", "isRedex t = True", (0, 1), 4, 30,
+     "7a3fedf7a150f7a565a2a73555c05bec8b510860c57995e5791387fd518d853c"),
+]
+
+
+@pytest.mark.parametrize("file,query,int_bound,depth,n,expected", DIGESTS,
+                         ids=[f"{q.split()[0]}-{q.split()[1]}-d{d}"
+                              for _, q, _, d, _, _ in DIGESTS])
+def test_output_digest_is_pinned(file, query, int_bound, depth, n, expected):
+    lines = report_lines(file, query, int_bound, depth, range(n))
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

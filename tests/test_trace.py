@@ -38,6 +38,12 @@ def test_format_parse_with_result():
     assert result == "Node 3 Empty Empty"
 
 
+def test_negative_seed_round_trips():
+    # `--seed -5 --output trace` prints such a line
+    line = format_trace(-5, [Choice(1, 2)], Fraction(1, 2), result="[1]")
+    assert parse_trace(line) == (-5, [Choice(1, 2)], Fraction(1, 2), "[1]")
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_trace("not a trace line")
