@@ -156,6 +156,8 @@ def main(argv=None) -> int:
             raise DriverError("--retries must be at least 0")
         if ns.fuel < 1:
             raise DriverError("--fuel must be at least 1")
+        if ns.jobs < 1:
+            raise DriverError("--jobs must be at least 1")
         int_bound = parse_bound(ns.int_bound) if ns.int_bound else None
         master = pick_master_seed(ns.seed)
         source = Path(ns.file).read_text()

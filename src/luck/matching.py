@@ -12,11 +12,15 @@ path).  A None outcome still carries meaning: its accumulated probability
 is the weight of this failing derivation.  Hard errors (empty sample
 spaces, bad weights) raise GenFailure instead and abort the attempt.
 
-Like narrowing, matching runs under an environment of closed values; a
-case arm's variables are bound to the unknowns its scrutinee matched.  A
-constructor matched against a pattern is matched part by part against
-the pattern's parts (``narrow.open_value``), and an instantiation splits
-the pattern with ``narrow.split_sum``; neither mints unknowns.
+Like narrowing, matching runs under an environment of closed values.  A
+pair case or unfold whose scrutinee is an unknown opens it in place
+(``narrow.open_value``): the arm variables are bound to the children of
+its node, and an unfold unifies the child with the pattern.  Any other
+scrutinee is matched against a pattern of fresh unknowns, to which the
+arm variables are then bound.  A constructor matched against a pattern
+is matched part by part against the pattern's parts
+(``narrow.open_value``), and an instantiation splits the pattern with
+``narrow.split_sum``; neither mints unknowns.
 """
 
 from __future__ import annotations
@@ -121,8 +125,13 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
                 return None
         return got
     if isinstance(e, Unfold):
-        mu = expr_type(e.arg, cs, env)
-        return match_eval(e.arg, Fold(p, mu), cs, ctx, env)
+        opened = open_scrutinee(e.arg, Fold, cs, ctx, env)
+        if opened is None:
+            mu = expr_type(e.arg, cs, env)
+            return match_eval(e.arg, Fold(p, mu), cs, ctx, env)
+        (child,), cs = opened
+        out = cs.unify(child, p)
+        return out if out.sat() else None
     if isinstance(e, App):
         f, cs = narrow(e.fun, cs, ctx, env)
         if not isinstance(f, Closure):
@@ -130,15 +139,18 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
         v, cs = narrow(e.arg, cs, ctx, env)
         return match_eval(f.rec.body, p, cs, ctx, f.body_env(v))
     if isinstance(e, CasePair):
-        ty = expr_type(e.scrut, cs, env)
-        cs0, (u1, u2) = cs.fresh([ty.left, ty.right])
-        scrut = match_eval(e.scrut, Pair(Unknown(u1), Unknown(u2)), cs0, ctx,
-                           env)
-        if scrut is None:
-            return None
-        return match_eval(e.body, p, scrut, ctx,
-                          {**env, e.snd_name: Unknown(u2),
-                           e.fst_name: Unknown(u1)})
+        opened = open_scrutinee(e.scrut, Pair, cs, ctx, env)
+        if opened is None:
+            ty = expr_type(e.scrut, cs, env)
+            cs, (u1, u2) = cs.fresh([ty.left, ty.right])
+            fst, snd = Unknown(u1), Unknown(u2)
+            cs = match_eval(e.scrut, Pair(fst, snd), cs, ctx, env)
+            if cs is None:
+                return None
+        else:
+            (fst, snd), cs = opened
+        return match_eval(e.body, p, cs, ctx,
+                          {**env, e.snd_name: snd, e.fst_name: fst})
     if isinstance(e, CaseSum):
         if isinstance(e.scrut, Inst):
             return match_case_narrowed(e, p, cs, ctx, env)
@@ -170,6 +182,22 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
         _, out = sample_value(p, got, ctx)
         return out
     raise ContractViolation(f"cannot match {e!r}")
+
+
+def open_scrutinee(scrut: Expr, kind: type, cs: ConstraintSet, ctx: RunCtx,
+                   env: Env):
+    """(parts, cs'): a scrutinee that is an unknown, opened in place as a
+    `kind` value by ``narrow.open_value``; None for any other scrutinee.
+
+    The opening takes the one step the scrutinee's own match would take,
+    and mints nothing when the unknown already has its node.
+    """
+    if isinstance(scrut, Var):
+        scrut = env.get(scrut.name, scrut)
+    if not isinstance(scrut, Unknown):
+        return None
+    ctx.tick()
+    return open_value(scrut, kind, cs)
 
 
 def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,

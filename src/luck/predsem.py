@@ -8,7 +8,12 @@ are checked against: a produced valuation is correct iff evaluating the
 query under an environment binding each queried name to its value makes
 this evaluator return True.  Bodies run under environments of closed
 values, as in narrowing, with the steps evaluation of the substituted
-term would take.
+term would take.  A variable bound to a value built only from
+constructors, integers and closures evaluates to that same value: its
+steps, one per node, are charged in one subtraction, so the budget runs
+out exactly when rebuilding the value node by node would exhaust it.  A
+bound value holding any other node (an unknown, say) is evaluated node
+by node, so it fails at the step that reaches that node.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ class _Fuel:
     def __init__(self, amount: int) -> None:
         self.left = amount
 
-    def tick(self) -> None:
-        self.left -= 1
+    def tick(self, steps: int = 1) -> None:
+        self.left -= steps
         if self.left < 0:
             raise EvalTimeout()
 
@@ -87,6 +92,11 @@ def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL, env: Env = EMPTY_ENV) -> Expr:
 def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
     if isinstance(e, Var):
         e = env.get(e.name, e)
+        if isinstance(e, (Pair, Inl, Inr, Fold)):
+            steps = _value_size(e)
+            if steps is not None:
+                fuel.tick(steps)
+                return e
     fuel.tick()
     if isinstance(e, (Unit, IntLit, Closure)):
         return e
@@ -152,6 +162,24 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
             raise EvalFailure("arithmetic on non-integers")
         return IntLit(_arith(e.op, l.value, r.value))
     raise EvalFailure(f"no rule for {e!r}")
+
+
+def _value_size(v: Expr):
+    """The node count of v when it is built only from constructors,
+    integers and closures (a closure counts as one node), else None."""
+    n, todo = 0, [v]
+    while todo:
+        x = todo.pop()
+        n += 1
+        t = type(x)  # exact types: no node class is subclassed
+        if t is Pair:
+            todo.append(x.fst)
+            todo.append(x.snd)
+        elif t is Inl or t is Inr or t is Fold:
+            todo.append(x.arg)
+        elif not (t is IntLit or t is Unit or t is Closure):
+            return None
+    return n
 
 
 def _compare(op: str, a: int, b: int) -> bool:

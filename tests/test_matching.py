@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from luck.constraints import ConstraintSet, ContractViolation
+from luck import matching
+from luck.constraints import ConstraintSet, ContractViolation, RPair
 from luck.core import (
     BOOL,
     FALSE,
@@ -13,6 +14,7 @@ from luck.core import (
     App,
     Arith,
     Bang,
+    CasePair,
     CaseSum,
     Cmp,
     Fold,
@@ -37,6 +39,7 @@ from luck.core import (
 )
 from luck.matching import combine, heads_clash, match_eval
 from luck.narrow import GenFailure
+from luck.predsem import DEFAULT_FUEL
 from luck.trace import Choice, RunCtx, ScriptedSource, enumerate_traces
 
 NAT = TMu("X", TSum(TUnit(), TVar("X")))
@@ -417,3 +420,51 @@ def test_constructor_and_inst_rules_read_the_patterns_node():
     out = match_eval(Inst(Unknown(b), IntLit(1), IntLit(0)), Unknown(b), cs,
                      ctx_with())
     assert out.index(b) == TRUE and out.next_fresh == cs.next_fresh
+
+
+# -- scrutinees bound to unknowns ---------------------------------------------
+
+
+def no_retyping(*args):
+    raise AssertionError("a scrutinee bound to an unknown was retyped")
+
+
+SWAP = CasePair(Var("x"), "a", "b", Pair(Var("b"), Var("a")))
+
+
+def test_pair_case_and_unfold_read_a_bound_unknowns_node(monkeypatch):
+    monkeypatch.setattr(matching, "expr_type", no_retyping)
+    cs = ConstraintSet(int_bounds=(0, 3))
+    cs, (w, n) = cs.fresh([TProd(TInt(), TInt()), NAT])
+    cs, _, pair = cs.expand(w)
+    cs, _, fold = cs.expand(n)
+    cs = cs.expand(fold.child)[0]
+    ctx = ctx_with()
+    out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, ctx,
+                     {"x": Unknown(w)})
+    # the arms are the node's children, and the case takes the steps of
+    # the case, the scrutinee, the pair and its two variables
+    assert out.next_fresh == cs.next_fresh
+    assert out.index(pair.fst) == IntLit(3)
+    assert out.index(pair.snd) == IntLit(1)
+    assert DEFAULT_FUEL - ctx.fuel == 5
+    ctx = ctx_with()
+    zero = Inl(Unit(), TSum(TUnit(), NAT))
+    out = match_eval(Unfold(Var("x")), zero, cs, ctx, {"x": Unknown(n)})
+    assert out.next_fresh == cs.next_fresh
+    assert out.index(fold.child) == zero and out.index(n) == nat(0)
+    assert DEFAULT_FUEL - ctx.fuel == 2
+
+
+def test_pair_case_opens_an_unbound_product_unknown_once(monkeypatch):
+    monkeypatch.setattr(matching, "expr_type", no_retyping)
+    cs = ConstraintSet(int_bounds=(0, 3))
+    cs, (w,) = cs.fresh([TProd(TInt(), TInt())])
+    out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, ctx_with(),
+                     {"x": Unknown(w)})
+    _, pair = out.resolve(w)
+    # expand's two children are the only unknowns minted
+    assert isinstance(pair, RPair)
+    assert out.next_fresh == cs.next_fresh + 2
+    assert out.index(pair.fst) == IntLit(3)
+    assert out.index(pair.snd) == IntLit(1)

@@ -275,23 +275,35 @@ def test_function_name_shadows_an_argument_of_the_same_name():
     assert isinstance(v, Closure) and v.rec is r
 
 
-# Evaluation steps of one attempt of each query for seeds 0-5, recorded
-# with the evaluator that substituted values into function bodies.
-# Evaluating under an environment must take exactly the same steps.
+# Evaluation steps of one attempt of each query for seeds 0-5 (query,
+# int bound, depth bound).  The bst and rbt rows were recorded with the
+# evaluator that substituted values into function bodies, the others with
+# matching that minted twin unknowns for every pair-case scrutinee;
+# evaluating under an environment and opening a bound unknown in place
+# must take exactly the same steps.
 ATTEMPT_STEPS = [
-    ("bst.luck", "bst 3 0 10 t = True", (0, 10),
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), 8,
      [165, 98, 165, 165, 111, 98]),
-    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), 8,
      [790, 1399, 1599, 721, 1511, 1152]),
+    ("distinct.luck", "distinct l = True", (0, 9), 8,
+     [63, 63, 19, 19, 19, 19]),
+    ("sorted.luck", "sorted l = True", (0, 20), 8,
+     [49, 142, 18, 111, 80, 49]),
+    ("member.luck", "member 3 l = True", (0, 5), 8,
+     [168, 171, 172, 171, 172, 173]),
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), 12,
+     [165, 98, 165, 165, 111, 98]),
 ]
 
 
-@pytest.mark.parametrize("file,query,int_bound,steps", ATTEMPT_STEPS,
-                         ids=["bst", "rbt"])
+@pytest.mark.parametrize("file,query,int_bound,depth,steps", ATTEMPT_STEPS,
+                         ids=["bst", "rbt", "distinct", "sorted", "member",
+                              "bst-d12"])
 def test_attempt_takes_the_recorded_number_of_steps(file, query, int_bound,
-                                                    steps):
+                                                    depth, steps):
     prog = Program.from_source((CORPUS / file).read_text())
-    prep = prepare(prog, query, int_bound=int_bound)
+    prep = prepare(prog, query, int_bound=int_bound, depth=depth)
     used = []
     for seed in range(len(steps)):
         ctx = RunCtx(RandomSource(derive_seed(seed, 0)))

@@ -28,6 +28,7 @@ from luck.core import (
     TUnit,
     Unfold,
     Unit,
+    Unknown,
     Var,
     erase,
     subst,
@@ -148,6 +149,36 @@ def test_function_name_shadows_an_argument_of_the_same_name():
     assert isinstance(v, Closure) and v.rec is r
 
 
+# -- bound values -------------------------------------------------------------
+
+
+IDENTITY = Closure(Rec("f", "x", TInt(), Var("x"), TInt()), {})
+# seven nodes, the closure counting as one
+BOUND = Pair(IDENTITY, Fold(Inr(Pair(Unit(), IntLit(2)), None), None))
+
+
+def test_a_bound_value_is_returned_as_it_is():
+    assert pred_eval(Var("x"), env={"x": BOUND}) is BOUND
+    assert pred_eval(Var("x"), env={"x": BOUND.snd}) is BOUND.snd
+
+
+def test_a_bound_value_takes_one_step_per_node():
+    assert pred_eval(Var("x"), 7, {"x": BOUND}) is BOUND
+    with pytest.raises(EvalTimeout):
+        pred_eval(Var("x"), 6, {"x": BOUND})
+
+
+def test_a_bound_value_holding_an_unknown_fails_at_its_step():
+    held = {"x": Pair(IntLit(1), Unknown(0))}
+    with pytest.raises(EvalFailure):
+        pred_eval(Var("x"), env=held)
+    # the unknown is the third node reached: two steps time out first
+    with pytest.raises(EvalTimeout):
+        pred_eval(Var("x"), 2, held)
+    with pytest.raises(EvalFailure):
+        pred_eval(Var("x"), 3, held)
+
+
 def outcome(e, env=None):
     try:
         return pred_eval(e, env=env) if env is not None else pred_eval(e)
@@ -191,12 +222,16 @@ def test_environment_agrees_with_substitution(file, query, int_bound, depth):
         assert outcome(target, vals) == outcome(closed)
 
 
-# Steps the recheck of the valuation from seeds 0-2 needs, recorded with
-# the evaluator that substituted values into function bodies.
+# Steps the recheck of the valuation from seeds 0-2 needs.  The bst, rbt
+# and distinct rows were recorded with the evaluator that substituted
+# values into function bodies, the others with the one that rebuilt every
+# bound value node by node.
 RECHECK_STEPS = [
     ("bst.luck", "bst 3 0 10 t = True", (0, 10), [262, 132, 262]),
     ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), [2524, 1328, 4171]),
     ("distinct.luck", "distinct l = True", (0, 9), [90, 90, 25]),
+    ("sorted.luck", "sorted l = True", (0, 20), [98, 401, 37]),
+    ("length.luck", "length l 3 = True", (0, 3), [166, 166, 166]),
 ]
 
 
