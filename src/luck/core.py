@@ -7,6 +7,11 @@ biases the two sides of a sum, sampling ``!e`` which forces an unknown to
 a concrete value, and sequencing ``e1 ;' e2`` which evaluates e2 for its
 constraint effects only.  Unknowns (logic variables) may appear anywhere a
 value of flat (function-free) type is expected.
+
+Nodes that take a value apart carry its type, as injections and ``fold``
+carry the type they build: ``CaseSum`` a sum, ``CasePair`` a product and
+``Unfold`` a recursive type.  Lowering fixes these once, so evaluators
+that open a scrutinee into fresh unknowns read their types off the node.
 """
 
 from __future__ import annotations
@@ -208,12 +213,13 @@ class Pair(Expr):
 
 @dataclass(frozen=True)
 class CasePair(Expr):
-    """case e of (x, y) -> body"""
+    """case e of (x, y) -> body; ty is the product type of e."""
 
     scrut: Expr
     fst_name: str
     snd_name: str
     body: Expr
+    ty: Type
 
     def __str__(self) -> str:
         return (f"case {self.scrut} of ({self.fst_name}, {self.snd_name})"
@@ -242,13 +248,14 @@ class Inr(Expr):
 
 @dataclass(frozen=True)
 class CaseSum(Expr):
-    """case e of inl xl -> el | inr xr -> er"""
+    """case e of inl xl -> el | inr xr -> er; ty is the sum type of e."""
 
     scrut: Expr
     left_name: str
     left_body: Expr
     right_name: str
     right_body: Expr
+    ty: Type
 
     def __str__(self) -> str:
         return (f"case {self.scrut} of inl {self.left_name} -> {self.left_body}"
@@ -268,7 +275,10 @@ class Fold(Expr):
 
 @dataclass(frozen=True)
 class Unfold(Expr):
+    """Unroll a value of a recursive type; ty is that mu type."""
+
     arg: Expr
+    ty: Type
 
     def __str__(self) -> str:
         return f"unfold {self.arg}"
@@ -425,17 +435,18 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
     if isinstance(e, Fold):
         return Fold(subst(e.arg, name, value), e.ty)
     if isinstance(e, Unfold):
-        return Unfold(subst(e.arg, name, value))
+        return Unfold(subst(e.arg, name, value), e.ty)
     if isinstance(e, CasePair):
         body = e.body
         if name not in (e.fst_name, e.snd_name):
             body = subst(body, name, value)
-        return CasePair(subst(e.scrut, name, value), e.fst_name, e.snd_name, body)
+        return CasePair(subst(e.scrut, name, value), e.fst_name, e.snd_name,
+                        body, e.ty)
     if isinstance(e, CaseSum):
         lb = e.left_body if name == e.left_name else subst(e.left_body, name, value)
         rb = e.right_body if name == e.right_name else subst(e.right_body, name, value)
         return CaseSum(subst(e.scrut, name, value), e.left_name, lb,
-                       e.right_name, rb)
+                       e.right_name, rb, e.ty)
     if isinstance(e, Rec):
         if name in (e.fun_name, e.arg_name):
             return e
@@ -464,11 +475,13 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
 
 def typecheck(e: Expr, env: dict[str, Type] | None = None,
               utypes: dict[int, Type] | None = None) -> Type:
-    """Infer the type of an expression or raise TypeCheckError.
+    """Infer the type of a lowered term or raise TypeCheckError.
 
-    env maps bound variables to their types, or to the closed values an
-    evaluator bound them to, which are typed where they are used; utypes
-    maps unknowns, which must be flat.
+    env maps bound variables to their types and utypes maps unknowns,
+    which must be flat.  The type a ``CaseSum``, ``CasePair`` or
+    ``Unfold`` carries must be the one inferred for its scrutinee.  No
+    evaluator calls this: they trust those annotations, and tests check
+    them here.
     """
     return _tc(e, env or {}, utypes or {})
 
@@ -478,12 +491,19 @@ def _expect(got: Type, want: Type, where: str) -> None:
         raise TypeCheckError(f"{where}: expected {want}, got {got}")
 
 
+def _annotated(e: Expr, kind: type, got: Type, where: str) -> Type:
+    """The type e carries, checked to be a `kind` equal to the one got."""
+    if not isinstance(e.ty, kind):
+        raise TypeCheckError(f"{where} annotated with {e.ty}")
+    _expect(got, e.ty, where)
+    return e.ty
+
+
 def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
     if isinstance(e, Var):
         if e.name not in env:
             raise TypeCheckError(f"unbound variable {e.name}")
-        ty = env[e.name]
-        return _tc(ty, {}, utypes) if isinstance(ty, Expr) else ty
+        return env[e.name]
     if isinstance(e, Unit):
         return TUnit()
     if isinstance(e, IntLit):
@@ -498,13 +518,9 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
     if isinstance(e, Pair):
         return TProd(_tc(e.fst, env, utypes), _tc(e.snd, env, utypes))
     if isinstance(e, CasePair):
-        sty = _tc(e.scrut, env, utypes)
-        if not isinstance(sty, TProd):
-            raise TypeCheckError(f"pair case over non-product {sty}")
-        inner = dict(env)
-        inner[e.fst_name] = sty.left
-        inner[e.snd_name] = sty.right
-        return _tc(e.body, inner, utypes)
+        sty = _annotated(e, TProd, _tc(e.scrut, env, utypes), "pair case")
+        return _tc(e.body, {**env, e.fst_name: sty.left,
+                            e.snd_name: sty.right}, utypes)
     if isinstance(e, Inl):
         if not isinstance(e.ty, TSum):
             raise TypeCheckError(f"inl annotated with non-sum {e.ty}")
@@ -516,15 +532,9 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
         _expect(_tc(e.arg, env, utypes), e.ty.right, "inr")
         return e.ty
     if isinstance(e, CaseSum):
-        sty = _tc(e.scrut, env, utypes)
-        if not isinstance(sty, TSum):
-            raise TypeCheckError(f"sum case over non-sum {sty}")
-        lenv = dict(env)
-        lenv[e.left_name] = sty.left
-        renv = dict(env)
-        renv[e.right_name] = sty.right
-        lt = _tc(e.left_body, lenv, utypes)
-        rt = _tc(e.right_body, renv, utypes)
+        sty = _annotated(e, TSum, _tc(e.scrut, env, utypes), "sum case")
+        lt = _tc(e.left_body, {**env, e.left_name: sty.left}, utypes)
+        rt = _tc(e.right_body, {**env, e.right_name: sty.right}, utypes)
         _expect(rt, lt, "case arms")
         return lt
     if isinstance(e, Fold):
@@ -533,19 +543,13 @@ def _tc(e: Expr, env: dict[str, Type], utypes: dict[int, Type]) -> Type:
         _expect(_tc(e.arg, env, utypes), unfold_mu(e.ty), "fold")
         return e.ty
     if isinstance(e, Unfold):
-        sty = _tc(e.arg, env, utypes)
-        if not isinstance(sty, TMu):
-            raise TypeCheckError(f"unfold of non-mu {sty}")
-        return unfold_mu(sty)
+        return unfold_mu(_annotated(e, TMu, _tc(e.arg, env, utypes),
+                                    "unfold"))
     if isinstance(e, Rec):
         fty = TFun(e.arg_ty, e.res_ty)
-        inner = dict(env)
-        inner[e.fun_name] = fty
-        inner[e.arg_name] = e.arg_ty
+        inner = {**env, e.fun_name: fty, e.arg_name: e.arg_ty}
         _expect(_tc(e.body, inner, utypes), e.res_ty, "rec body")
         return fty
-    if isinstance(e, Closure):
-        return TFun(e.rec.arg_ty, e.rec.res_ty)
     if isinstance(e, App):
         fty = _tc(e.fun, env, utypes)
         if not isinstance(fty, TFun):
@@ -605,12 +609,13 @@ def erase(e: Expr) -> Expr:
     if isinstance(e, Fold):
         return Fold(erase(e.arg), e.ty)
     if isinstance(e, Unfold):
-        return Unfold(erase(e.arg))
+        return Unfold(erase(e.arg), e.ty)
     if isinstance(e, CasePair):
-        return CasePair(erase(e.scrut), e.fst_name, e.snd_name, erase(e.body))
+        return CasePair(erase(e.scrut), e.fst_name, e.snd_name, erase(e.body),
+                        e.ty)
     if isinstance(e, CaseSum):
         return CaseSum(erase(e.scrut), e.left_name, erase(e.left_body),
-                       e.right_name, erase(e.right_body))
+                       e.right_name, erase(e.right_body), e.ty)
     if isinstance(e, Rec):
         return Rec(e.fun_name, e.arg_name, e.arg_ty, erase(e.body), e.res_ty)
     if isinstance(e, App):

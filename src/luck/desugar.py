@@ -556,8 +556,9 @@ class Program:
 
     def core_type(self, t: STy) -> Type:
         """The core encoding of a fully-determined surface type."""
-        t = self.resolve_deep(t, default=True)
-        return self._core_type(t)
+        if t in self._ctype_memo:  # keys hold no metavariables to resolve
+            return self._ctype_memo[t]
+        return self._core_type(self.resolve_deep(t, default=True))
 
     def _core_type(self, t: STy) -> Type:
         if isinstance(t, STList):
@@ -578,7 +579,9 @@ class Program:
             out = self._data_type(t)
         else:
             raise LuckTypeError(f"cannot lower type {t}")
-        self._ctype_memo[t] = out
+        if not self._ctype_building:
+            # while a datatype is built, its recursive uses are open TVars
+            self._ctype_memo[t] = out
         return out
 
     def _prod(self, parts: list[Type]) -> Type:
@@ -616,19 +619,17 @@ class Program:
                 "only direct recursion is supported")
         return TMu(str(t), spine) if used else spine
 
-    def sum_layout(self, t: STCon) -> tuple[Type, list[Type]]:
-        """The (possibly unfolded) spine and per-constructor payload types."""
-        full = self.core_type(t)
-        inner = unfold_mu(full) if isinstance(full, TMu) else full
-        n = len(self.datas[t.name].ctors) if t.name in self.datas else 2
-        payloads, levels = [], [inner]
-        for i in range(n - 1):
-            s = levels[i]
-            assert isinstance(s, TSum)
-            payloads.append(s.left)
-            levels.append(s.right)
-        payloads.append(levels[-1])
-        return full, payloads
+
+def _sum_levels(full: Type, n: int) -> list[Type]:
+    """The n - 1 sums along the spine of a type of n constructors whose
+    core type is full: level i holds constructor i on its left and the
+    constructors after it on its right."""
+    level = unfold_mu(full) if isinstance(full, TMu) else full
+    levels = []
+    for _ in range(n - 1):
+        levels.append(level)
+        level = level.right
+    return levels
 
 
 def _tvar_names(t: Type) -> set[str]:
@@ -701,7 +702,7 @@ class _Lower:
             (tmk, tty) = self.des(e.then, env)
             (emk, ety) = self.des(e.els, env)
             self.unify(tty, ety, f"line {e.line}: if branches")
-            return (lambda: CaseSum(cmk(), "_", tmk(), "_", emk())), tty
+            return (lambda: CaseSum(cmk(), "_", tmk(), "_", emk(), BOOL)), tty
         if isinstance(e, SBang):
             (mk, ty) = self.des(e.expr, env)
             if e.var not in env:
@@ -776,10 +777,7 @@ class _Lower:
         n = len(d.ctors)
 
         def mk() -> Expr:
-            t = self.p.resolve_deep(dty, default=True)
-            assert isinstance(t, STCon)
-            full, _ = self.p.sum_layout(t)
-            inner = unfold_mu(full) if isinstance(full, TMu) else full
+            full = self.p.core_type(dty)
             vals = [m_() for m_ in arg_mks]
             if not vals:
                 v: Expr = Unit()
@@ -790,11 +788,7 @@ class _Lower:
             # nest the payload at its position along the sum spine: the
             # k-th constructor sits under k Inr wrappers, with an Inl on
             # top unless it is the last constructor
-            levels = [inner]
-            for _ in range(n - 1):
-                prev = levels[-1]
-                assert isinstance(prev, TSum)
-                levels.append(prev.right)
+            levels = _sum_levels(full, n)
             if pos < n - 1:
                 v = Inl(v, levels[pos])
             for i in range(pos - 1, -1, -1):
@@ -815,7 +809,7 @@ class _Lower:
                 raise LuckTypeError(f"{where}: not takes one argument")
             (amk, aty) = self.des(spine[0], env)
             self.unify(aty, _BOOL, f"{where}: argument of not")
-            return (lambda: CaseSum(amk(), "_", FALSE, "_", TRUE)), _BOOL
+            return (lambda: CaseSum(amk(), "_", FALSE, "_", TRUE, BOOL)), _BOOL
         fmk, fty = self.des(head, env)
         for arg in spine:
             (amk, aty) = self.des(arg, env)
@@ -849,17 +843,18 @@ class _Lower:
         if e.op == "&&":
             self.unify(lt, _BOOL, where)
             self.unify(rt, _BOOL, where)
-            return (lambda: CaseSum(lmk(), "_", rmk(), "_", FALSE)), _BOOL
+            return (lambda: CaseSum(lmk(), "_", rmk(), "_", FALSE,
+                                    BOOL)), _BOOL
         if e.op == "||":
             self.unify(lt, _BOOL, where)
             self.unify(rt, _BOOL, where)
-            return (lambda: CaseSum(lmk(), "_", TRUE, "_", rmk())), _BOOL
+            return (lambda: CaseSum(lmk(), "_", TRUE, "_", rmk(), BOOL)), _BOOL
         if e.op in ("==", "/="):
             self.unify(lt, rt, where)
             mk = self.equality(e, (lmk, lt), (rmk, rt), env, where)
             if e.op == "/=":
                 inner = mk
-                mk = lambda: CaseSum(inner(), "_", FALSE, "_", TRUE)
+                mk = lambda: CaseSum(inner(), "_", FALSE, "_", TRUE, BOOL)
             return mk, _BOOL
         raise LuckTypeError(f"{where}: unsupported operator")
 
@@ -875,7 +870,7 @@ class _Lower:
             lmk, rmk = lhs[0], rhs[0]
             return lambda: CaseSum(
                 lmk(), "_", rmk(),
-                "_", CaseSum(rmk(), "_", FALSE, "_", TRUE))
+                "_", CaseSum(rmk(), "_", FALSE, "_", TRUE, BOOL), BOOL)
         closed_r = _closed_term(e.rhs)
         closed_l = _closed_term(e.lhs)
         if closed_r is not None:
@@ -899,7 +894,7 @@ class _Lower:
                 raise LuckTypeError(f"{where}: expected True or False")
             if term.name == "True":
                 return occ
-            return lambda: CaseSum(occ(), "_", FALSE, "_", TRUE)
+            return lambda: CaseSum(occ(), "_", FALSE, "_", TRUE, BOOL)
         if isinstance(t, STTuple):
             if not (isinstance(term, STupleE)
                     and len(term.items) == len(t.items)):
@@ -911,7 +906,8 @@ class _Lower:
             body = _conj(parts)
 
             rests = [f"{nm}r" for nm in names[:-2]]
-            return lambda: _case_pairs(body(), occ(), names, rests)
+            return lambda: _case_pairs(body(), occ(), names, rests,
+                                       self.p.core_type(t))
         if isinstance(t, STCon) and t.name in self.p.datas:
             cname, args = _term_spine(term)
             if cname is None or cname not in self.p.ctors:
@@ -931,7 +927,6 @@ class _Lower:
                                      env, where)
                      for nm, a, ti in zip(names, args, arg_tys)]
             payload_eq = _conj(parts) if parts else (lambda: TRUE)
-            recursive = self.p.is_recursive(dname)
 
             def payload_body(cur: Expr) -> Expr:
                 k = len(names)
@@ -945,10 +940,13 @@ class _Lower:
                                 self.p.core_type(arg_tys[0]),
                                 payload_eq(), BOOL), cur)
                 return _case_pairs(payload_eq(), cur, names,
-                                   [self.fresh("er") for _ in range(k - 2)])
+                                   [self.fresh("er") for _ in range(k - 2)],
+                                   self.p.core_type(STTuple(tuple(arg_tys))))
 
             def mk() -> Expr:
-                cur: Expr = Unfold(occ()) if recursive else occ()
+                full = self.p.core_type(t)
+                levels = _sum_levels(full, n)
+                cur = Unfold(occ(), full) if isinstance(full, TMu) else occ()
                 # walk the sum spine to the constructor's position
                 def go(cur: Expr, i: int) -> Expr:
                     if i == n - 1:
@@ -962,7 +960,7 @@ class _Lower:
                     else:
                         left = FALSE
                         right = go(Var(rn), i + 1)
-                    return CaseSum(cur, ln, left, rn, right)
+                    return CaseSum(cur, ln, left, rn, right, levels[i])
 
                 return go(cur, 0)
 
@@ -1058,7 +1056,9 @@ class _Lower:
             sub = self.lower_tree(node.sub, env2, rmeta)
             names = [nm for nm, _ in node.comps]
             rests = [self.fresh("t") for _ in range(len(names) - 2)]
-            return lambda: _case_pairs(sub(), occ_core, names, rests)
+            ty = STTuple(tuple(st for _, st in node.comps))
+            return lambda: _case_pairs(sub(), occ_core, names, rests,
+                                       self.p.core_type(ty))
         return self.lower_node(node, env, rmeta)
 
     def lower_node(self, node: CaseNode, env: dict, rmeta: STy) -> Mk:
@@ -1067,11 +1067,6 @@ class _Lower:
         kids = node.children
         n = len(kids)
         wmks = self._weights(kids, env)
-        if isinstance(t, STCon) and t.name in self.p.datas \
-                and self.p.is_recursive(t.name):
-            scrut: Expr = Unfold(occ_core)
-        else:
-            scrut = occ_core
 
         def payload(child: Child, cur: Optional[Expr]) -> tuple[str, Mk]:
             """Binder name and body builder for one constructor child.
@@ -1097,10 +1092,17 @@ class _Lower:
             pname = self.fresh("p")
             rests = [self.fresh("t") for _ in range(len(names) - 2)]
             top = cur if cur is not None else Var(pname)
-            return pname, lambda: _case_pairs(sub(), top, names, rests)
+            ty = STTuple(tuple(st for _, st in argvars))
+            return pname, lambda: _case_pairs(sub(), top, names, rests,
+                                              self.p.core_type(ty))
 
         if n == 1:
-            _, body = payload(kids[0], scrut)
+            # no sum to dispatch on: the payload is bound in place, so its
+            # type is read before unification ends
+            full = self.p.core_type(t)
+            if isinstance(full, TMu):
+                occ_core = Unfold(occ_core, full)
+            _, body = payload(kids[0], occ_core)
             return body
 
         def add(a: Expr, b: Expr) -> Expr:
@@ -1114,18 +1116,29 @@ class _Lower:
             nxt, acc = wmks[i + 1], rest_mks[i + 1]
             rest_mks[i] = (lambda a=nxt, b=acc: add(a(), b()))
 
-        def cascade(i: int, cur: Mk) -> Mk:
+        def cascade(i: int) -> Callable[[Expr, list[Type]], Expr]:
+            """Constructors i.. as a builder over scrutinee and levels."""
             lname, lbody = payload(kids[i], None)
             if i == n - 2:
-                rname, rbody = payload(kids[i + 1], None)
+                rname, last = payload(kids[i + 1], None)
+                rest = lambda levels: last()
             else:
                 rname = self.fresh("r")
-                rbody = cascade(i + 1, (lambda nm=rname: Var(nm)))
+                inner = cascade(i + 1)
+                rest = lambda levels: inner(Var(rname), levels)
             wl, wr = wmks[i], rest_mks[i]
-            return (lambda: CaseSum(Inst(cur(), wl(), wr()),
-                                    lname, lbody(), rname, rbody()))
+            return (lambda cur, levels: CaseSum(
+                Inst(cur, wl(), wr()), lname, lbody(), rname, rest(levels),
+                levels[i]))
 
-        return cascade(0, (lambda: scrut))
+        build = cascade(0)
+
+        def mk() -> Expr:
+            full = self.p.core_type(t)
+            cur = Unfold(occ_core, full) if isinstance(full, TMu) else occ_core
+            return build(cur, _sum_levels(full, n))
+
+        return mk
 
     def _weights(self, kids: list[Child], env: dict) -> list[Mk]:
         ws = [c.weight for c in kids]
@@ -1154,7 +1167,7 @@ def _conj(parts: list[Mk]) -> Mk:
     def mk() -> Expr:
         out = parts[-1]()
         for p in reversed(parts[:-1]):
-            out = CaseSum(p(), "_", out, "_", FALSE)
+            out = CaseSum(p(), "_", out, "_", FALSE, BOOL)
         return out
 
     return mk
@@ -1216,16 +1229,14 @@ def _term_spine(e: SExpr) -> tuple[Optional[str], list[SExpr]]:
 
 
 def _case_pairs(body: Expr, top: Expr, names: list[str],
-                rests: list[str]) -> Expr:
+                rests: list[str], ty: Type) -> Expr:
     """`body` under CasePairs binding names[0..k-1] (k >= 2) to the
-    components of the right-nested tuple `top`; rests[i] names the tuple
-    of the components after names[i]."""
-    k = len(names)
-    scruts = [top] + [Var(r) for r in rests]
-    for i in range(k - 2, -1, -1):
-        second = names[i + 1] if i == k - 2 else rests[i]
-        body = CasePair(scruts[i], names[i], second, body)
-    return body
+    components of the right-nested tuple `top` of product type `ty`;
+    rests[i] names the tuple of the components after names[i]."""
+    if len(names) == 2:
+        return CasePair(top, names[0], names[1], body, ty)
+    inner = _case_pairs(body, Var(rests[0]), names[1:], rests[1:], ty.right)
+    return CasePair(top, names[0], rests[0], inner, ty)
 
 
 # ---------------------------------------------------------------------------

@@ -173,20 +173,17 @@ def run_query(prog: Program, query: str, *,
               int_bound: Optional[tuple[int, int]] = None,
               depth: int = DEFAULT_DEPTH,
               retries: int = DEFAULT_RETRIES,
-              local_backtracking: bool = True,
               fuel: int = DEFAULT_FUEL,
               check: bool = False) -> GenReport:
     """Generate one valuation, retrying failed attempts up to `retries`."""
     prep = prepare(prog, query, int_bound=int_bound, depth=depth)
-    return run_prepared(prep, seed=seed, retries=retries,
-                        local_backtracking=local_backtracking, fuel=fuel,
+    return run_prepared(prep, seed=seed, retries=retries, fuel=fuel,
                         check=check)
 
 
 def run_prepared(prep: PreparedQuery, *,
                  seed: Optional[int] = None,
                  retries: int = DEFAULT_RETRIES,
-                 local_backtracking: bool = True,
                  fuel: int = DEFAULT_FUEL,
                  check: bool = False) -> GenReport:
     """Generate one valuation from an already-prepared query."""
@@ -199,8 +196,7 @@ def run_prepared(prep: PreparedQuery, *,
     attempts = 0
     error = None
     for i in range(retries + 1):
-        ctx = RunCtx(RandomSource(derive_seed(seed, i)), fuel=fuel,
-                     local_backtracking=local_backtracking)
+        ctx = RunCtx(RandomSource(derive_seed(seed, i)), fuel=fuel)
         attempts = i + 1
         try:
             vals = attempt(prep, ctx)

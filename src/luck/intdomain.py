@@ -56,9 +56,6 @@ class IntDomain:
     def max(self) -> int:
         return self.intervals[-1][1]
 
-    def contains(self, v: int) -> bool:
-        return any(lo <= v <= hi for lo, hi in self.intervals)
-
     def is_singleton(self) -> bool:
         return (len(self.intervals) == 1
                 and self.intervals[0][0] == self.intervals[0][1])

@@ -21,6 +21,10 @@ arm variables are then bound.  A constructor matched against a pattern
 is matched part by part against the pattern's parts
 (``narrow.open_value``), and an instantiation splits the pattern with
 ``narrow.split_sum``; neither mints unknowns.
+
+The fresh unknowns take their types from the node: lowering gives every
+case and unfold the type of its scrutinee, so matching never calls the
+typechecker.
 """
 
 from __future__ import annotations
@@ -53,27 +57,18 @@ from .core import (
     MatchFail,
     Pair,
     Rec,
-    TSum,
-    Type,
     Unfold,
     Unit,
     Unknown,
     Var,
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
-    typecheck,
 )
-from .intdomain import negate_op
+from .intdomain import eval_op, negate_op
 from .narrow import (GenFailure, choose, narrow, narrow_weight, open_value,
                      sample_value, split_sum)
 from .trace import RunCtx
 
 MatchResult = Optional[ConstraintSet]
-
-
-def expr_type(e: Expr, cs: ConstraintSet, env: Env = EMPTY_ENV) -> Type:
-    """The type of an expression over the store's unknowns, its free
-    variables typed from the values env binds them to."""
-    return typecheck(e, env, cs.utypes)
 
 
 def heads_clash(body: Expr, p: Expr, env: Env = EMPTY_ENV) -> bool:
@@ -127,8 +122,7 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     if isinstance(e, Unfold):
         opened = open_scrutinee(e.arg, Fold, cs, ctx, env)
         if opened is None:
-            mu = expr_type(e.arg, cs, env)
-            return match_eval(e.arg, Fold(p, mu), cs, ctx, env)
+            return match_eval(e.arg, Fold(p, e.ty), cs, ctx, env)
         (child,), cs = opened
         out = cs.unify(child, p)
         return out if out.sat() else None
@@ -141,8 +135,7 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     if isinstance(e, CasePair):
         opened = open_scrutinee(e.scrut, Pair, cs, ctx, env)
         if opened is None:
-            ty = expr_type(e.scrut, cs, env)
-            cs, (u1, u2) = cs.fresh([ty.left, ty.right])
+            cs, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
             fst, snd = Unknown(u1), Unknown(u2)
             cs = match_eval(e.scrut, Pair(fst, snd), cs, ctx, env)
             if cs is None:
@@ -209,8 +202,6 @@ def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     is True and its negation where the pattern is False, and keep every
     satisfiable side.  No randomness, no failure mass.
     """
-    from .intdomain import eval_op
-
     l, cs = narrow(e.lhs, cs, ctx, env)
     r, cs = narrow(e.rhs, cs, ctx, env)
     if isinstance(l, IntLit) and isinstance(r, IntLit):
@@ -237,16 +228,13 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     False against True) has no derivation, so its scrutinee premise is
     never explored.
     """
-    ty = expr_type(e.scrut, cs, env)
-    if not isinstance(ty, TSum):
-        raise ContractViolation(f"sum case over {ty}")
-    cs0, (u1, u2) = cs.fresh([ty.left, ty.right])
+    cs0, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
     lenv = {**env, e.left_name: Unknown(u1)}
     renv = {**env, e.right_name: Unknown(u2)}
     as_inl = None if heads_clash(e.left_body, p, lenv) else \
-        match_eval(e.scrut, Inl(Unknown(u1), ty), cs0, ctx, env)
+        match_eval(e.scrut, Inl(Unknown(u1), e.ty), cs0, ctx, env)
     as_inr = None if heads_clash(e.right_body, p, renv) else \
-        match_eval(e.scrut, Inr(Unknown(u2), ty), cs0, ctx, env)
+        match_eval(e.scrut, Inr(Unknown(u2), e.ty), cs0, ctx, env)
     if as_inl is None and as_inr is None:
         return None
     if as_inr is None:

@@ -2,7 +2,7 @@
 
 Generator annotations are interpreted transparently here: ``!e`` and
 ``e <- (w1, w2)`` evaluate to whatever e evaluates to (instantiation still
-insists its weights are positive), and ``e1 ;' e2`` evaluates both sides
+insists its weights are at least 0), and ``e1 ;' e2`` evaluates both sides
 but returns the first.  This evaluator is the ground truth the generators
 are checked against: a produced valuation is correct iff evaluating the
 query under an environment binding each queried name to its value makes
@@ -140,8 +140,8 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
         wl = _eval(e.w_left, fuel, env)
         wr = _eval(e.w_right, fuel, env)
         for w in (wl, wr):
-            if not isinstance(w, IntLit) or w.value <= 0:
-                raise EvalFailure(f"non-positive instantiation weight {w}")
+            if not isinstance(w, IntLit) or w.value < 0:
+                raise EvalFailure(f"bad instantiation weight {w}")
         return _eval(e.arg, fuel, env)
     if isinstance(e, Bang):
         return _eval(e.arg, fuel, env)

@@ -121,6 +121,32 @@ def test_configuration_errors_exit_1(capsys):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+ZERO_WEIGHT_ARM = """
+data Tree a = Empty | Node a (Tree a) (Tree a)
+
+sig small :: Int -> Tree Int -> Bool
+fun small w tree =
+  case tree of
+  | w % Empty -> True
+  | 1 % Node x l r -> (0 < x && x < 5) !x && l == Empty && r == Empty
+  end
+"""
+
+
+def test_a_zero_weight_arm_passes_the_recheck(capsys, tmp_path):
+    # narrowing gives the 0 % arm no mass; the recheck must accept the
+    # valuation that comes out of its sibling
+    src = tmp_path / "small.luck"
+    src.write_text(ZERO_WEIGHT_ARM)
+    code, out, err = run_cli(capsys, str(src), "small 0 t = True",
+                             "--int-bound", "0..9", "--check",
+                             "--output", "json", "--seed", "1")
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["ok"] and rec["discards"] == 0
+    assert rec["values"]["t"].startswith("Node")
+
+
 def test_empty_int_bound_is_a_configuration_error(capsys):
     code, out, err = run_cli(capsys, BST, "bst 3 0 10 t = True",
                              "--int-bound", "5..1")

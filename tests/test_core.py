@@ -6,6 +6,7 @@ from luck.core import (
     App,
     Arith,
     Bang,
+    CasePair,
     CaseSum,
     Cmp,
     Expr,
@@ -14,6 +15,7 @@ from luck.core import (
     Inr,
     Inst,
     IntLit,
+    Pair,
     Rec,
     TFun,
     TInt,
@@ -72,7 +74,7 @@ def test_unfold_mu():
 
 
 def test_subst_shadowing():
-    body = CaseSum(Var("x"), "x", Var("x"), "y", Var("x"))
+    body = CaseSum(Var("x"), "x", Var("x"), "y", Var("x"), BOOL)
     out = subst(body, "x", Unit())
     assert isinstance(out, CaseSum)
     assert out.scrut == Unit()
@@ -91,15 +93,36 @@ def test_typecheck_nat_value():
 
 
 def test_typecheck_rejects_bad_case():
-    bad = CaseSum(Unit(), "a", Unit(), "b", Unit())
+    bad = CaseSum(Unit(), "a", Unit(), "b", Unit(), BOOL)
     with pytest.raises(TypeCheckError):
         typecheck(bad)
 
 
 def test_typecheck_rejects_arm_mismatch():
-    bad = CaseSum(TRUE, "a", Unit(), "b", IntLit(3))
+    bad = CaseSum(TRUE, "a", Unit(), "b", IntLit(3), BOOL)
     with pytest.raises(TypeCheckError):
         typecheck(bad)
+
+
+def test_typecheck_checks_the_scrutinee_types_nodes_carry():
+    ints = TProd(TInt(), TInt())
+    pair = CasePair(Pair(IntLit(1), IntLit(2)), "a", "b", Var("b"), ints)
+    case = CaseSum(TRUE, "a", IntLit(1), "b", IntLit(2), BOOL)
+    unfold = Unfold(nat(2), NAT)
+    assert type_eq(typecheck(pair), TInt())
+    assert type_eq(typecheck(case), TInt())
+    assert type_eq(typecheck(unfold), unfold_mu(NAT))
+    wrong = [
+        CasePair(pair.scrut, "a", "b", Var("b"), TProd(TInt(), BOOL)),
+        CasePair(pair.scrut, "a", "b", Var("b"), BOOL),
+        CaseSum(TRUE, "a", IntLit(1), "b", IntLit(2), TSum(TInt(), TUnit())),
+        CaseSum(TRUE, "a", IntLit(1), "b", IntLit(2), ints),
+        Unfold(nat(2), TMu("Y", TSum(TInt(), TVar("Y")))),
+        Unfold(nat(2), unfold_mu(NAT)),
+    ]
+    for e in wrong:
+        with pytest.raises(TypeCheckError):
+            typecheck(e)
 
 
 def test_typecheck_app():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from luck.core import (
+    BOOL,
     FALSE,
     TRUE,
     Arith,
@@ -18,10 +19,15 @@ from luck.core import (
     TSum,
     TUnit,
     TVar,
+    type_eq,
+    typecheck,
 )
 from luck.desugar import LuckTypeError, Program
+from luck.driver import prepare, recheck, run_prepared
 from luck.predsem import pred_eval
-from luck.surface import LuckSyntaxError
+from luck.surface import LuckSyntaxError, STCon, STTuple
+
+from .test_cli import CORPUS_SWEEP
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -290,3 +296,40 @@ def test_function_typed_unknowns_are_rejected():
     prog = Program.from_source("sig f :: Int -> Bool\nfun f x = 0 < x")
     with pytest.raises(LuckTypeError, match="cannot be generated"):
         prog.compile_query("u 3 = True")
+
+
+# -- annotated scrutinees ------------------------------------------------------
+
+
+@pytest.mark.parametrize("file,query", [(f, q) for f, q, *_ in CORPUS_SWEEP]
+                         + [("ex35.luck", "a u = True")])
+def test_lowered_targets_typecheck_with_their_annotations(file, query):
+    # typecheck checks the type each case and unfold node carries against
+    # the one it infers for the scrutinee
+    q = load(file).compile_query(query)
+    assert type_eq(typecheck(q.target, dict(q.unknowns)), BOOL)
+
+
+TUPLE_TREE = """
+data T = L | N (Int, T)
+sig size :: T -> Int -> Bool
+fun size t n = case t of
+  | L -> n == 0
+  | N p -> case p of | (x, r) -> 0 < x && size r (n - 1) end
+  end
+"""
+
+
+def test_a_tuple_holding_its_recursive_type_lowers_to_a_closed_type():
+    # lowering T builds (Int, T) while T is still an open variable; that
+    # open type must not be remembered as the type of (Int, T)
+    prog = Program.from_source(TUPLE_TREE)
+    tree = prog.core_type(STCon("T"))
+    assert prog.core_type(STTuple((STCon("Int"), STCon("T")))) \
+        == TProd(TInt(), tree)
+    prep = prepare(prog, "size t 2 = True", int_bound=(0, 3))
+    assert type_eq(typecheck(prep.compiled.target,
+                             dict(prep.compiled.unknowns)), BOOL)
+    for seed in range(10):
+        r = run_prepared(prep, seed=seed)
+        assert r.ok and recheck(prep, r.values)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from luck import core
 from luck.desugar import Program
 from luck.driver import (
     DriverError,
@@ -34,6 +35,22 @@ def test_generation_satisfies_the_predicate():
         r = run_prepared(prep, seed=seed, check=True)
         assert r.ok and r.discards == 0
         assert recheck(prep, r.values)
+
+
+def test_generation_and_recheck_never_call_the_typechecker(monkeypatch):
+    preps = [(prepare(load("rbt.luck"), "isRBT 2 0 20 Black t = True",
+                      int_bound=(0, 20)), range(20)),
+             (prepare(load("bst.luck"), "bst 3 0 10 t = True",
+                      int_bound=(0, 10), depth=12), range(100))]
+
+    def no_typechecking(*args):
+        raise AssertionError("the typechecker ran during generation")
+
+    monkeypatch.setattr(core, "_tc", no_typechecking)
+    for prep, seeds in preps:
+        for seed in seeds:
+            r = run_prepared(prep, seed=seed, check=True)
+            assert r.ok and r.discards == 0
 
 
 def test_same_seed_reproduces_the_report():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from luck import matching
 from luck.constraints import ConstraintSet, ContractViolation, RPair
 from luck.core import (
     BOOL,
@@ -69,7 +68,7 @@ def int_unknown(lo, hi):
 
 
 def conj(a, b):
-    return CaseSum(a, "_l", b, "_r", FALSE)
+    return CaseSum(a, "_l", b, "_r", FALSE, BOOL)
 
 
 def build_a(u):
@@ -190,7 +189,7 @@ def test_triple_conjunction_never_fails():
 
 def test_concrete_scrutinee_runs_one_branch():
     cs, (u,) = bool_unknowns(1)
-    e = CaseSum(TRUE, "_", Unknown(u), "_", MatchFail(BOOL))
+    e = CaseSum(TRUE, "_", Unknown(u), "_", MatchFail(BOOL), BOOL)
     out = match_eval(e, TRUE, cs, ctx_with())  # right body never touched
     assert out.index(u) == TRUE
 
@@ -201,7 +200,8 @@ def test_lookahead_pins_scrutinee_through_recursion():
     cs = ConstraintSet()
     cs, (w,) = cs.fresh([NAT])
     is_zero = Rec("f", "x", NAT,
-                  CaseSum(Unfold(Var("x")), "_", TRUE, "_", FALSE), BOOL)
+                  CaseSum(Unfold(Var("x"), NAT), "_", TRUE, "_", FALSE,
+                          TSum(TUnit(), NAT)), BOOL)
     ctx = ctx_with()
     out = match_eval(App(is_zero, Unknown(w)), TRUE, cs, ctx)
     assert ctx.trace == []
@@ -246,7 +246,7 @@ def test_bang_samples_the_pattern():
 
 def weighted_case(u, left_body, right_body, w1=1, w2=1):
     return CaseSum(Inst(Unknown(u), IntLit(w1), IntLit(w2)),
-                   "_", left_body, "_", right_body)
+                   "_", left_body, "_", right_body, BOOL)
 
 
 def test_weighted_dispatch_uses_weights():
@@ -312,7 +312,7 @@ def test_plain_case_side_with_clashing_body_consumes_no_randomness():
     # scrutinee premise (which would sample w a second time) never runs
     cs, (u, w) = bool_unknowns(2)
     scrut = After(Unknown(u), Bang(Unknown(w)))
-    e = CaseSum(scrut, "_l", TRUE, "_r", FALSE)
+    e = CaseSum(scrut, "_l", TRUE, "_r", FALSE, BOOL)
     ctx = ctx_with(Choice(0, 2))
     out = match_eval(e, TRUE, cs, ctx)
     assert out is not None
@@ -360,7 +360,7 @@ def test_arm_variable_shadows_an_outer_binding():
     # case inl 5 of inl x -> x == 5 | inr x -> False, with x = 0 outside
     ints = TSum(TInt(), TInt())
     e = CaseSum(Inl(IntLit(5), ints), "x", Cmp("==", Var("x"), IntLit(5)),
-                "x", FALSE)
+                "x", FALSE, ints)
     assert match_eval(e, TRUE, ConstraintSet(), ctx_with(),
                       {"x": IntLit(0)}) is not None
     assert match_eval(e, FALSE, ConstraintSet(), ctx_with(),
@@ -425,15 +425,11 @@ def test_constructor_and_inst_rules_read_the_patterns_node():
 # -- scrutinees bound to unknowns ---------------------------------------------
 
 
-def no_retyping(*args):
-    raise AssertionError("a scrutinee bound to an unknown was retyped")
+SWAP = CasePair(Var("x"), "a", "b", Pair(Var("b"), Var("a")),
+                TProd(TInt(), TInt()))
 
 
-SWAP = CasePair(Var("x"), "a", "b", Pair(Var("b"), Var("a")))
-
-
-def test_pair_case_and_unfold_read_a_bound_unknowns_node(monkeypatch):
-    monkeypatch.setattr(matching, "expr_type", no_retyping)
+def test_pair_case_and_unfold_read_a_bound_unknowns_node():
     cs = ConstraintSet(int_bounds=(0, 3))
     cs, (w, n) = cs.fresh([TProd(TInt(), TInt()), NAT])
     cs, _, pair = cs.expand(w)
@@ -450,14 +446,13 @@ def test_pair_case_and_unfold_read_a_bound_unknowns_node(monkeypatch):
     assert DEFAULT_FUEL - ctx.fuel == 5
     ctx = ctx_with()
     zero = Inl(Unit(), TSum(TUnit(), NAT))
-    out = match_eval(Unfold(Var("x")), zero, cs, ctx, {"x": Unknown(n)})
+    out = match_eval(Unfold(Var("x"), NAT), zero, cs, ctx, {"x": Unknown(n)})
     assert out.next_fresh == cs.next_fresh
     assert out.index(fold.child) == zero and out.index(n) == nat(0)
     assert DEFAULT_FUEL - ctx.fuel == 2
 
 
-def test_pair_case_opens_an_unbound_product_unknown_once(monkeypatch):
-    monkeypatch.setattr(matching, "expr_type", no_retyping)
+def test_pair_case_opens_an_unbound_product_unknown_once():
     cs = ConstraintSet(int_bounds=(0, 3))
     cs, (w,) = cs.fresh([TProd(TInt(), TInt())])
     out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, ctx_with(),

@@ -72,7 +72,7 @@ def int_unknown(lo, hi):
 
 
 def conj(a, b):
-    return CaseSum(a, "_l", b, "_r", FALSE)
+    return CaseSum(a, "_l", b, "_r", FALSE, BOOL)
 
 
 # -- deterministic fragments --------------------------------------------------
@@ -105,6 +105,7 @@ def test_recursive_function_agrees_with_plain_evaluation():
         Cmp("<=", Var("n"), IntLit(0)),
         "_", IntLit(0),
         "_", Arith("+", Var("n"), App(Var("sum"), Arith("-", Var("n"), IntLit(1)))),
+        BOOL,
     )
     summer = Rec("sum", "n", TInt(), body, TInt())
     e = App(summer, IntLit(10))
@@ -134,7 +135,7 @@ def test_fuel_exhaustion_is_timeout():
 
 def test_case_unknown_takes_scripted_branch():
     cs, (u,) = bool_unknowns(1)
-    e = CaseSum(Unknown(u), "_", IntLit(1), "_", IntLit(2))
+    e = CaseSum(Unknown(u), "_", IntLit(1), "_", IntLit(2), BOOL)
 
     ctx = ctx_with()
     v, out = narrow(e, cs, ctx)
@@ -152,7 +153,8 @@ def test_case_pinned_unknown_is_silent():
     cs, (u,) = bool_unknowns(1)
     cs = cs.unify(Unknown(u), FALSE)
     ctx = ctx_with()
-    v, _ = narrow(CaseSum(Unknown(u), "_", IntLit(1), "_", IntLit(2)), cs, ctx)
+    v, _ = narrow(CaseSum(Unknown(u), "_", IntLit(1), "_", IntLit(2), BOOL),
+                  cs, ctx)
     assert v == IntLit(2)
     assert ctx.trace == [] and ctx.q == Fraction(1)
 
@@ -255,7 +257,7 @@ def test_closure_keeps_its_own_binding_of_a_rebound_name():
     # case (sub 10, 5) of (f, x) -> f x: the outer x = 5 must not leak
     # into the closure, whose x is 10
     e = CasePair(Pair(App(curried_sub(), IntLit(10)), IntLit(5)), "f", "x",
-                 App(Var("f"), Var("x")))
+                 App(Var("f"), Var("x")), TProd(TFun(TInt(), TInt()), TInt()))
     v, _ = narrow(e, ConstraintSet(), ctx_with())
     assert v == pred_eval(e) == IntLit(5)
 
@@ -263,9 +265,9 @@ def test_closure_keeps_its_own_binding_of_a_rebound_name():
 def test_arm_variable_shadows_an_outer_binding():
     ints = TSum(TInt(), TInt())
     outer = {"x": IntLit(9)}
-    e = CaseSum(Inl(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    e = CaseSum(Inl(IntLit(1), ints), "x", Var("x"), "y", Var("x"), ints)
     assert narrow(e, ConstraintSet(), ctx_with(), outer)[0] == IntLit(1)
-    e = CaseSum(Inr(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    e = CaseSum(Inr(IntLit(1), ints), "x", Var("x"), "y", Var("x"), ints)
     assert narrow(e, ConstraintSet(), ctx_with(), outer)[0] == IntLit(9)
 
 
@@ -528,8 +530,8 @@ def test_splits_read_an_existing_node_and_mint_nothing():
     cs, (p, s, lst) = opened_store()
     n = cs.next_fresh
     node = cs.bindings[p]
-    v, out = narrow(CasePair(Unknown(p), "a", "b", Pair(Var("b"), Var("a"))),
-                    cs, ctx_with())
+    v, out = narrow(CasePair(Unknown(p), "a", "b", Pair(Var("b"), Var("a")),
+                             cs.utypes[p]), cs, ctx_with())
     assert v == Pair(Unknown(node.snd), Unknown(node.fst))
     assert out.next_fresh == n
     left, right, as_left, as_right = split_sum(Unknown(s), cs)
@@ -540,7 +542,7 @@ def test_splits_read_an_existing_node_and_mint_nothing():
     # an injection value splits without the store
     left, right, as_left, as_right = split_sum(TRUE, cs)
     assert (left, right, as_left, as_right.failed) == (Unit(), None, cs, True)
-    v, out = narrow(Unfold(Unknown(lst)), cs, ctx_with())
+    v, out = narrow(Unfold(Unknown(lst), UNIT_LIST), cs, ctx_with())
     assert v == Unknown(cs.bindings[lst].child) and out.next_fresh == n
 
 

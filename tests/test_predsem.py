@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from luck.core import (
+    BOOL,
     FALSE,
     TRUE,
     After,
@@ -24,6 +25,7 @@ from luck.core import (
     Rec,
     TFun,
     TInt,
+    TProd,
     TSum,
     TUnit,
     Unfold,
@@ -50,15 +52,15 @@ def test_arith_and_cmp():
 
 
 def test_case_dispatch():
-    e = CaseSum(TRUE, "a", IntLit(1), "b", IntLit(2))
+    e = CaseSum(TRUE, "a", IntLit(1), "b", IntLit(2), BOOL)
     assert pred_eval(e) == IntLit(1)
-    e = CaseSum(FALSE, "a", IntLit(1), "b", IntLit(2))
+    e = CaseSum(FALSE, "a", IntLit(1), "b", IntLit(2), BOOL)
     assert pred_eval(e) == IntLit(2)
 
 
 def test_pair_case():
     e = CasePair(Pair(IntLit(7), IntLit(9)), "x", "y",
-                 Arith("-", Var("x"), Var("y")))
+                 Arith("-", Var("x"), Var("y")), TProd(TInt(), TInt()))
     assert pred_eval(e) == IntLit(-2)
 
 
@@ -69,22 +71,26 @@ def test_recursion():
         "t", IntLit(0),
         "f2", Arith("+", Var("x"),
                     App(Var("f"), Arith("-", Var("x"), IntLit(1)))),
+        BOOL,
     )
     summing = Rec("f", "x", TInt(), body, TInt())
     assert pred_eval(App(summing, IntLit(10))) == IntLit(55)
 
 
 def test_fold_unfold():
-    v = Fold(Inl(Unit(), TUnit()), None)  # type annotation unused at runtime
-    assert pred_eval(Unfold(v)) == Inl(Unit(), TUnit())
+    # type annotations are unused at runtime
+    v = Fold(Inl(Unit(), TUnit()), None)
+    assert pred_eval(Unfold(v, None)) == Inl(Unit(), TUnit())
 
 
-def test_inst_weights_must_be_positive():
+def test_inst_weights_must_be_non_negative():
     assert pred_eval(Inst(TRUE, IntLit(3), IntLit(1))) == TRUE
-    with pytest.raises(EvalFailure):
-        pred_eval(Inst(TRUE, IntLit(0), IntLit(1)))
+    # a zero weight is legal, as in narrowing: its side gets no mass
+    assert pred_eval(Inst(TRUE, IntLit(0), IntLit(1))) == TRUE
     with pytest.raises(EvalFailure):
         pred_eval(Inst(TRUE, IntLit(1), IntLit(-2)))
+    with pytest.raises(EvalFailure):
+        pred_eval(Inst(TRUE, TRUE, IntLit(1)))
 
 
 def test_bang_and_after_are_transparent():
@@ -109,7 +115,7 @@ def test_timeout_is_distinct():
 def test_erasure_agreement():
     # evaluating an annotated expression agrees with its erasure
     exprs = [
-        Inst(CaseSum(TRUE, "a", FALSE, "b", TRUE), IntLit(2), IntLit(5)),
+        Inst(CaseSum(TRUE, "a", FALSE, "b", TRUE, BOOL), IntLit(2), IntLit(5)),
         After(Bang(Cmp("<", IntLit(1), IntLit(2))), TRUE),
         Bang(Pair(IntLit(1), Inst(TRUE, IntLit(1), IntLit(1)))),
     ]
@@ -131,15 +137,15 @@ def test_curried_function_closes_over_the_earlier_argument():
         == IntLit(7)
     # the pair case rebinds x to 5, which must not reach the closure
     e = CasePair(Pair(App(curried_sub(), IntLit(10)), IntLit(5)), "f", "x",
-                 App(Var("f"), Var("x")))
+                 App(Var("f"), Var("x")), TProd(TFun(TInt(), TInt()), TInt()))
     assert pred_eval(e) == IntLit(5)
 
 
 def test_arm_variable_shadows_an_outer_binding():
     ints = TSum(TInt(), TInt())
-    e = CaseSum(Inl(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    e = CaseSum(Inl(IntLit(1), ints), "x", Var("x"), "y", Var("x"), ints)
     assert pred_eval(e, env={"x": IntLit(9)}) == IntLit(1)
-    e = CaseSum(Inr(IntLit(1), ints), "x", Var("x"), "y", Var("x"))
+    e = CaseSum(Inr(IntLit(1), ints), "x", Var("x"), "y", Var("x"), ints)
     assert pred_eval(e, env={"x": IntLit(9)}) == IntLit(9)
 
 
