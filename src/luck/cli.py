@@ -130,11 +130,16 @@ def _worker_run(args: tuple[int, int, int, bool]) -> GenReport:
 def generate(source: str, query: str, *, count: int, master: int,
              int_bound: tuple[int, int] | None, depth: int, retries: int,
              fuel: int, check: bool, jobs: int):
-    """Yield one GenReport per requested valuation, in index order."""
+    """Yield one GenReport per requested valuation, in index order.
+
+    The query is prepared here before anything runs, so a configuration
+    error comes before the first report; a pool's workers prepare their
+    own copies.
+    """
+    prep = prepare(Program.from_source(source), query,
+                   int_bound=int_bound, depth=depth)
     seeds = [valuation_seed(master, i) for i in range(count)]
     if jobs <= 1 or count <= 1:
-        prep = prepare(Program.from_source(source), query,
-                       int_bound=int_bound, depth=depth)
         for s in seeds:
             yield run_prepared(prep, seed=s, retries=retries, fuel=fuel,
                                check=check)
@@ -161,9 +166,6 @@ def main(argv=None) -> int:
         int_bound = parse_bound(ns.int_bound) if ns.int_bound else None
         master = pick_master_seed(ns.seed)
         source = Path(ns.file).read_text()
-        # compile eagerly so configuration errors precede any generation
-        prepare(Program.from_source(source), ns.query,
-                int_bound=int_bound, depth=ns.depth)
         reports = generate(source, ns.query, count=ns.count, master=master,
                            int_bound=int_bound, depth=ns.depth,
                            retries=ns.retries, fuel=ns.fuel, check=ns.check,

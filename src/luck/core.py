@@ -406,11 +406,11 @@ class Closure(Expr):
     def body_env(self, arg: Expr) -> Env:
         """The environment the body runs under when applied to arg.
 
-        The function name is bound last, so it shadows an argument of the
-        same name.
+        The argument is bound last, so it shadows the function name, as it
+        does in lowering and in `typecheck`.
         """
-        return {**self.env, self.rec.arg_name: arg,
-                self.rec.fun_name: self}
+        return {**self.env, self.rec.fun_name: self,
+                self.rec.arg_name: arg}
 
     def __str__(self) -> str:
         return str(self.rec)

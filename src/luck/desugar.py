@@ -10,7 +10,10 @@ Lowering is two-phase: walking an expression type-checks it against
 a set of mutable type metavariables and returns a *builder* closure;
 running the builder after unification has finished emits core syntax
 with every type annotation fully resolved.  Metavariables that are
-still unconstrained at emission default to Int.
+still unconstrained at emission default to Int.  The builder of a call
+resolves the callee's type arguments the same way and emits the
+callee's closed core, lowering it on first use, so every core is
+closed once built.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ from .patterns import (
     ExpandError,
     Fail,
     Leaf,
-    Split,
-    TUPLE,
     Tree,
     expand_case,
     leaf_masses,
@@ -200,9 +201,8 @@ class Program:
         self._fresh_n = 0
         self._ctype_memo: dict[STy, Type] = {}
         self._ctype_building: dict[tuple[str, tuple[STy, ...]], bool] = {}
-        # mangled name -> (core with free Vars for dependencies, dep names)
-        self.cores: dict[str, tuple[Expr, tuple[str, ...]]] = {}
-        self._closed: dict[str, Expr] = {}
+        # mangled name -> closed core, its callees' cores linked in
+        self.cores: dict[str, Expr] = {}
         self._fun_stack: list[tuple[str, tuple[STy, ...]]] = []
         self._install()
         self._check_all()
@@ -243,11 +243,8 @@ class Program:
         elif isinstance(t, STCon):
             if t.name in _RESERVED_TYPES:
                 arity = 0
-            elif t.name in self.datas or any(
-                    e.name == t.name for e in self.surface.data_decls):
-                arity = len(self.datas.get(
-                    t.name, next(e for e in self.surface.data_decls
-                                 if e.name == t.name)).params)
+            elif t.name in self.datas:
+                arity = len(self.datas[t.name].params)
             else:
                 raise LuckTypeError(f"unknown type {t.name} in data {d.name}")
             if len(t.args) != arity:
@@ -355,8 +352,7 @@ class Program:
     def lower_fun(self, fname: str, tyargs: tuple[STy, ...]) -> str:
         """Specialize a function to concrete type arguments.
 
-        Returns the mangled name; the lowered body (with free variables
-        standing for the functions it calls) lands in self.cores.
+        Returns the mangled name; the closed core lands in self.cores.
         """
         mangled = _mangle(fname, tyargs)
         if mangled in self.cores:
@@ -384,20 +380,6 @@ class Program:
             (bmk, bty) = lw.des(f.body, env)
             self.unify(bty, result_ty, f"body of {fname}")
             body = bmk()
-            deps: list[str] = []
-            for ph, g, metas, where in lw.uses:
-                g_args = tuple(self.resolve_deep(m, default=True)
-                               for m in metas)
-                g_mangled = _mangle(g, g_args)
-                if g_mangled == mangled:
-                    if not f.params:
-                        raise LuckTypeError(f"{where}: {fname} recurses "
-                                            "without parameters")
-                else:
-                    g_mangled = self.lower_fun(g, g_args)
-                    if g_mangled not in deps:
-                        deps.append(g_mangled)
-                body = subst(body, ph, Var(g_mangled))
             core_params = [self.core_type(t) for t in param_tys]
             core_res = self.core_type(result_ty)
             res_tys = [core_res]
@@ -410,20 +392,10 @@ class Program:
             if f.params:
                 out = Rec(mangled, f.params[0], core_params[0], out,
                           res_tys[0])
-            self.cores[mangled] = (out, tuple(deps))
+            self.cores[mangled] = out
             return mangled
         finally:
             self._fun_stack.pop()
-
-    def closed_core(self, mangled: str) -> Expr:
-        """The lowered function with all its dependencies linked in."""
-        if mangled in self._closed:
-            return self._closed[mangled]
-        body, deps = self.cores[mangled]
-        for dep in deps:
-            body = subst(body, dep, self.closed_core(dep))
-        self._closed[mangled] = body
-        return body
 
     def compile_query(self, text: str) -> CompiledQuery:
         """Lower a query to a closed core term over named unknowns."""
@@ -436,16 +408,6 @@ class Program:
         (mk, ty) = lw.des(call, env)
         self.unify(ty, _BOOL, "query result")
         target = mk()
-        needed: list[str] = []
-        for ph, g, use_metas, _ in lw.uses:
-            g_args = tuple(self.resolve_deep(m, default=True)
-                           for m in use_metas)
-            g_mangled = self.lower_fun(g, g_args)
-            target = subst(target, ph, Var(g_mangled))
-            if g_mangled not in needed:
-                needed.append(g_mangled)
-        for g_mangled in needed:
-            target = subst(target, g_mangled, self.closed_core(g_mangled))
         unknowns: dict[str, Type] = {}
         surface: dict[str, STy] = {}
         for u in names:
@@ -652,8 +614,6 @@ class _Lower:
 
     def __init__(self, p: Program):
         self.p = p
-        # (placeholder name, function, instantiation metas, where)
-        self.uses: list[tuple[str, str, list[SMeta], str]] = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -670,7 +630,7 @@ class _Lower:
         if t == _INT:
             return ATOM, None
         if isinstance(t, STTuple):
-            return TUPLE, list(t.items)
+            return DATA, [("", list(t.items))]
         if isinstance(t, STCon) and t.name in self.p.datas:
             d = self.p.datas[t.name]
             m = dict(zip(d.params, t.args))
@@ -749,9 +709,20 @@ class _Lower:
         tvs = tyvars_of(sig)
         metas = [self.p.meta() for _ in tvs]
         inst = sub_ty(sig, dict(zip(tvs, metas)))
-        ph = self.fresh("use")
-        self.uses.append((ph, name, metas, where))
-        return (lambda: Var(ph)), inst
+
+        def mk() -> Expr:
+            args = tuple(self.p.resolve_deep(m, default=True) for m in metas)
+            mangled = _mangle(name, args)
+            stack = self.p._fun_stack
+            if not stack or _mangle(*stack[-1]) != mangled:
+                return self.p.cores[self.p.lower_fun(name, args)]
+            # a self-call names the Rec that lower_fun wraps the body in
+            if not self.p.funs[name].params:
+                raise LuckTypeError(f"{where}: {name} recurses without "
+                                    "parameters")
+            return Var(mangled)
+
+        return mk, inst
 
     def ctor(self, cname: str, args: list[tuple[Mk, STy]],
              where: str) -> tuple[Mk, STy]:
@@ -1048,17 +1019,6 @@ class _Lower:
             return bmk
         if isinstance(node, Fail):
             return lambda: MatchFail(self.p.core_type(rmeta))
-        if isinstance(node, Split):
-            occ_core = env[node.occ.name][1]
-            env2 = dict(env)
-            for nm, ty in node.comps:
-                env2[nm] = (ty, Var(nm))
-            sub = self.lower_tree(node.sub, env2, rmeta)
-            names = [nm for nm, _ in node.comps]
-            rests = [self.fresh("t") for _ in range(len(names) - 2)]
-            ty = STTuple(tuple(st for _, st in node.comps))
-            return lambda: _case_pairs(sub(), occ_core, names, rests,
-                                       self.p.core_type(ty))
         return self.lower_node(node, env, rmeta)
 
     def lower_node(self, node: CaseNode, env: dict, rmeta: STy) -> Mk:

@@ -38,9 +38,9 @@ class ExpandError(Exception):
     """A case expression that cannot be expanded."""
 
 
-# A column descriptor returned by the type oracle.
+# A column descriptor returned by the type oracle.  A tuple is data with
+# one constructor, named "", whose fields are its components.
 DATA = "data"      # payload: list of (ctor name, arg types)
-TUPLE = "tuple"    # payload: list of component types
 ATOM = "atom"      # payload: None; only var/wild patterns are legal
 
 TypeOracle = Callable[[STy], tuple[str, object]]
@@ -63,15 +63,6 @@ class Fail:
 
 
 @dataclass
-class Split:
-    """Destructure a tuple occurrence into fresh component variables."""
-
-    occ: SExpr
-    comps: tuple[tuple[str, STy], ...]
-    sub: "Tree"
-
-
-@dataclass
 class Child:
     ctor: str
     argvars: tuple[tuple[str, STy], ...]
@@ -89,7 +80,7 @@ class CaseNode:
     arms_reached: set[int] = field(default_factory=set)
 
 
-Tree = Union[Leaf, Fail, Split, CaseNode]
+Tree = Union[Leaf, Fail, CaseNode]
 
 
 def normalize_pat(p: SPat) -> SPat:
@@ -137,8 +128,6 @@ class _Expander:
             return Leaf(top.arm, tuple(binds), None)  # body filled by caller
         occ, ty = occs[col]
         kind, info = self.oracle(ty)
-        if kind == TUPLE:
-            return self._split_tuple(occs, rows, col, occ, info)
         if kind == DATA:
             return self._split_data(occs, rows, col, occ, ty, info)
         raise ExpandError(f"cannot match on a value of type {ty}")
@@ -150,29 +139,6 @@ class _Expander:
                     return j
         return None
 
-    def _split_tuple(self, occs, rows, col, occ, comp_tys) -> Tree:
-        n = len(comp_tys)
-        names = [self.fresh("c") for _ in comp_tys]
-        comp_occs = [(SVar(name), t) for name, t in zip(names, comp_tys)]
-        new_occs = occs[:col] + comp_occs + occs[col + 1:]
-        new_rows = []
-        for row in rows:
-            pat = row.pats[col]
-            binds = list(row.bindings)
-            if isinstance(pat, PTuple):
-                if len(pat.items) != n:
-                    raise ExpandError(f"tuple pattern arity {len(pat.items)}, "
-                                      f"expected {n}")
-                parts = list(pat.items)
-            else:
-                if isinstance(pat, PVar):
-                    binds.append((pat.name, occ))
-                parts = [PWild()] * n
-            new_rows.append(_Row(row.pats[:col] + parts + row.pats[col + 1:],
-                                 row.arm, binds))
-        sub = self.build(new_occs, new_rows)
-        return Split(occ, tuple(zip(names, comp_tys)), sub)
-
     def _split_data(self, occs, rows, col, occ, ty, ctors) -> Tree:
         children = []
         for cname, arg_tys in ctors:
@@ -183,7 +149,13 @@ class _Expander:
             for row in rows:
                 pat = row.pats[col]
                 binds = list(row.bindings)
-                if isinstance(pat, PCon):
+                if isinstance(pat, PTuple):
+                    if len(pat.items) != len(arg_tys):
+                        raise ExpandError(
+                            f"tuple pattern arity {len(pat.items)}, "
+                            f"expected {len(arg_tys)}")
+                    parts = list(pat.items)
+                elif isinstance(pat, PCon):
                     if pat.name != cname:
                         continue
                     if len(pat.args) != len(arg_tys):
@@ -208,8 +180,6 @@ def _annotate_reached(tree: Tree) -> set[int]:
         return {tree.arm}
     if isinstance(tree, Fail):
         return set()
-    if isinstance(tree, Split):
-        return _annotate_reached(tree.sub)
     reached: set[int] = set()
     for child in tree.children:
         reached |= _annotate_reached(child.sub)
@@ -226,9 +196,6 @@ def _route(tree: Tree, masses: dict) -> None:
     so that siblings keep their exact relative weights.
     """
     if isinstance(tree, (Leaf, Fail)):
-        return
-    if isinstance(tree, Split):
-        _route(tree.sub, masses)
         return
     fan = {arm: sum(1 for c in tree.children if arm in _reached_of(c.sub))
            for arm in masses}
@@ -258,8 +225,6 @@ def _reached_of(tree: Tree) -> set[int]:
         return {tree.arm}
     if isinstance(tree, Fail):
         return set()
-    if isinstance(tree, Split):
-        return _reached_of(tree.sub)
     return tree.arms_reached
 
 
@@ -334,8 +299,6 @@ def expand_case(scrut: tuple[SExpr, STy], arms: list[SArm],
 def _fill_bodies(tree: Tree, arms: list[SArm]) -> None:
     if isinstance(tree, Leaf):
         tree.body = arms[tree.arm].body
-    elif isinstance(tree, Split):
-        _fill_bodies(tree.sub, arms)
     elif isinstance(tree, CaseNode):
         for child in tree.children:
             _fill_bodies(child.sub, arms)
@@ -346,6 +309,7 @@ def leaf_masses(tree: Tree) -> list[tuple[tuple[str, ...], Optional[int],
     """Exact probability of reaching each leaf, keyed by constructor path.
 
     Only defined when every weight is a literal (all masses Fractions).
+    A tuple's unnamed constructor adds nothing to the path.
     """
     out = []
 
@@ -354,8 +318,6 @@ def leaf_masses(tree: Tree) -> list[tuple[tuple[str, ...], Optional[int],
             out.append((path, node.arm, mass))
         elif isinstance(node, Fail):
             out.append((path, None, mass))
-        elif isinstance(node, Split):
-            walk(node.sub, path, mass)
         else:
             ws = [c.weight for c in node.children]
             if not all(isinstance(w, Fraction) for w in ws):
@@ -363,7 +325,7 @@ def leaf_masses(tree: Tree) -> list[tuple[tuple[str, ...], Optional[int],
             total = sum(ws, Fraction(0))
             for c in node.children:
                 share = mass * c.weight / total if total else Fraction(0)
-                walk(c.sub, path + (c.ctor,), share)
+                walk(c.sub, path + (c.ctor,) if c.ctor else path, share)
 
     walk(tree, (), Fraction(1))
     return out

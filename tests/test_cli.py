@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from luck.cli import main, parse_bound
+from luck.driver import prepare
 from luck.trace import parse_trace
 
 import pytest
@@ -145,6 +146,40 @@ def test_a_zero_weight_arm_passes_the_recheck(capsys, tmp_path):
     rec = json.loads(out)
     assert rec["ok"] and rec["discards"] == 0
     assert rec["values"]["t"].startswith("Node")
+
+
+# A parameter named like its function once evaluated to the function (an
+# AttributeError traceback), and a List field in a datatype once ended in
+# a StopIteration traceback from the declaration check.
+SMALL_PROGRAMS = [
+    ("sig g :: Int -> Bool\nfun g g = g == 3\n", "g x = True", "3\n"),
+    ("data T = T (List Int)\nsig f :: T -> Bool\nfun f t = True\n",
+     "f t = True", "T ["),
+]
+
+
+@pytest.mark.parametrize("source,query,want", SMALL_PROGRAMS,
+                         ids=["shadowed-parameter", "list-field"])
+def test_small_program_runs(capsys, tmp_path, source, query, want):
+    src = tmp_path / "small.luck"
+    src.write_text(source)
+    code, out, err = run_cli(capsys, str(src), query, "--int-bound", "0..9",
+                             "--seed", "1")
+    assert code == 0 and err == "" and out.startswith(want)
+
+
+def test_a_serial_run_prepares_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_prepare(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr("luck.cli.prepare", counting_prepare)
+    code, out, _ = run_cli(capsys, EX35, "a u = True", "--count", "3",
+                           "--seed", "9", "--int-bound", "0..9")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(calls) == 1
 
 
 def test_empty_int_bound_is_a_configuration_error(capsys):

@@ -13,6 +13,7 @@ from luck.core import (
     Expr,
     Inst,
     IntLit,
+    Rec,
     TInt,
     TMu,
     TProd,
@@ -95,7 +96,7 @@ data T = A | B | C
 sig f :: T -> Bool
 fun f t = case t of | 1 % A -> True | 2 % B -> True | 3 % C -> False end
 """)
-    insts = nodes(prog.closed_core("f"), Inst)
+    insts = nodes(prog.cores["f"], Inst)
     pairs = [(i.w_left.value, i.w_right.value) for i in insts
              if isinstance(i.w_left, IntLit) and isinstance(i.w_right,
                                                             IntLit)]
@@ -107,7 +108,7 @@ def test_bool_case_uses_weighted_dispatch():
 sig f :: Bool -> Bool
 fun f b = case b of | 3 % True -> True | 1 % False -> False end
 """)
-    (inst,) = nodes(prog.closed_core("f"), Inst)
+    (inst,) = nodes(prog.cores["f"], Inst)
     assert (inst.w_left.value, inst.w_right.value) == (3, 1)
 
 
@@ -116,7 +117,7 @@ def test_connectives_and_if_stay_unweighted():
 sig f :: Bool -> Bool -> Bool
 fun f a b = if a && b then not a else a || b
 """)
-    core = prog.closed_core("f")
+    core = prog.cores["f"]
     assert nodes(core, Inst) == []
     assert nodes(core, CaseSum) != []
 
@@ -127,7 +128,7 @@ data Box a = Box a
 sig f :: Box Int -> Bool
 fun f b = case b of | Box x -> 0 < x end
 """)
-    assert nodes(prog.closed_core("f"), Inst) == []
+    assert nodes(prog.cores["f"], Inst) == []
     assert ground(prog, "f (Box 3) = True") == TRUE
     assert ground(prog, "f (Box 0) = True") == FALSE
 
@@ -137,7 +138,7 @@ def test_non_variable_scrutinee_is_evaluated_once():
 sig f :: Int -> Bool
 fun f n = case n + 1 of | m -> 0 < m && m < 5 end
 """)
-    assert len(nodes(prog.closed_core("f"), Arith)) == 1
+    assert len(nodes(prog.cores["f"], Arith)) == 1
     assert ground(prog, "f 3 = True") == TRUE
     assert ground(prog, "f 5 = True") == FALSE
 
@@ -230,6 +231,28 @@ fun f n = second n (second True (0 < n))
     assert {"second@Int,Bool", "second@Bool,Bool"} <= set(prog.cores)
 
 
+def test_a_call_links_to_the_callees_core_object():
+    prog = load("distinct.luck")
+    aux = prog.cores["distinctAux"]
+    assert any(r is prog.cores["member"] for r in nodes(aux, Rec))
+    assert any(r is aux for r in nodes(prog.cores["distinct"], Rec))
+    target = prog.compile_query("distinct l = True").target
+    assert any(r is prog.cores["distinct"] for r in nodes(target, Rec))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        CORPUS.glob("*.luck")))
+def test_every_function_core_is_closed(name):
+    # typecheck with no environment raises on any free variable
+    for core in load(name).cores.values():
+        typecheck(core)
+
+
+def test_recursion_without_parameters_is_rejected():
+    with pytest.raises(LuckTypeError, match="x recurses without parameters"):
+        Program.from_source("sig x :: Int\nfun x = x + 1")
+
+
 def test_mutual_recursion_is_rejected():
     # declaration-order scoping makes a cycle impossible to even write:
     # one of the two bodies must mention a function declared below it
@@ -280,6 +303,20 @@ data A = MkA B | EndA
 data B = MkB A
 sig f :: A -> Bool
 fun f a = True
+""")
+
+
+@pytest.mark.parametrize("weight,match", [
+    ("True", "type mismatch in case arm weight"),
+    ("0", "no weight mass"),
+])
+def test_a_tuple_case_checks_its_weights(weight, match):
+    # a tuple case is a one-constructor case, so its arm weights get the
+    # same checks as any other case's
+    with pytest.raises(LuckTypeError, match=match):
+        Program.from_source(f"""
+sig f :: (Int, Int) -> Bool
+fun f p = case p of | {weight} % (a, b) -> a < b end
 """)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from luck.constraints import ConstraintSet, ContractViolation, RPair
+from luck.constraints import ConstraintSet, RPair
 from luck.core import (
     BOOL,
     FALSE,
@@ -368,10 +368,12 @@ def test_arm_variable_shadows_an_outer_binding():
 
 
 def test_function_name_shadows_an_argument_of_the_same_name():
-    # the body names the function, not the argument, so it is no boolean
+    # the argument wins: the body names it, not the function
     r = Rec("f", "f", BOOL, Var("f"), BOOL)
-    with pytest.raises(ContractViolation):
-        match_eval(App(r, TRUE), TRUE, ConstraintSet(), ctx_with())
+    assert match_eval(App(r, TRUE), TRUE, ConstraintSet(), ctx_with()) \
+        is not None
+    assert match_eval(App(r, FALSE), TRUE, ConstraintSet(), ctx_with()) \
+        is None
 
 
 # -- combine ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from luck.patterns import (
     ExpandError,
     Fail,
     Leaf,
-    Split,
     leaf_masses,
     normalize_pat,
 )
@@ -27,8 +26,6 @@ def load(name):
 def leaves(tree):
     if isinstance(tree, (Leaf, Fail)):
         yield tree
-    elif isinstance(tree, Split):
-        yield from leaves(tree.sub)
     else:
         for child in tree.children:
             yield from leaves(child.sub)
@@ -140,14 +137,22 @@ sig f :: (Int, Bool) -> Bool
 fun f p = case p of | (x, True) -> 0 < x | (_, False) -> True end
 """)
     tree = prog.expand_fun_case("f")
-    assert isinstance(tree, Split) and len(tree.comps) == 2
-    node = tree.sub
+    # a tuple is the one constructor of its type: one child, which
+    # carries the mass of both arms
+    assert isinstance(tree, CaseNode)
+    (split,) = tree.children
+    comps = [nm for nm, _ in split.argvars]
+    assert len(comps) == 2 and split.weight == Fraction(2)
+    node = split.sub
     assert isinstance(node, CaseNode)
-    assert isinstance(node.occ, SVar) and node.occ.name == tree.comps[1][0]
+    assert isinstance(node.occ, SVar) and node.occ.name == comps[1]
     assert [c.ctor for c in node.children] == ["True", "False"]
     (leaf0,) = leaves(node.children[0].sub)
     assert leaf0.arm == 0
-    assert dict(leaf0.bindings)["x"].name == tree.comps[0][0]
+    assert dict(leaf0.bindings)["x"].name == comps[0]
+    # the tuple's unnamed constructor adds nothing to a leaf's path
+    assert {path for path, _, _ in leaf_masses(tree)} == {("True",),
+                                                         ("False",)}
 
 
 # -- symbolic weights ---------------------------------------------------------
