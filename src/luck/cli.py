@@ -6,9 +6,10 @@ Usage:
                       [--output {terms,json,trace,histogram} | --histogram]
                       [--jobs J]
 
-Exit status: 0 on success, 1 on file/parse/type/configuration errors,
-2 when any requested valuation exhausted its retry budget.  Results go to
-stdout, diagnostics to stderr.  `LUCK_SEED` is used when --seed is absent.
+Exit status: 0 on success, 1 on file/parse/type/configuration errors
+and on programs that use what the engine does not support, 2 when any
+requested valuation exhausted its retry budget.  Results go to stdout,
+diagnostics to stderr.  `LUCK_SEED` is used when --seed is absent.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from collections import Counter
 from pathlib import Path
 from random import SystemRandom
 
+from .constraints import ContractViolation
 from .core import TypeCheckError
 from .desugar import LuckTypeError, Program
 from .driver import (
@@ -39,7 +41,7 @@ from .trace import derive_seed
 _BOUND_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 _CONFIG_ERRORS = (OSError, LuckSyntaxError, LuckTypeError, TypeCheckError,
-                  ExpandError, DriverError)
+                  ExpandError, DriverError, ContractViolation)
 
 
 def build_parser() -> argparse.ArgumentParser:

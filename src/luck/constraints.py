@@ -1,16 +1,17 @@
 """Constraint sets: orthogonal maps of ranges plus integer interval domains.
 
 A constraint set is an immutable snapshot holding, for every unknown, its
-flat type and one of:
+flat type and either nothing or one of six binding kinds:
 
   * nothing: the unknown ranges over its whole type, and ``expand``
-    gives it its type's node the first time something looks inside it,
+    gives it its type's node the first time something looks inside it;
+    a unit unknown is never bound, since its type gives its one value,
   * a deferred range: every value of its type within a recursion depth,
     not yet built (``Deferred``; the first unification or case split that
     looks inside unfolds it by one level),
   * a one-level range node whose children are further unknowns
-    (unit / pair / fold / sum; a sum node holds one child per injection
-    the unknown can still take, so one side may be ruled out),
+    (pair / fold / sum; a sum node holds one child per injection the
+    unknown can still take, so one side may be ruled out),
   * an integer interval domain (with binary comparison constraints
     attached off to the side), or
   * an alias to another unknown it has been unified with.
@@ -72,14 +73,6 @@ class ContractViolation(Exception):
 
 # ---------------------------------------------------------------------------
 # Store bindings
-
-
-@dataclass(frozen=True)
-class RUnit:
-    """The unknown is the unit value."""
-
-    def __str__(self) -> str:
-        return "()"
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,8 @@ def _child_id(key: int, slot: int) -> int:
     return -(2 * n + slot + 1)
 
 
-Binding = object  # RUnit | RPair | RSum | RFold | IntDomain | Alias | Deferred
+# RPair | RSum | RFold | IntDomain | Alias | Deferred; a unit unknown has none
+Binding = object
 
 
 def _children(b: Binding) -> tuple[int, ...]:
@@ -293,18 +287,19 @@ class ConstraintSet:
         root, b = self.resolve(u)
         if isinstance(b, IntDomain):
             return self, not b.is_empty()
-        if b is not None:
-            return self, True  # already shaped; leave as is
         ty = self.utypes[root]
-        out = self._set_binding(root, self._range_of(ty, depth, root))
+        if b is not None or isinstance(ty, TUnit):
+            return self, True  # already shaped, or unit; leave as is
+        out =self._set_binding(root, self._range_of(ty, depth, root))
         if not _nonempty(ty, self.int_bounds, depth):
             return out.fail(), False
         return out, True
 
     def _range_of(self, ty: Type, depth: int, key: int):
-        """The binding of an unknown ranging over `ty` to `depth`."""
+        """The binding of an unknown ranging over `ty` to `depth`; None for
+        unit."""
         if isinstance(ty, TUnit):
-            return RUnit()
+            return None
         if isinstance(ty, TInt):
             return IntDomain.bounded(*self.int_bounds)
         return Deferred(depth, key)
@@ -313,21 +308,19 @@ class ConstraintSet:
         """(set', representative, node): u's one-level range node.
 
         This is the one place an unknown is opened.  A deferred range is
-        unfolded by one level.  An unknown of unit, sum, product or
-        recursive type without a binding gets its type's node, over fresh
-        children that range over their whole types.  Either node is written
-        to the store.  An integer unknown's binding and an existing node
-        come back as they are.
+        unfolded by one level.  An unknown of sum, product or recursive type
+        without a binding gets its type's node, over fresh children that
+        range over their whole types.  Either node is written to the store.
+        An integer unknown's binding, an existing node and a unit unknown's
+        None come back as they are.
         """
         root, b = self.resolve(u)
         if isinstance(b, Deferred):
             out, level = self._unfold(b, self.utypes[root], holder=root)
             return out, root, level
         ty = self.utypes[root]
-        if b is not None or isinstance(ty, TInt):
+        if b is not None or isinstance(ty, (TInt, TUnit)):
             return self, root, b
-        if isinstance(ty, TUnit):
-            return self._set_binding(root, RUnit()), root, RUnit()
         if isinstance(ty, TMu):
             out, ids = self.fresh([_unfold_mu(ty)])
         else:
@@ -350,7 +343,8 @@ class ConstraintSet:
         def child(slot: int, cty: Type, depth: int) -> int:
             c = _child_id(d.key, slot)
             utypes[c] = cty
-            bindings[c] = self._range_of(cty, depth, c)
+            if (b := self._range_of(cty, depth, c)) is not None:
+                bindings[c] = b
             return c
 
         if isinstance(ty, TMu):
@@ -429,14 +423,9 @@ class ConstraintSet:
             budget[0] -= 1
             if budget[0] < 0:
                 raise ContractViolation("denotation larger than cap")
-            if b is None:
-                yield from assign_top(r, self.utypes[r], asg, None)
-            elif isinstance(b, Deferred):
-                yield from assign_top(r, self.utypes[r], asg, b.depth)
-            elif isinstance(b, RUnit):
-                a2 = dict(asg)
-                a2[r] = Unit()
-                yield a2
+            if b is None or isinstance(b, Deferred):
+                yield from assign_top(r, self.utypes[r], asg,
+                                      None if b is None else b.depth)
             elif isinstance(b, IntDomain):
                 if b.size() > cap:
                     raise ContractViolation("integer domain larger than cap")
@@ -536,7 +525,7 @@ class ConstraintSet:
 
     def _unify_uu(self, ua: int, ub: int) -> "ConstraintSet":
         ra, rb = self.find(ua), self.find(ub)
-        if ra == rb:
+        if ra == rb or isinstance(self.utypes[ra], TUnit):
             return self
         small, large = (ra, rb) if ra < rb else (rb, ra)
         bs, bl = self.bindings.get(small), self.bindings.get(large)
@@ -568,8 +557,6 @@ class ConstraintSet:
             return out._merge_bindings(root, b1, b2)
         if isinstance(b1, IntDomain) and isinstance(b2, IntDomain):
             return self._set_domain(root, b1.intersect(b2))
-        if isinstance(b1, RUnit) and isinstance(b2, RUnit):
-            return self
         if isinstance(b1, RPair) and isinstance(b2, RPair):
             out = self.unify(Unknown(b1.fst), Unknown(b2.fst))
             return out.unify(Unknown(b1.snd), Unknown(b2.snd))
@@ -614,7 +601,7 @@ class ConstraintSet:
             only = IntDomain.of_values([v.value])
             return self._set_domain(root, self._domain(root).intersect(only))
         if isinstance(v, Unit):
-            return self if isinstance(b, RUnit) else self.fail()
+            return self if b is None else self.fail()
         if isinstance(v, (Inl, Inr)):
             want_left = isinstance(v, Inl)
             if not isinstance(b, RSum) or \
@@ -768,8 +755,6 @@ class ConstraintSet:
         root, b = self.resolve(u)
         if b is None:
             return Unit() if isinstance(self.utypes[root], TUnit) else None
-        if isinstance(b, RUnit):
-            return Unit()
         if isinstance(b, IntDomain):
             return IntLit(b.min()) if b.is_singleton() else None
         if isinstance(b, RPair):
@@ -813,12 +798,9 @@ class ConstraintSet:
             if root in seen:
                 raise ContractViolation("shared unknown in counted range")
             seen.add(root)
-            if b is None:
-                n = _type_count(self.utypes[root], self.int_bounds, None)
-            elif isinstance(b, Deferred):
-                n = _type_count(self.utypes[root], self.int_bounds, b.depth)
-            elif isinstance(b, RUnit):
-                n = 1
+            if b is None or isinstance(b, Deferred):
+                n = _type_count(self.utypes[root], self.int_bounds,
+                                None if b is None else b.depth)
             elif isinstance(b, IntDomain):
                 n = b.size()
             elif isinstance(b, RPair):
@@ -846,14 +828,9 @@ class ConstraintSet:
             counts = self._count_table(u)
         root, b = self.resolve(u)
         ty = self.utypes[root]
-        if b is None:
-            return _type_unrank(ty, i, self.int_bounds, None)
-        if isinstance(b, Deferred):
-            return _type_unrank(ty, i, self.int_bounds, b.depth)
-        if isinstance(b, RUnit):
-            if i != 0:
-                raise IndexError(i)
-            return Unit()
+        if b is None or isinstance(b, Deferred):
+            return _type_unrank(ty, i, self.int_bounds,
+                                None if b is None else b.depth)
         if isinstance(b, IntDomain):
             return IntLit(b.nth(i))
         if isinstance(b, RPair):

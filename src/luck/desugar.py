@@ -201,6 +201,9 @@ class Program:
         self._fresh_n = 0
         self._ctype_memo: dict[STy, Type] = {}
         self._ctype_building: dict[tuple[str, tuple[STy, ...]], bool] = {}
+        # datatypes `_data_type` found to mention themselves and wrapped
+        # in a mu type; see `folds`
+        self._folded: set[str] = set()
         # mangled name -> closed core, its callees' cores linked in
         self.cores: dict[str, Expr] = {}
         self._fun_stack: list[tuple[str, tuple[STy, ...]]] = []
@@ -269,21 +272,11 @@ class Program:
             tyargs = (_INT,) * len(tyvars_of(f.sig))
             self.lower_fun(name, tyargs)
 
-    def is_recursive(self, dname: str) -> bool:
-        """Whether the datatype mentions itself in a constructor field."""
-        def mentions(t: STy) -> bool:
-            if isinstance(t, STCon):
-                return t.name == dname or any(mentions(a) for a in t.args)
-            if isinstance(t, STList):
-                return dname == "List" or mentions(t.elem)
-            if isinstance(t, STTuple):
-                return any(mentions(a) for a in t.items)
-            if isinstance(t, STFun):
-                return mentions(t.arg) or mentions(t.res)
-            return False
-
-        d = self.datas[dname]
-        return any(mentions(a) for c in d.ctors for a in c.args)
+    def folds(self, t: STy) -> bool:
+        """Whether the values of the resolved type t are folds: t is a
+        datatype that mentions itself.  Read after t's core type is built.
+        """
+        return isinstance(t, STCon) and t.name in self._folded
 
     def ctor_arg_tys(self, cname: str, t: STCon) -> list[STy]:
         """The field types of a constructor at a concrete instantiation."""
@@ -325,7 +318,7 @@ class Program:
             return "[" + ", ".join(elems) + "]"
         if isinstance(t, STCon) and t.name in self.datas:
             d = self.datas[t.name]
-            node = v.arg if self.is_recursive(t.name) else v
+            node = v.arg if self.folds(t) else v
             k = len(d.ctors)
             idx = 0
             while idx < k - 1 and isinstance(node, Inr):
@@ -579,7 +572,10 @@ class Program:
             raise LuckTypeError(
                 f"datatype {t.name} is recursive through another type; "
                 "only direct recursion is supported")
-        return TMu(str(t), spine) if used else spine
+        if not used:
+            return spine
+        self._folded.add(t.name)
+        return TMu(str(t), spine)
 
 
 def _sum_levels(full: Type, n: int) -> list[Type]:
@@ -764,7 +760,7 @@ class _Lower:
                 v = Inl(v, levels[pos])
             for i in range(pos - 1, -1, -1):
                 v = Inr(v, levels[i])
-            return Fold(v, full) if isinstance(full, TMu) else v
+            return Fold(v, full) if self.p.folds(dty) else v
 
         return mk, dty
 
@@ -917,7 +913,7 @@ class _Lower:
             def mk() -> Expr:
                 full = self.p.core_type(t)
                 levels = _sum_levels(full, n)
-                cur = Unfold(occ(), full) if isinstance(full, TMu) else occ()
+                cur = Unfold(occ(), full) if self.p.folds(t) else occ()
                 # walk the sum spine to the constructor's position
                 def go(cur: Expr, i: int) -> Expr:
                     if i == n - 1:
@@ -1060,7 +1056,7 @@ class _Lower:
             # no sum to dispatch on: the payload is bound in place, so its
             # type is read before unification ends
             full = self.p.core_type(t)
-            if isinstance(full, TMu):
+            if self.p.folds(t):
                 occ_core = Unfold(occ_core, full)
             _, body = payload(kids[0], occ_core)
             return body
@@ -1095,7 +1091,7 @@ class _Lower:
 
         def mk() -> Expr:
             full = self.p.core_type(t)
-            cur = Unfold(occ_core, full) if isinstance(full, TMu) else occ_core
+            cur = Unfold(occ_core, full) if self.p.folds(t) else occ_core
             return build(cur, _sum_levels(full, n))
 
         return mk

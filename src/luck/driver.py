@@ -252,9 +252,11 @@ def enumerate_query(prog: Program, query: str, *,
                                         Optional[dict[str, str]]]]:
     """Walk every choice sequence of the query's generator, depth-first.
 
-    Yields (trace, q, shown) triples; shown is None for failing traces.
-    Local backtracking is disabled so the raw choice tree is exposed.
-    Raises DriverError when an attempt recurses past the Python limit.
+    Yields (trace, q, shown) triples; shown is None for failing traces,
+    and a trace that runs out of fuel fails, so the q of all traces sums
+    to one.  Local backtracking is disabled so the raw choice tree is
+    exposed.  Raises DriverError when an attempt recurses past the Python
+    limit.
     """
     prep = prepare(prog, query, int_bound=int_bound, depth=depth)
 
@@ -262,7 +264,7 @@ def enumerate_query(prog: Program, query: str, *,
         ctx = RunCtx(source, fuel=fuel, local_backtracking=False)
         try:
             vals = attempt(prep, ctx)
-        except GenFailure:
+        except (GenFailure, EvalTimeout):
             return list(ctx.trace), (ctx.q, None)
         except RecursionError:
             raise DriverError(_too_deep()) from None

@@ -223,10 +223,11 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
 
     Both attempts start from the same store; if both are viable, both
     branch bodies are evaluated against the pattern and the surviving
-    refinements are merged into one store denoting their union.  A side
-    whose body is a value that cannot possibly match the pattern (say,
-    False against True) has no derivation, so its scrutinee premise is
-    never explored.
+    refinements are joined into one store (``combine``).  The join
+    over-approximates their union, one unknown at a time: `member 1 l`
+    emits `[0]` (ROADMAP item 2).  A side whose body is a value that
+    cannot possibly match the pattern (say, False against True) has no
+    derivation, so its scrutinee premise is never explored.
     """
     cs0, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
     lenv = {**env, e.left_name: Unknown(u1)}

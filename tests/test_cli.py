@@ -155,11 +155,20 @@ SMALL_PROGRAMS = [
     ("sig g :: Int -> Bool\nfun g g = g == 3\n", "g x = True", "3\n"),
     ("data T = T (List Int)\nsig f :: T -> Bool\nfun f t = True\n",
      "f t = True", "T ["),
+    # a one-field type over a list: its values are the list's folds, with
+    # no fold of their own
+    ("data W = W (List Int)\nsig okW :: W -> Bool\n"
+     "fun okW w = case w of | W l -> "
+     "(case l of | [] -> False | _ -> True end) end\n",
+     "okW w = True", "W ["),
+    ("data T = T (List Int)\nsig g :: T -> Bool\nfun g t = t == T [1, 2]\n",
+     "g t = True", "T [1, 2]\n"),
 ]
 
 
 @pytest.mark.parametrize("source,query,want", SMALL_PROGRAMS,
-                         ids=["shadowed-parameter", "list-field"])
+                         ids=["shadowed-parameter", "list-field",
+                              "list-field-case", "list-field-equality"])
 def test_small_program_runs(capsys, tmp_path, source, query, want):
     src = tmp_path / "small.luck"
     src.write_text(source)
@@ -187,6 +196,15 @@ def test_empty_int_bound_is_a_configuration_error(capsys):
                              "--int-bound", "5..1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "no value" in err
+
+
+def test_unsupported_arithmetic_is_an_error_line(capsys, tmp_path):
+    src = tmp_path / "double.luck"
+    src.write_text("sig f :: Int -> Bool\nfun f x = x * 2 == 4\n")
+    code, out, err = run_cli(capsys, str(src), "f x = True",
+                             "--int-bound", "0..9")
+    assert code == 1 and out == ""
+    assert err == "error: symbolic arithmetic ?0 * 2 unsupported\n"
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from luck.constraints import (
     RFold,
     RPair,
     RSum,
-    RUnit,
     union,
     rename,
 )
@@ -517,8 +516,9 @@ def test_unfolding_follows_unification_only():
     cs, (u,) = ConstraintSet(int_bounds=(0, 1)).fresh([TREE])
     cs, _ = cs.materialize(u, 12)
     pinned = cs.unify(Unknown(u), Fold(Inl(Unit(), unfold_mu(TREE)), TREE))
-    # fold, the sum node and its unit side; the Node side stays deferred
-    assert len(pinned.bindings) == 4
+    # the fold and the sum node; the unit side is never bound and the Node
+    # side stays deferred
+    assert len(pinned.bindings) == 3
     assert pinned.count_values(u) == 1 and pinned.index(u) is not None
 
 
@@ -792,7 +792,7 @@ def test_constraint_keys_are_representatives():
 
 
 @pytest.mark.parametrize("ty,node", [
-    (TUnit(), RUnit), (BOOL, RSum), (TProd(TInt(), BOOL), RPair),
+    (BOOL, RSum), (TProd(TInt(), BOOL), RPair),
     (UNIT_LIST, RFold)])
 def test_expand_gives_an_unbound_unknown_its_types_node(ty, node):
     cs, (u,) = ConstraintSet(int_bounds=(0, 3)).fresh([ty])
@@ -803,6 +803,13 @@ def test_expand_gives_an_unbound_unknown_its_types_node(ty, node):
     assert b2 == b and again.next_fresh == out.next_fresh
     if node is not RFold:  # a range with no depth bound has no count
         assert out.count_values(u) == cs.count_values(u)
+
+
+def test_expand_leaves_a_unit_unknown_unbound():
+    cs, (u,) = ConstraintSet().fresh([TUnit()])
+    out, root, b = cs.expand(u)
+    assert out is cs and root == u and b is None and u not in out.bindings
+    assert out.index(u) == Unit() and out.count_values(u) == 1
 
 
 def test_expand_leaves_an_integer_unknown_its_domain():

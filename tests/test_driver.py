@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from luck import core
+from luck import core, driver
 from luck.desugar import Program
 from luck.driver import (
     DriverError,
@@ -37,20 +37,43 @@ def test_generation_satisfies_the_predicate():
         assert recheck(prep, r.values)
 
 
-def test_generation_and_recheck_never_call_the_typechecker(monkeypatch):
-    preps = [(prepare(load("rbt.luck"), "isRBT 2 0 20 Black t = True",
-                      int_bound=(0, 20)), range(20)),
-             (prepare(load("bst.luck"), "bst 3 0 10 t = True",
-                      int_bound=(0, 10), depth=12), range(100))]
+def benchmark_runs():
+    """The benchmark's rbt and bst-deep queries, each with its seeds."""
+    return [(prepare(load("rbt.luck"), "isRBT 2 0 20 Black t = True",
+                     int_bound=(0, 20)), range(20)),
+            (prepare(load("bst.luck"), "bst 3 0 10 t = True",
+                     int_bound=(0, 10), depth=12), range(100))]
 
+
+def test_generation_and_recheck_never_call_the_typechecker(monkeypatch):
     def no_typechecking(*args):
         raise AssertionError("the typechecker ran during generation")
 
     monkeypatch.setattr(core, "_tc", no_typechecking)
-    for prep, seeds in preps:
+    for prep, seeds in benchmark_runs():
         for seed in seeds:
             r = run_prepared(prep, seed=seed, check=True)
             assert r.ok and r.discards == 0
+
+
+def test_no_store_binds_a_unit_unknown(monkeypatch):
+    # a unit unknown's type gives its one value, so no store binds it
+    match_eval = driver.match_eval
+    stores = []
+
+    def recording(*args):
+        out = match_eval(*args)
+        if out is not None:
+            stores.append(out)
+        return out
+
+    monkeypatch.setattr(driver, "match_eval", recording)
+    for prep, seeds in benchmark_runs():
+        for seed in seeds:
+            assert run_prepared(prep, seed=seed, check=True).ok
+    assert stores
+    assert not [u for cs in stores for u in cs.bindings
+                if isinstance(cs.utypes[u], core.TUnit)]
 
 
 def test_same_seed_reproduces_the_report():
@@ -192,6 +215,13 @@ def test_recursion_past_the_python_limit_ends_the_valuation():
     assert not report.ok and "recursion limit" in report.error
     with pytest.raises(DriverError, match="recursion limit"):
         list(enumerate_query(prog, query, int_bound=(0, 1)))
+
+
+def test_enumeration_counts_a_trace_out_of_fuel_as_failure():
+    rows = list(enumerate_query(load("bst.luck"), "bst 1 0 3 t = True",
+                                int_bound=(0, 3), depth=3, fuel=20))
+    assert sum(q for _, q, _ in rows) == 1
+    assert rows and all(shown is None for _, _, shown in rows)
 
 
 # The paper's soundness and completeness theorems at small bounds: the
