@@ -154,8 +154,23 @@ def generate(source: str, query: str, *, count: int, master: int,
         yield from pool.imap(_worker_run, tasks, chunksize=chunk)
 
 
+def _glue_bounds(argv: list[str]) -> list[str]:
+    """argv with each negative bound (``-3..-1``) glued to the option before
+    it, as ``--int-bound=-3..-1``: argparse reads a separate token that
+    starts with a dash and is not a number as an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if (arg.startswith("-") and _BOUND_RE.match(arg) and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = build_parser().parse_args(_glue_bounds(argv))
     try:
         if ns.count < 1:
             raise DriverError("--count must be at least 1")

@@ -290,7 +290,7 @@ class ConstraintSet:
         ty = self.utypes[root]
         if b is not None or isinstance(ty, TUnit):
             return self, True  # already shaped, or unit; leave as is
-        out =self._set_binding(root, self._range_of(ty, depth, root))
+        out = self._set_binding(root, self._range_of(ty, depth, root))
         if not _nonempty(ty, self.int_bounds, depth):
             return out.fail(), False
         return out, True

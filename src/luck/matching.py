@@ -13,10 +13,13 @@ is the weight of this failing derivation.  Hard errors (empty sample
 spaces, bad weights) raise GenFailure instead and abort the attempt.
 
 Like narrowing, matching runs under an environment of closed values.  A
-pair case or unfold whose scrutinee is an unknown opens it in place
-(``narrow.open_value``): the arm variables are bound to the children of
-its node, and an unfold unifies the child with the pattern.  Any other
-scrutinee is matched against a pattern of fresh unknowns, to which the
+variable takes one step: the value it is bound to is unified with the
+pattern as it is.  A pair case or unfold whose scrutinee is an unknown,
+or a variable bound to an unknown or to a value of the case's kind, opens
+it in place (``narrow.open_value``): the arm variables are bound to the
+value's parts or to the children of the unknown's node, and an unfold
+unifies its child with the pattern.  Only a compound scrutinee
+expression is matched against a pattern of fresh unknowns, to which the
 arm variables are then bound.  A constructor matched against a pattern
 is matched part by part against the pattern's parts
 (``narrow.open_value``), and an instantiation splits the pattern with
@@ -96,14 +99,19 @@ def heads_clash(body: Expr, p: Expr, env: Env = EMPTY_ENV) -> bool:
 def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
                env: Env = EMPTY_ENV) -> MatchResult:
     """Evaluate e under env demanding that its value match the pattern p."""
-    if isinstance(e, Var):
-        e = env.get(e.name, e)
     ctx.tick()
+    if isinstance(e, Var):
+        try:
+            v = env[e.name]
+        except KeyError:
+            raise GenFailure(f"unbound variable {e.name}") from None
+        if isinstance(v, Closure):
+            raise ContractViolation("cannot match a function value")
+        out = cs.unify(v, p)
+        return out if out.sat() else None
     if isinstance(e, (Unit, IntLit, Unknown)):
         out = cs.unify(e, p)
         return out if out.sat() else None
-    if isinstance(e, Var):
-        raise GenFailure(f"unbound variable {e.name}")
     if isinstance(e, MatchFail):
         raise GenFailure("inexhaustive match")
     if isinstance(e, (Rec, Closure)):
@@ -179,15 +187,18 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
 
 def open_scrutinee(scrut: Expr, kind: type, cs: ConstraintSet, ctx: RunCtx,
                    env: Env):
-    """(parts, cs'): a scrutinee that is an unknown, opened in place as a
-    `kind` value by ``narrow.open_value``; None for any other scrutinee.
+    """(parts, cs'): a scrutinee that is an unknown, or a variable bound to
+    an unknown or to a `kind` value, opened in place by
+    ``narrow.open_value``; None for any other scrutinee.
 
-    The opening takes the one step the scrutinee's own match would take,
-    and mints nothing when the unknown already has its node.
+    The opening takes the one step a variable or an unknown takes, and
+    mints nothing when the unknown already has its node.
     """
     if isinstance(scrut, Var):
-        scrut = env.get(scrut.name, scrut)
-    if not isinstance(scrut, Unknown):
+        scrut = env.get(scrut.name)
+    elif not isinstance(scrut, Unknown):
+        return None  # a compound expression: its parts are not values
+    if not isinstance(scrut, (Unknown, kind)):
         return None
     ctx.tick()
     return open_value(scrut, kind, cs)

@@ -10,9 +10,8 @@ path accumulates on the run context as an exact fraction.
 Expressions run under an environment of closed values: an application
 runs the function's body under its closure's environment extended with
 the argument, and a case arm under the current one extended with the arm
-variables.  A variable is replaced by its value before the step is
-counted, so evaluation takes the same steps as it would on the term with
-every bound variable substituted.
+variables.  A variable takes one step and yields the value it is bound to
+as it is, whatever that value's size.
 
 A split of an unknown reads the children of the node the store gives it
 (``open_value`` and ``split_sum``, shared with matching); no split mints
@@ -53,7 +52,8 @@ from .core import (
     Var,
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
 )
-from .intdomain import negate_op
+from .intdomain import eval_op, negate_op
+from .predsem import EvalFailure, _arith
 from .trace import RunCtx
 
 
@@ -63,15 +63,16 @@ class GenFailure(Exception):
 
 def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
     """Evaluate e over cs under env; returns (value, refined store)."""
-    if isinstance(e, Var):
-        e = env.get(e.name, e)
     ctx.tick()
+    if isinstance(e, Var):
+        try:
+            return env[e.name], cs
+        except KeyError:
+            raise GenFailure(f"unbound variable {e.name}") from None
     if isinstance(e, (Unit, IntLit, Unknown, Closure)):
         return e, cs
     if isinstance(e, Rec):
         return Closure(e, env), cs
-    if isinstance(e, Var):
-        raise GenFailure(f"unbound variable {e.name}")
     if isinstance(e, MatchFail):
         raise GenFailure("inexhaustive match")
     if isinstance(e, Pair):
@@ -201,8 +202,6 @@ def narrow_weight(e: Expr, cs: ConstraintSet, ctx: RunCtx,
 
 
 def narrow_cmp(op: str, l: Expr, r: Expr, cs: ConstraintSet, ctx: RunCtx):
-    from .intdomain import eval_op
-
     if isinstance(l, IntLit) and isinstance(r, IntLit):
         return (TRUE if eval_op(op, l.value, r.value) else FALSE), cs
     lv = l if isinstance(l, Unknown) else l.value
@@ -215,8 +214,6 @@ def narrow_cmp(op: str, l: Expr, r: Expr, cs: ConstraintSet, ctx: RunCtx):
 
 def narrow_arith(op: str, l: Expr, r: Expr, cs: ConstraintSet):
     if isinstance(l, IntLit) and isinstance(r, IntLit):
-        from .predsem import EvalFailure, _arith
-
         try:
             return IntLit(_arith(op, l.value, r.value)), cs
         except EvalFailure as ex:

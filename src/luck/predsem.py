@@ -7,19 +7,16 @@ but returns the first.  This evaluator is the ground truth the generators
 are checked against: a produced valuation is correct iff evaluating the
 query under an environment binding each queried name to its value makes
 this evaluator return True.  Bodies run under environments of closed
-values, as in narrowing, with the steps evaluation of the substituted
-term would take.  A variable bound to a value built only from
-constructors, integers and closures evaluates to that same value: its
-steps, one per node, are charged in one subtraction, so the budget runs
-out exactly when rebuilding the value node by node would exhaust it.  A
-bound value holding any other node (an unknown, say) is evaluated node
-by node, so it fails at the step that reaches that node.
+values, as in narrowing: a variable takes one step and evaluates to the
+value it is bound to, as it is.
 """
 
 from __future__ import annotations
 
 from .core import (
     EMPTY_ENV,
+    FALSE,
+    TRUE,
     After,
     App,
     Arith,
@@ -64,8 +61,8 @@ class _Fuel:
     def __init__(self, amount: int) -> None:
         self.left = amount
 
-    def tick(self, steps: int = 1) -> None:
-        self.left -= steps
+    def tick(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise EvalTimeout()
 
@@ -90,20 +87,16 @@ def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL, env: Env = EMPTY_ENV) -> Expr:
 
 
 def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
-    if isinstance(e, Var):
-        e = env.get(e.name, e)
-        if isinstance(e, (Pair, Inl, Inr, Fold)):
-            steps = _value_size(e)
-            if steps is not None:
-                fuel.tick(steps)
-                return e
     fuel.tick()
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalFailure(f"unbound variable {e.name}") from None
     if isinstance(e, (Unit, IntLit, Closure)):
         return e
     if isinstance(e, Rec):
         return Closure(e, env)
-    if isinstance(e, Var):
-        raise EvalFailure(f"unbound variable {e.name}")
     if isinstance(e, Unknown):
         raise EvalFailure(f"unknown ?{e.uid} in a closed evaluation")
     if isinstance(e, MatchFail):
@@ -154,7 +147,7 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
         r = _eval(e.rhs, fuel, env)
         if not isinstance(l, IntLit) or not isinstance(r, IntLit):
             raise EvalFailure("comparison of non-integers")
-        return _bool_value(_compare(e.op, l.value, r.value))
+        return TRUE if _compare(e.op, l.value, r.value) else FALSE
     if isinstance(e, Arith):
         l = _eval(e.lhs, fuel, env)
         r = _eval(e.rhs, fuel, env)
@@ -162,24 +155,6 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
             raise EvalFailure("arithmetic on non-integers")
         return IntLit(_arith(e.op, l.value, r.value))
     raise EvalFailure(f"no rule for {e!r}")
-
-
-def _value_size(v: Expr):
-    """The node count of v when it is built only from constructors,
-    integers and closures (a closure counts as one node), else None."""
-    n, todo = 0, [v]
-    while todo:
-        x = todo.pop()
-        n += 1
-        t = type(x)  # exact types: no node class is subclassed
-        if t is Pair:
-            todo.append(x.fst)
-            todo.append(x.snd)
-        elif t is Inl or t is Inr or t is Fold:
-            todo.append(x.arg)
-        elif not (t is IntLit or t is Unit or t is Closure):
-            return None
-    return n
 
 
 def _compare(op: str, a: int, b: int) -> bool:
@@ -210,9 +185,3 @@ def _arith(op: str, a: int, b: int) -> int:
             raise EvalFailure("division by zero")
         return a // b
     raise EvalFailure(f"bad arithmetic operator {op}")
-
-
-def _bool_value(b: bool) -> Expr:
-    from .core import FALSE, TRUE
-
-    return TRUE if b else FALSE

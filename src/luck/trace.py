@@ -10,7 +10,7 @@ source drives systematic exploration of every trace prefix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -77,7 +77,7 @@ def format_trace(seed: Optional[int], choices: list[Choice], q: Fraction,
 
 _TRACE_RE = re.compile(
     r"(?:seed=(-?\d+)\s+)?choices=\[([^\]]*)\]\s+q=(-?\d+)/(\d+)"
-    r"(?:\s+result=(.+))?$")
+    r"(?:\s+result=(.*))?$")
 
 
 def parse_trace(line: str):

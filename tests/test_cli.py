@@ -220,6 +220,19 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert code == 1 and "LUCK_SEED" in err
 
 
+def test_a_negative_bound_may_follow_its_option_after_a_space(capsys):
+    distinct = str(CORPUS / "distinct.luck")
+    args = ["--count", "20", "--seed", "3", "--check"]
+    spaced = run_cli(capsys, distinct, "distinct l = True",
+                     "--int-bound", "-3..-1", *args)
+    glued = run_cli(capsys, distinct, "distinct l = True",
+                    "--int-bound=-3..-1", *args)
+    assert spaced == glued and spaced[0] == 0
+    for line in spaced[1].splitlines():
+        items = line.strip("[]").split(", ")
+        assert all(-3 <= int(x) <= -1 for x in items if x)
+
+
 def test_bound_parsing():
     assert parse_bound("0..42") == (0, 42)
     assert parse_bound("-4..4") == (-4, 4)

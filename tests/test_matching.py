@@ -465,3 +465,25 @@ def test_pair_case_opens_an_unbound_product_unknown_once():
     assert out.next_fresh == cs.next_fresh + 2
     assert out.index(pair.fst) == IntLit(3)
     assert out.index(pair.snd) == IntLit(1)
+
+
+def test_pair_case_and_unfold_open_a_bound_value_in_place():
+    cs = ConstraintSet(int_bounds=(0, 3))
+    cs, (a, b, c) = cs.fresh([TInt(), TInt(), TSum(TUnit(), NAT)])
+    cs = cs.expand(c)[0]
+    pair = Pair(Unknown(a), Unknown(b))
+    ctx = ctx_with()
+    out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, ctx, {"x": pair})
+    # the arms are the pair's own parts: nothing is minted, and the case
+    # takes the steps of the case, the scrutinee, the pair and its two
+    # variables
+    assert out.next_fresh == cs.next_fresh
+    assert out.index(a) == IntLit(3) and out.index(b) == IntLit(1)
+    assert DEFAULT_FUEL - ctx.fuel == 5
+    ctx = ctx_with()
+    zero = Inl(Unit(), TSum(TUnit(), NAT))
+    out = match_eval(Unfold(Var("x"), NAT), zero, cs, ctx,
+                     {"x": Fold(Unknown(c), NAT)})
+    assert out.next_fresh == cs.next_fresh
+    assert out.index(c) == zero
+    assert DEFAULT_FUEL - ctx.fuel == 2

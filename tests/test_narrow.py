@@ -278,20 +278,18 @@ def test_function_name_shadows_an_argument_of_the_same_name():
 
 
 # Evaluation steps of one attempt of each query for seeds 0-5 (query,
-# int bound, depth bound).  The bst and rbt rows were recorded with the
-# evaluator that substituted values into function bodies, the others with
-# matching that minted twin unknowns for every pair-case scrutinee;
-# evaluating under an environment and opening a bound unknown in place
-# must take exactly the same steps.
+# int bound, depth bound), recorded with the evaluators in which a
+# variable takes one step and a pair case or unfold opens a variable-bound
+# value in place.
 ATTEMPT_STEPS = [
     ("bst.luck", "bst 3 0 10 t = True", (0, 10), 8,
      [165, 98, 165, 165, 111, 98]),
     ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), 8,
-     [790, 1399, 1599, 721, 1511, 1152]),
+     [746, 1327, 1507, 677, 1427, 1088]),
     ("distinct.luck", "distinct l = True", (0, 9), 8,
-     [63, 63, 19, 19, 19, 19]),
+     [57, 57, 19, 19, 19, 19]),
     ("sorted.luck", "sorted l = True", (0, 20), 8,
-     [49, 142, 18, 111, 80, 49]),
+     [43, 118, 18, 93, 68, 43]),
     ("member.luck", "member 3 l = True", (0, 5), 8,
      [168, 171, 172, 171, 172, 173]),
     ("bst.luck", "bst 3 0 10 t = True", (0, 10), 12,

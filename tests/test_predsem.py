@@ -30,7 +30,6 @@ from luck.core import (
     TUnit,
     Unfold,
     Unit,
-    Unknown,
     Var,
     erase,
     subst,
@@ -159,7 +158,6 @@ def test_function_name_shadows_an_argument_of_the_same_name():
 
 
 IDENTITY = Closure(Rec("f", "x", TInt(), Var("x"), TInt()), {})
-# seven nodes, the closure counting as one
 BOUND = Pair(IDENTITY, Fold(Inr(Pair(Unit(), IntLit(2)), None), None))
 
 
@@ -168,21 +166,10 @@ def test_a_bound_value_is_returned_as_it_is():
     assert pred_eval(Var("x"), env={"x": BOUND.snd}) is BOUND.snd
 
 
-def test_a_bound_value_takes_one_step_per_node():
-    assert pred_eval(Var("x"), 7, {"x": BOUND}) is BOUND
+def test_a_bound_value_takes_one_step():
+    assert pred_eval(Var("x"), 1, {"x": BOUND}) is BOUND
     with pytest.raises(EvalTimeout):
-        pred_eval(Var("x"), 6, {"x": BOUND})
-
-
-def test_a_bound_value_holding_an_unknown_fails_at_its_step():
-    held = {"x": Pair(IntLit(1), Unknown(0))}
-    with pytest.raises(EvalFailure):
-        pred_eval(Var("x"), env=held)
-    # the unknown is the third node reached: two steps time out first
-    with pytest.raises(EvalTimeout):
-        pred_eval(Var("x"), 2, held)
-    with pytest.raises(EvalFailure):
-        pred_eval(Var("x"), 3, held)
+        pred_eval(Var("x"), 0, {"x": BOUND})
 
 
 def outcome(e, env=None):
@@ -228,16 +215,14 @@ def test_environment_agrees_with_substitution(file, query, int_bound, depth):
         assert outcome(target, vals) == outcome(closed)
 
 
-# Steps the recheck of the valuation from seeds 0-2 needs.  The bst, rbt
-# and distinct rows were recorded with the evaluator that substituted
-# values into function bodies, the others with the one that rebuilt every
-# bound value node by node.
+# Steps the recheck of the valuation from seeds 0-2 needs, recorded with
+# the evaluator in which a variable takes one step.
 RECHECK_STEPS = [
-    ("bst.luck", "bst 3 0 10 t = True", (0, 10), [262, 132, 262]),
-    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), [2524, 1328, 4171]),
-    ("distinct.luck", "distinct l = True", (0, 9), [90, 90, 25]),
-    ("sorted.luck", "sorted l = True", (0, 20), [98, 401, 37]),
-    ("length.luck", "length l 3 = True", (0, 3), [166, 166, 166]),
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), [150, 90, 150]),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), [654, 417, 1070]),
+    ("distinct.luck", "distinct l = True", (0, 9), [58, 58, 19]),
+    ("sorted.luck", "sorted l = True", (0, 20), [46, 127, 19]),
+    ("length.luck", "length l 3 = True", (0, 3), [78, 78, 78]),
 ]
 
 

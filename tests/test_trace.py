@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from luck.desugar import Program
+from luck.driver import prepare, run_prepared
 from luck.predsem import EvalTimeout
 from luck.trace import (
     Choice,
@@ -52,6 +54,13 @@ def test_parse_rejects_garbage():
 def test_parse_empty_choices():
     line = format_trace(1, [], Fraction(1))
     assert parse_trace(line) == (1, [], Fraction(1), None)
+
+
+def test_a_query_without_unknowns_has_a_trace_line_that_parses_back():
+    prog = Program.from_source("sig c :: Bool\nfun c = True\n")
+    line = run_prepared(prepare(prog, "c = True"), seed=1).trace_line()
+    assert line == "seed=1 choices=[] q=1/1 result="
+    assert parse_trace(line) == (1, [], Fraction(1), "")
 
 
 @pytest.mark.parametrize("n", [0, 7, -7, 10**600 - 1, 10**600, -10**600,
