@@ -176,6 +176,8 @@ def main(argv=None) -> int:
             raise DriverError("--count must be at least 1")
         if ns.retries < 0:
             raise DriverError("--retries must be at least 0")
+        if ns.depth < 0:
+            raise DriverError("--depth must be at least 0")
         if ns.fuel < 1:
             raise DriverError("--fuel must be at least 1")
         if ns.jobs < 1:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .constraints import ConstraintSet
-from .core import FALSE, TRUE, Expr, TInt, Type, Unknown, subst
+from .core import FALSE, TRUE, Expr, TInt, Type, Unknown
 from .desugar import CompiledQuery, Program
 from .matching import match_eval
 from .narrow import GenFailure, sample_value
@@ -47,7 +47,8 @@ class DriverError(Exception):
 @dataclass
 class PreparedQuery:
     """A compiled query with its unknowns freshened and given their
-    depth-bounded ranges; `base` holds one unknown per queried name."""
+    depth-bounded ranges; `base` holds one unknown per queried name, and
+    `target`, the compiled target, names them by their variables."""
 
     program: Program
     compiled: CompiledQuery
@@ -122,37 +123,39 @@ def prepare(prog: Program, query: str, *,
         raise DriverError(f"no value fits the empty integer bounds "
                           f"{int_bound[0]}..{int_bound[1]}")
     cs = ConstraintSet(int_bounds=int_bound) if int_bound else ConstraintSet()
-    target = q.target
     uids: dict[str, int] = {}
     for name, ty in q.unknowns.items():
         cs, (uid,) = cs.fresh([ty])
         uids[name] = uid
-        target = subst(target, name, Unknown(uid))
         cs, nonempty = cs.materialize(uid, depth)
         if not nonempty:
             raise DriverError(f"no value for {name} fits the depth bound "
                               f"{depth} and the integer bounds")
     pattern = TRUE if q.expect_true else FALSE
-    return PreparedQuery(prog, q, cs, target, pattern, uids)
+    return PreparedQuery(prog, q, cs, q.target, pattern, uids)
 
 
 def attempt(prep: PreparedQuery, ctx: RunCtx) -> dict[str, Expr]:
-    """One generation attempt; raises GenFailure when no value comes out."""
-    out = match_eval(prep.target, prep.pattern, prep.base, ctx)
-    if out is None or not out.sat():
+    """One generation attempt, with each queried name bound to its
+    unknown; raises GenFailure when no value comes out."""
+    env = {name: Unknown(uid) for name, uid in prep.uids.items()}
+    out = match_eval(prep.target, prep.pattern, prep.base, ctx, env)
+    if out.failed:
         raise GenFailure("the query admits no refinement on this path")
     vals: dict[str, Expr] = {}
-    for name, uid in prep.uids.items():
-        v, out = sample_value(Unknown(uid), out, ctx)
-        vals[name] = v
+    for name, u in env.items():
+        vals[name], out = sample_value(u, out, ctx)
     return vals
 
 
-def recheck(prep: PreparedQuery, vals: dict[str, Expr]) -> bool:
-    """Confirm a generated valuation by plain predicate evaluation."""
+def recheck(prep: PreparedQuery, vals: dict[str, Expr],
+            fuel: int = DEFAULT_FUEL) -> bool:
+    """Confirm a generated valuation by plain predicate evaluation within
+    `fuel` steps; a valuation whose evaluation fails or runs out of fuel
+    is not confirmed."""
     try:
-        return pred_eval(prep.compiled.target, env=vals) == prep.pattern
-    except EvalFailure:
+        return pred_eval(prep.target, fuel, vals) == prep.pattern
+    except (EvalFailure, EvalTimeout):
         return False
 
 
@@ -209,7 +212,7 @@ def run_prepared(prep: PreparedQuery, *,
             error = _too_deep()
             break
         backtracks += ctx.local_backtracks
-        if check and not recheck(prep, vals):
+        if check and not recheck(prep, vals, fuel):
             discards += 1
             continue
         return GenReport(query, True, seed, vals, _show_all(prep, vals),

@@ -6,24 +6,30 @@ backwards through the expression.  Case branches whose bodies cannot
 produce the pattern are pruned before any random commitment is made, so
 far less generation effort is wasted on doomed attempts.
 
-match_eval returns either a refined constraint set (the pattern can still
-be realized; None means the match is semantically impossible down this
-path).  A None outcome still carries meaning: its accumulated probability
-is the weight of this failing derivation.  Hard errors (empty sample
-spaces, bad weights) raise GenFailure instead and abort the attempt.
+Only the forms in ``PUSHES`` push the pattern into their parts: the
+constructors, unfold, application, the two cases, instantiation,
+comparison and the two sequencing forms.  Every other form (a variable,
+a literal, an unknown, a function, arithmetic, a failing arm) is
+narrowed to its value, which is unified with the pattern once; a
+function value cannot match.  Values reach matching only through the
+environment of closed values it runs under, as in narrowing.
 
-Like narrowing, matching runs under an environment of closed values.  A
-variable takes one step: the value it is bound to is unified with the
-pattern as it is.  A pair case or unfold whose scrutinee is an unknown,
-or a variable bound to an unknown or to a value of the case's kind, opens
-it in place (``narrow.open_value``): the arm variables are bound to the
-value's parts or to the children of the unknown's node, and an unfold
-unifies its child with the pattern.  Only a compound scrutinee
-expression is matched against a pattern of fresh unknowns, to which the
-arm variables are then bound.  A constructor matched against a pattern
-is matched part by part against the pattern's parts
-(``narrow.open_value``), and an instantiation splits the pattern with
-``narrow.split_sum``; neither mints unknowns.
+match_eval returns a refined constraint set, failed when no derivation
+of the pattern exists down this path; the probability accumulated on
+the run context is then the weight of that failing derivation.  Hard
+errors (empty sample spaces, bad weights) raise GenFailure instead and
+abort the attempt.
+
+A pair case or unfold whose scrutinee is an unknown, or a variable bound
+to an unknown or to a value of the case's kind, opens it in place
+(``narrow.open_value``): the arm variables are bound to the value's
+parts or to the children of the unknown's node, and an unfold unifies
+its child with the pattern.  Only a compound scrutinee expression is
+matched against a pattern of fresh unknowns, to which the arm variables
+are then bound.  A constructor matched against a pattern is matched part
+by part against the pattern's parts (``narrow.open_value``), and an
+instantiation splits the pattern with ``narrow.split_sum``; neither
+mints unknowns.
 
 The fresh unknowns take their types from the node: lowering gives every
 case and unfold the type of its scrutinee, so matching never calls the
@@ -33,7 +39,7 @@ typechecker.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .constraints import ConstraintSet, ContractViolation
 from .constraints import rename as rename_unknowns
@@ -44,7 +50,6 @@ from .core import (
     TRUE,
     After,
     App,
-    Arith,
     Bang,
     CasePair,
     CaseSum,
@@ -57,11 +62,8 @@ from .core import (
     Inr,
     Inst,
     IntLit,
-    MatchFail,
     Pair,
-    Rec,
     Unfold,
-    Unit,
     Unknown,
     Var,
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
@@ -70,8 +72,6 @@ from .intdomain import eval_op, negate_op
 from .narrow import (GenFailure, choose, narrow, narrow_weight, open_value,
                      sample_value, split_sum)
 from .trace import RunCtx
-
-MatchResult = Optional[ConstraintSet]
 
 
 def heads_clash(body: Expr, p: Expr, env: Env = EMPTY_ENV) -> bool:
@@ -96,44 +96,38 @@ def heads_clash(body: Expr, p: Expr, env: Env = EMPTY_ENV) -> bool:
     return False
 
 
+# the forms that push the pattern into their parts
+PUSHES = (Pair, Inl, Inr, Fold, Unfold, App, CasePair, CaseSum, Inst, Cmp,
+          After, Bang)
+
+
 def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-               env: Env = EMPTY_ENV) -> MatchResult:
-    """Evaluate e under env demanding that its value match the pattern p."""
-    ctx.tick()
-    if isinstance(e, Var):
-        try:
-            v = env[e.name]
-        except KeyError:
-            raise GenFailure(f"unbound variable {e.name}") from None
+               env: Env = EMPTY_ENV) -> ConstraintSet:
+    """Evaluate e under env demanding that its value match the pattern p;
+    the store is failed when no derivation exists."""
+    if not isinstance(e, PUSHES):
+        v, cs = narrow(e, cs, ctx, env)
         if isinstance(v, Closure):
             raise ContractViolation("cannot match a function value")
-        out = cs.unify(v, p)
-        return out if out.sat() else None
-    if isinstance(e, (Unit, IntLit, Unknown)):
-        out = cs.unify(e, p)
-        return out if out.sat() else None
-    if isinstance(e, MatchFail):
-        raise GenFailure("inexhaustive match")
-    if isinstance(e, (Rec, Closure)):
-        raise ContractViolation("cannot match a function value")
+        return cs.unify(v, p)
+    ctx.tick()
     if isinstance(e, (Pair, Inl, Inr, Fold)):
         opened = open_value(p, type(e), cs)
         if opened is None:
-            return None
-        parts, got = opened
+            return cs.fail()
+        parts, cs = opened
         subs = (e.fst, e.snd) if isinstance(e, Pair) else (e.arg,)
         for sub, part in zip(subs, parts):
-            got = match_eval(sub, part, got, ctx, env)
-            if got is None:
-                return None
-        return got
+            cs = match_eval(sub, part, cs, ctx, env)
+            if cs.failed:
+                break
+        return cs
     if isinstance(e, Unfold):
         opened = open_scrutinee(e.arg, Fold, cs, ctx, env)
         if opened is None:
             return match_eval(e.arg, Fold(p, e.ty), cs, ctx, env)
         (child,), cs = opened
-        out = cs.unify(child, p)
-        return out if out.sat() else None
+        return cs.unify(child, p)
     if isinstance(e, App):
         f, cs = narrow(e.fun, cs, ctx, env)
         if not isinstance(f, Closure):
@@ -146,8 +140,8 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
             cs, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
             fst, snd = Unknown(u1), Unknown(u2)
             cs = match_eval(e.scrut, Pair(fst, snd), cs, ctx, env)
-            if cs is None:
-                return None
+            if cs.failed:
+                return cs
         else:
             (fst, snd), cs = opened
         return match_eval(e.body, p, cs, ctx,
@@ -157,32 +151,20 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
             return match_case_narrowed(e, p, cs, ctx, env)
         return match_case_plain(e, p, cs, ctx, env)
     if isinstance(e, Inst):
-        got = match_eval(e.arg, p, cs, ctx, env)
-        if got is None:
-            return None
-        n1, got = narrow_weight(e.w_left, got, ctx, env)
-        n2, got = narrow_weight(e.w_right, got, ctx, env)
-        _, _, left, right = split_sum(p, got)
+        cs = match_eval(e.arg, p, cs, ctx, env)
+        if cs.failed:
+            return cs
+        n1, cs = narrow_weight(e.w_left, cs, ctx, env)
+        n2, cs = narrow_weight(e.w_right, cs, ctx, env)
+        _, _, left, right = split_sum(p, cs)
         return choose(n1, left, n2, right, ctx)[1]
     if isinstance(e, Cmp):
         return match_cmp(e, p, cs, ctx, env)
-    if isinstance(e, Arith):
-        v, cs = narrow(e, cs, ctx, env)
-        out = cs.unify(v, p)
-        return out if out.sat() else None
     if isinstance(e, After):
-        got = match_eval(e.main, p, cs, ctx, env)
-        if got is None:
-            return None
-        _, out = narrow(e.hook, got, ctx, env)
-        return out
-    if isinstance(e, Bang):
-        got = match_eval(e.arg, p, cs, ctx, env)
-        if got is None:
-            return None
-        _, out = sample_value(p, got, ctx)
-        return out
-    raise ContractViolation(f"cannot match {e!r}")
+        cs = match_eval(e.main, p, cs, ctx, env)
+        return cs if cs.failed else narrow(e.hook, cs, ctx, env)[1]
+    cs = match_eval(e.arg, p, cs, ctx, env)  # Bang, the last of PUSHES
+    return cs if cs.failed else sample_value(p, cs, ctx)[1]
 
 
 def open_scrutinee(scrut: Expr, kind: type, cs: ConstraintSet, ctx: RunCtx,
@@ -205,7 +187,7 @@ def open_scrutinee(scrut: Expr, kind: type, cs: ConstraintSet, ctx: RunCtx,
 
 
 def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-              env: Env = EMPTY_ENV) -> MatchResult:
+              env: Env = EMPTY_ENV) -> ConstraintSet:
     """A comparison matched against a boolean pattern.
 
     Rather than flipping a coin for an undetermined comparison (as
@@ -216,25 +198,21 @@ def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     l, cs = narrow(e.lhs, cs, ctx, env)
     r, cs = narrow(e.rhs, cs, ctx, env)
     if isinstance(l, IntLit) and isinstance(r, IntLit):
-        res = TRUE if eval_op(e.op, l.value, r.value) else FALSE
-        out = cs.unify(res, p)
-        return out if out.sat() else None
+        return cs.unify(TRUE if eval_op(e.op, l.value, r.value) else FALSE, p)
     lv = l if isinstance(l, Unknown) else l.value
     rv = r if isinstance(r, Unknown) else r.value
-    yes = cs.unify(p, TRUE).post_cmp(e.op, lv, rv)
-    no = cs.unify(p, FALSE).post_cmp(negate_op(e.op), lv, rv)
-    return combine(cs,
-                   yes if yes.sat() else None,
-                   no if no.sat() else None)
+    return combine(cs, cs.unify(p, TRUE).post_cmp(e.op, lv, rv),
+                   cs.unify(p, FALSE).post_cmp(negate_op(e.op), lv, rv))
 
 
 def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-                     env: Env = EMPTY_ENV) -> MatchResult:
+                     env: Env = EMPTY_ENV) -> ConstraintSet:
     """The lookahead case: try the scrutinee against both injections.
 
-    Both attempts start from the same store; if both are viable, both
-    branch bodies are evaluated against the pattern and the surviving
-    refinements are joined into one store (``combine``).  The join
+    Both attempts start from the same store, and each side that survives
+    its scrutinee match has its branch body matched against the pattern;
+    the surviving refinements are joined into one store (``combine``),
+    which is failed when neither side survives.  The join
     over-approximates their union, one unknown at a time: `member 1 l`
     emits `[0]` (ROADMAP item 2).  A side whose body is a value that
     cannot possibly match the pattern (say, False against True) has no
@@ -243,23 +221,19 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     cs0, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
     lenv = {**env, e.left_name: Unknown(u1)}
     renv = {**env, e.right_name: Unknown(u2)}
-    as_inl = None if heads_clash(e.left_body, p, lenv) else \
+    as_inl = cs0.fail() if heads_clash(e.left_body, p, lenv) else \
         match_eval(e.scrut, Inl(Unknown(u1), e.ty), cs0, ctx, env)
-    as_inr = None if heads_clash(e.right_body, p, renv) else \
+    as_inr = cs0.fail() if heads_clash(e.right_body, p, renv) else \
         match_eval(e.scrut, Inr(Unknown(u2), e.ty), cs0, ctx, env)
-    if as_inl is None and as_inr is None:
-        return None
-    if as_inr is None:
-        return match_eval(e.left_body, p, as_inl, ctx, lenv)
-    if as_inl is None:
-        return match_eval(e.right_body, p, as_inr, ctx, renv)
-    left = match_eval(e.left_body, p, as_inl, ctx, lenv)
-    right = match_eval(e.right_body, p, as_inr, ctx, renv)
+    left = as_inl if as_inl.failed else \
+        match_eval(e.left_body, p, as_inl, ctx, lenv)
+    right = as_inr if as_inr.failed else \
+        match_eval(e.right_body, p, as_inr, ctx, renv)
     return combine(cs0, left, right)
 
 
 def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-                        env: Env = EMPTY_ENV) -> MatchResult:
+                        env: Env = EMPTY_ENV) -> ConstraintSet:
     """Weighted dispatch for a case whose scrutinee carries weights.
 
     The instantiated scrutinee is narrowed (committing to one branch with
@@ -281,7 +255,7 @@ def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
         raise GenFailure(f"case dispatch over non-sum value {v}")
     vl, vr, left, right = split_sum(v, cs)
 
-    def run(side: int, branch: ConstraintSet) -> MatchResult:
+    def run(side: int, branch: ConstraintSet) -> ConstraintSet:
         if side == 0:
             return match_eval(e.left_body, p, branch, ctx,
                               {**env, e.left_name: vl})
@@ -293,12 +267,12 @@ def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
 
 def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
                         right: ConstraintSet, ctx: RunCtx,
-                        run: Callable[[int, ConstraintSet], MatchResult],
-                        ) -> MatchResult:
+                        run: Callable[[int, ConstraintSet], ConstraintSet],
+                        ) -> ConstraintSet:
     """Weighted commitment whose continuation may locally fail.
 
     When both sides are viable and the chosen side's continuation comes
-    back empty, the sibling is tried once from the rollback point; the
+    back failed, the sibling is tried once from the rollback point; the
     abandoned choices disappear from the trace but are counted on the
     run context.  Zero-weight sides are never entered.
     """
@@ -312,10 +286,10 @@ def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
         ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
         try:
             got = run(side, left if side == 0 else right)
+            if not got.failed:
+                return got
         except GenFailure:
-            got = None
-        if got is not None:
-            return got
+            pass
         ctx.rollback(marker)
         ctx.local_backtracks += 1
         other = 1 - side
@@ -328,15 +302,17 @@ def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
     raise GenFailure("no viable case branch")
 
 
-def combine(base: ConstraintSet, a: MatchResult, b: MatchResult) -> MatchResult:
-    """Merge the outcomes of two branch derivations rooted at base.
+def combine(base: ConstraintSet, a: ConstraintSet,
+            b: ConstraintSet) -> ConstraintSet:
+    """Merge the outcomes of two branch derivations rooted at base; a
+    failed outcome adds nothing.
 
     Both derivations mint fresh unknowns from the same counter, so the
     right store's newcomers are renamed out of the way before the union.
     """
-    if a is None:
+    if a.failed:
         return b
-    if b is None:
+    if b.failed:
         return a
     created = a.created_since(base)
     renamed, _ = rename_unknowns(created, b, floor=a.next_fresh)

@@ -69,7 +69,7 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
             return env[e.name], cs
         except KeyError:
             raise GenFailure(f"unbound variable {e.name}") from None
-    if isinstance(e, (Unit, IntLit, Unknown, Closure)):
+    if isinstance(e, (Unit, IntLit, Unknown)):
         return e, cs
     if isinstance(e, Rec):
         return Closure(e, env), cs

@@ -41,6 +41,7 @@ from .core import (
     Var,
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
 )
+from .intdomain import eval_op
 
 # evaluation steps one valuation may take; the driver and RunCtx default
 # to the same budget
@@ -93,7 +94,7 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
             return env[e.name]
         except KeyError:
             raise EvalFailure(f"unbound variable {e.name}") from None
-    if isinstance(e, (Unit, IntLit, Closure)):
+    if isinstance(e, (Unit, IntLit)):
         return e
     if isinstance(e, Rec):
         return Closure(e, env)
@@ -147,7 +148,7 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
         r = _eval(e.rhs, fuel, env)
         if not isinstance(l, IntLit) or not isinstance(r, IntLit):
             raise EvalFailure("comparison of non-integers")
-        return TRUE if _compare(e.op, l.value, r.value) else FALSE
+        return TRUE if eval_op(e.op, l.value, r.value) else FALSE
     if isinstance(e, Arith):
         l = _eval(e.lhs, fuel, env)
         r = _eval(e.rhs, fuel, env)
@@ -155,22 +156,6 @@ def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
             raise EvalFailure("arithmetic on non-integers")
         return IntLit(_arith(e.op, l.value, r.value))
     raise EvalFailure(f"no rule for {e!r}")
-
-
-def _compare(op: str, a: int, b: int) -> bool:
-    if op == "==":
-        return a == b
-    if op == "/=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise EvalFailure(f"bad comparison operator {op}")
 
 
 def _arith(op: str, a: int, b: int) -> int:

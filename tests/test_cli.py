@@ -113,6 +113,7 @@ def test_configuration_errors_exit_1(capsys):
         (EX35, "a u = True"),  # int unknown without bounds
         (EX35, "a u = True", "--int-bound", "0..9", "--count", "0"),
         (EX35, "a u = True", "--int-bound", "0..9", "--retries", "-1"),
+        (EX35, "a u = True", "--int-bound", "0..9", "--depth", "-1"),
         (EX35, "a u = True", "--int-bound", "0..9", "--fuel", "0"),
         (EX35, "a u = True", "--int-bound", "0..9", "--jobs", "0"),
         (EX35, "a u = True", "--int-bound", "0..9", "--jobs", "-3"),

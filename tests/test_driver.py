@@ -217,6 +217,23 @@ def test_recursion_past_the_python_limit_ends_the_valuation():
         list(enumerate_query(prog, query, int_bound=(0, 1)))
 
 
+WIDE = """
+sig f :: Int -> Bool
+fun f n = if n == 0 then True else f (n - 1) && f (n - 1)
+
+sig g :: Int -> Int -> Bool
+fun g n x = f n && x == 1
+"""
+
+
+def test_the_recheck_runs_under_the_given_fuel():
+    # the recheck of g 12 takes 86,014 steps; running out is a discard
+    prep = prepare(Program.from_source(WIDE), "g 12 x = True",
+                   int_bound=(0, 3))
+    assert not recheck(prep, {"x": core.IntLit(1)}, fuel=50_000)
+    assert recheck(prep, {"x": core.IntLit(1)}, fuel=100_000)
+
+
 def test_enumeration_counts_a_trace_out_of_fuel_as_failure():
     rows = list(enumerate_query(load("bst.luck"), "bst 1 0 3 t = True",
                                 int_bound=(0, 3), depth=3, fuel=20))

@@ -89,8 +89,7 @@ def enumerate_matches(build, lo=0, hi=9):
         cs, u = int_unknown(lo, hi)
         ctx = RunCtx(source, local_backtracking=False)
         out = match_eval(build(u), TRUE, cs, ctx)
-        val = out.index(u) if out is not None else None
-        return list(ctx.trace), (out is not None, ctx.q, val)
+        return list(ctx.trace), (not out.failed, ctx.q, out.index(u))
 
     return list(enumerate_traces(run))
 
@@ -101,13 +100,13 @@ def enumerate_matches(build, lo=0, hi=9):
 def test_unknown_pinned_by_pattern():
     cs, (u,) = bool_unknowns(1)
     out = match_eval(Unknown(u), TRUE, cs, ctx_with())
-    assert out is not None and out.index(u) == TRUE
+    assert not out.failed and out.index(u) == TRUE
 
 
 def test_contradiction_is_empty_outcome():
     cs, (u,) = bool_unknowns(1)
     cs = cs.unify(Unknown(u), FALSE)
-    assert match_eval(Unknown(u), TRUE, cs, ctx_with()) is None
+    assert match_eval(Unknown(u), TRUE, cs, ctx_with()).failed
 
 
 def test_literal_against_int_unknown():
@@ -115,14 +114,14 @@ def test_literal_against_int_unknown():
     out = match_eval(IntLit(6), Unknown(u), cs, ctx_with())
     assert out.index(u) == IntLit(6)
     cs2 = cs.post_cmp("<", Unknown(u), 3)
-    assert match_eval(IntLit(6), Unknown(u), cs2, ctx_with()) is None
+    assert match_eval(IntLit(6), Unknown(u), cs2, ctx_with()).failed
 
 
 def test_constructor_chain_pins_pattern_unknown():
     cs = ConstraintSet()
     cs, (w,) = cs.fresh([NAT])
     out = match_eval(nat(2), Unknown(w), cs, ctx_with())
-    assert out is not None
+    assert not out.failed
     assert out.index(w) == nat(2)
 
 
@@ -139,7 +138,7 @@ def test_injection_mismatch_fails_early():
     cs = cs.unify(Unknown(u), TRUE)
     boom = App(Var("nope"), Unit())  # would raise if evaluated
     out = match_eval(Inr(boom, BOOL), Unknown(u), cs, ctx_with())
-    assert out is None
+    assert out.failed
 
 
 def test_matching_match_fail_is_hard():
@@ -179,7 +178,7 @@ def test_triple_conjunction_never_fails():
     u1, u2, u3 = (Unknown(u) for u in us)
     ctx = ctx_with()
     out = match_eval(conj(u1, conj(u2, u3)), TRUE, cs, ctx)
-    assert out is not None
+    assert not out.failed
     assert ctx.trace == [] and ctx.q == Fraction(1)
     assert all(out.index(u) == TRUE for u in us)
 
@@ -213,7 +212,7 @@ def test_comparison_against_open_pattern_keeps_both_sides():
     cs, (b,) = cs.fresh([BOOL])
     ctx = ctx_with()
     out = match_eval(Cmp("<", Unknown(u), IntLit(4)), Unknown(b), cs, ctx)
-    assert out is not None and ctx.trace == []
+    assert not out.failed and ctx.trace == []
     # neither the pattern nor the operand has committed
     assert out.count_values(b) == 2
     assert out.count_values(u) == 10
@@ -223,7 +222,7 @@ def test_til_failure_skips_the_hook():
     cs, u = int_unknown(0, 9)
     e = After(FALSE, Bang(Unknown(u)))
     ctx = ctx_with()
-    assert match_eval(e, TRUE, cs, ctx) is None
+    assert match_eval(e, TRUE, cs, ctx).failed
     assert ctx.trace == []  # the sample never happened
 
 
@@ -254,7 +253,7 @@ def test_weighted_dispatch_uses_weights():
     e = weighted_case(u, TRUE, TRUE, w1=3, w2=1)
     ctx = ctx_with()
     out = match_eval(e, TRUE, cs, ctx)
-    assert out is not None
+    assert not out.failed
     assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(3, 4)
     assert out.index(u) == TRUE
 
@@ -264,7 +263,7 @@ def test_local_backtracking_retries_sibling():
     e = weighted_case(u, FALSE, TRUE, w1=3, w2=1)  # left body cannot match True
     ctx = ctx_with(Choice(0, 2))  # force the doomed left pick
     out = match_eval(e, TRUE, cs, ctx)
-    assert out is not None
+    assert not out.failed
     assert out.index(u) == FALSE  # the sibling (right) branch won
     assert ctx.local_backtracks == 1
     # the abandoned pick is gone from the trace; the sibling stands in
@@ -277,14 +276,14 @@ def test_local_backtracking_catches_hard_failures():
     e = weighted_case(u, MatchFail(BOOL), TRUE)
     ctx = ctx_with(Choice(0, 2))
     out = match_eval(e, TRUE, cs, ctx)
-    assert out is not None and ctx.local_backtracks == 1
+    assert not out.failed and ctx.local_backtracks == 1
 
 
 def test_local_backtracking_both_sides_fail():
     cs, (u,) = bool_unknowns(1)
     e = weighted_case(u, FALSE, FALSE)
     ctx = ctx_with(Choice(0, 2))
-    assert match_eval(e, TRUE, cs, ctx) is None
+    assert match_eval(e, TRUE, cs, ctx).failed
     assert ctx.local_backtracks == 1
 
 
@@ -292,7 +291,7 @@ def test_backtracking_off_lets_failure_stand():
     cs, (u,) = bool_unknowns(1)
     e = weighted_case(u, FALSE, TRUE)
     ctx = RunCtx(ScriptedSource([Choice(0, 2)]), local_backtracking=False)
-    assert match_eval(e, TRUE, cs, ctx) is None
+    assert match_eval(e, TRUE, cs, ctx).failed
     assert ctx.local_backtracks == 0
     assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(1, 2)
 
@@ -303,7 +302,7 @@ def test_dispatch_on_pinned_scrutinee_skips_dead_branch():
     e = weighted_case(u, MatchFail(BOOL), TRUE, w1=99, w2=1)
     ctx = ctx_with()
     out = match_eval(e, TRUE, cs, ctx)
-    assert out is not None and ctx.trace == [] and ctx.local_backtracks == 0
+    assert not out.failed and ctx.trace == [] and ctx.local_backtracks == 0
 
 
 def test_plain_case_side_with_clashing_body_consumes_no_randomness():
@@ -315,7 +314,7 @@ def test_plain_case_side_with_clashing_body_consumes_no_randomness():
     e = CaseSum(scrut, "_l", TRUE, "_r", FALSE, BOOL)
     ctx = ctx_with(Choice(0, 2))
     out = match_eval(e, TRUE, cs, ctx)
-    assert out is not None
+    assert not out.failed
     assert out.count_values(u) == 1  # only the viable injection survives
     assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(1, 2)
 
@@ -361,19 +360,18 @@ def test_arm_variable_shadows_an_outer_binding():
     ints = TSum(TInt(), TInt())
     e = CaseSum(Inl(IntLit(5), ints), "x", Cmp("==", Var("x"), IntLit(5)),
                 "x", FALSE, ints)
-    assert match_eval(e, TRUE, ConstraintSet(), ctx_with(),
-                      {"x": IntLit(0)}) is not None
+    assert not match_eval(e, TRUE, ConstraintSet(), ctx_with(),
+                          {"x": IntLit(0)}).failed
     assert match_eval(e, FALSE, ConstraintSet(), ctx_with(),
-                      {"x": IntLit(5)}) is None
+                      {"x": IntLit(5)}).failed
 
 
 def test_function_name_shadows_an_argument_of_the_same_name():
     # the argument wins: the body names it, not the function
     r = Rec("f", "f", BOOL, Var("f"), BOOL)
-    assert match_eval(App(r, TRUE), TRUE, ConstraintSet(), ctx_with()) \
-        is not None
-    assert match_eval(App(r, FALSE), TRUE, ConstraintSet(), ctx_with()) \
-        is None
+    assert not match_eval(App(r, TRUE), TRUE, ConstraintSet(),
+                          ctx_with()).failed
+    assert match_eval(App(r, FALSE), TRUE, ConstraintSet(), ctx_with()).failed
 
 
 # -- combine ------------------------------------------------------------------
@@ -382,9 +380,9 @@ def test_function_name_shadows_an_argument_of_the_same_name():
 def test_combine_prefers_whichever_side_exists():
     cs, (u,) = bool_unknowns(1)
     a = cs.unify(Unknown(u), TRUE)
-    assert combine(cs, a, None) is a
-    assert combine(cs, None, a) is a
-    assert combine(cs, None, None) is None
+    assert combine(cs, a, cs.fail()) is a
+    assert combine(cs, cs.fail(), a) is a
+    assert combine(cs, cs.fail(), cs.fail()).failed
 
 
 def test_combine_unions_disjoint_refinements():
@@ -405,7 +403,7 @@ def test_combine_renames_colliding_fresh_ids():
     b, (b0,) = cs.fresh([TUnit()])
     b = b.unify(Unknown(x), Inr(Unknown(b0), BOOL))
     out = combine(cs, a, b)
-    assert out is not None
+    assert not out.failed
     assert out.count_values(x) == 2  # both injections survive
     # the union ranges over both derivations, so a's private pin widens
     assert out.count_values(a1) == 2
