@@ -22,7 +22,9 @@ return a set whose store is failed.  Every write that empties an integer
 domain fails the store, so ``sat`` is a flag test; this assumes non-empty
 integer bounds, which the driver checks.  Binary constraints are indexed
 by representative: ``cons[r]`` lists every constraint with an end whose
-representative is r, and only representatives are keys.
+representative is r, and only representatives are keys.  ``post_cmp``
+reads an unknown pinned to one integer as that integer, so ``cons`` only
+holds constraints posted between two unpinned unknowns.
 
 ``sample`` pins one value of a range at a time, on demand, and keeps the
 pin when the store it leaves still has a solution.  One rule decides, at
@@ -35,6 +37,7 @@ one within a small cap; a check that exceeds its cap keeps the pin.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -624,17 +627,26 @@ class ConstraintSet:
     # -- integer constraints -------------------------------------------------
 
     def post_cmp(self, op: str, lhs, rhs, offset: int = 0) -> "ConstraintSet":
-        """Assert  lhs OP rhs + offset; sides are Unknown nodes or ints."""
+        """Assert  lhs OP rhs + offset; sides are Unknown nodes or ints.
+
+        An unknown pinned to one integer is read as that integer: against
+        a constant the other side is revised once, and two constants are
+        compared.  Either way nothing is stored: a revision against a
+        singleton keeps exactly the values that satisfy the comparison, and
+        no later write widens a domain.  So ``cons`` only holds constraints
+        posted between two unpinned unknowns.
+        """
         if self.failed:
             return self
-        if not isinstance(lhs, Unknown) and not isinstance(rhs, Unknown):
-            return self if eval_op(op, lhs, rhs + offset) else self.fail()
-        if isinstance(lhs, Unknown) and not isinstance(rhs, Unknown):
+        lhs, rhs = self._read(lhs), self._read(rhs)
+        if not isinstance(lhs, Unknown):
+            if not isinstance(rhs, Unknown):
+                return self if eval_op(op, lhs, rhs + offset) else self.fail()
+            op, lhs, rhs, offset = flip_op(op), rhs, lhs - offset, 0
+        if not isinstance(rhs, Unknown):
             root = self.find(lhs.uid)
             return self._set_domain(root, revise(
                 self._domain(root), op, IntDomain.of_values([rhs + offset])))
-        if not isinstance(lhs, Unknown) and isinstance(rhs, Unknown):
-            return self.post_cmp(flip_op(op), rhs, lhs - offset)
         ra, rb = self.find(lhs.uid), self.find(rhs.uid)
         if ra == rb:
             return self if eval_op(op, 0, offset) else self.fail()
@@ -644,12 +656,22 @@ class ConstraintSet:
         cons[rb] = cons.get(rb, ()) + (c,)
         return self._copy(cons=cons).propagate([ra, rb])
 
+    def _read(self, side):
+        """A side of a comparison as its integer when it is one or an
+        unknown pinned to one; any other unknown as it is."""
+        if isinstance(side, Unknown):
+            b = self.bindings.get(self.find(side.uid))
+            if isinstance(b, IntDomain) and b.is_singleton():
+                return b.min()
+        return side
+
     def fresh_shifted(self, u: int, offset: int):
         """Mint w constrained to  w == u + offset.
 
         The new unknown starts from the shifted image of u's current
         interval rather than the default bounds, so a shift may carry
         values past the configured range without clamping u in return.
+        A pinned u gives a pinned w, and no constraint is stored.
         """
         out, (w,) = self.fresh([TInt()])
         out.bindings[w] = self._domain(u).shift(offset)  # `out`'s own copy
@@ -685,10 +707,9 @@ class ConstraintSet:
 
     def propagate(self, seeds: list[int]) -> "ConstraintSet":
         """AC-3 over the binary constraints, starting from the seeds."""
-        if self.failed:
+        if self.failed or not any(self.cons.get(self.find(s))
+                                  for s in seeds):
             return self
-        from collections import deque
-
         bindings = dict(self.bindings)
 
         def domain(root: int) -> IntDomain:

@@ -114,6 +114,8 @@ def prepare(prog: Program, query: str, *,
             int_bound: Optional[tuple[int, int]] = None,
             depth: int = DEFAULT_DEPTH) -> PreparedQuery:
     """Compile a query and set up the store its attempts will start from."""
+    if depth < 0:
+        raise DriverError(f"the depth bound must be at least 0, got {depth}")
     q = prog.compile_query(query)
     if int_bound is None and any(_mentions_int(t)
                                  for t in q.unknowns.values()):

@@ -169,6 +169,18 @@ def test_unify_aliases_share_constraints():
     assert cs.denote_restricted([a]) == {(IntLit(4),)}
 
 
+def test_a_merge_propagates_a_meet_equal_to_the_survivors_domain():
+    cs, (x, y, z) = ConstraintSet(int_bounds=(0, 9)).fresh([TInt()] * 3)
+    cs = cs.post_cmp(">=", Unknown(x), 1).post_cmp("<=", Unknown(x), 3)
+    cs = cs.post_cmp(">=", Unknown(y), 1)
+    cs = cs.post_cmp("<", Unknown(z), Unknown(y))
+    # x survives with its own domain, but y's constraint on z was never
+    # revised against it
+    out = cs.unify(Unknown(x), Unknown(y))
+    assert out.find(y) == x and out.bindings[x] == IntDomain.bounded(1, 3)
+    assert out.bindings[z] == IntDomain.bounded(0, 2)
+
+
 # ---------------------------------------------------------------------------
 # integer propagation
 
@@ -463,6 +475,34 @@ def test_random_cmp_filters(seed):
     before = cs.denote_restricted([a])
     after = cs.post_cmp(op, Unknown(a), k).denote_restricted([a])
     assert after == {t for t in before if eval_op(op, t[0].value, k)}
+
+
+def test_random_binary_cmp_filters():
+    rng = random.Random(5)
+    posted = pinned_posts = 0
+    for _ in range(800):
+        cs, uids = random_int_store(rng)
+        if cs.failed:
+            continue
+        ints = [u for u in uids if isinstance(cs.type_of(u), TInt)]
+        a, b = rng.sample(ints, 2)
+        if rng.random() < 0.5:
+            x = rng.choice((a, b))
+            v = rng.choice(list(cs.bindings[cs.find(x)].values()))
+            cs = cs.unify(Unknown(x), IntLit(v))
+            if cs.failed:
+                continue
+        op, offset = rng.choice(OPS), rng.randint(-1, 2)
+        before = cs.denote_restricted([a, b])
+        out = cs.post_cmp(op, Unknown(a), Unknown(b), offset=offset)
+        assert out.denote_restricted([a, b]) == {
+            t for t in before if eval_op(op, t[0].value, t[1].value + offset)}
+        posted += 1
+        if cs.index(a) is not None or cs.index(b) is not None:
+            # a pinned end is read as its integer: nothing is stored
+            assert out.cons == cs.cons
+            pinned_posts += 1
+    assert posted > 500 and pinned_posts > 250
 
 
 # ---------------------------------------------------------------------------

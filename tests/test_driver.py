@@ -56,15 +56,14 @@ def test_generation_and_recheck_never_call_the_typechecker(monkeypatch):
             assert r.ok and r.discards == 0
 
 
-def test_no_store_binds_a_unit_unknown(monkeypatch):
-    # a unit unknown's type gives its one value, so no store binds it
+def matched_stores(monkeypatch):
+    """The store each attempt's match returns over the benchmark runs."""
     match_eval = driver.match_eval
     stores = []
 
     def recording(*args):
         out = match_eval(*args)
-        if out is not None:
-            stores.append(out)
+        stores.append(out)
         return out
 
     monkeypatch.setattr(driver, "match_eval", recording)
@@ -72,8 +71,19 @@ def test_no_store_binds_a_unit_unknown(monkeypatch):
         for seed in seeds:
             assert run_prepared(prep, seed=seed, check=True).ok
     assert stores
-    assert not [u for cs in stores for u in cs.bindings
+    return stores
+
+
+def test_no_store_binds_a_unit_unknown(monkeypatch):
+    # a unit unknown's type gives its one value, so no store binds it
+    assert not [u for cs in matched_stores(monkeypatch) for u in cs.bindings
                 if isinstance(cs.utypes[u], core.TUnit)]
+
+
+def test_no_store_holds_a_binary_constraint(monkeypatch):
+    # each comparison meets a bound that `!` has already pinned, and a
+    # pinned unknown is read as its integer
+    assert not [cs for cs in matched_stores(monkeypatch) if cs.cons]
 
 
 def test_same_seed_reproduces_the_report():
@@ -116,6 +126,11 @@ def test_missing_int_bound_is_rejected():
 def test_empty_int_window_is_rejected():
     with pytest.raises(DriverError, match="no value"):
         run_query(load("ex35.luck"), "a u = True", int_bound=(5, 2))
+
+
+def test_a_negative_depth_bound_is_rejected():
+    with pytest.raises(DriverError, match="depth bound must be at least 0"):
+        prepare(load("ex35.luck"), "b u = True", int_bound=(0, 9), depth=-1)
 
 
 def test_empty_int_window_is_rejected_for_structured_queries():
