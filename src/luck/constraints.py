@@ -24,7 +24,10 @@ integer bounds, which the driver checks.  Binary constraints are indexed
 by representative: ``cons[r]`` lists every constraint with an end whose
 representative is r, and only representatives are keys.  ``post_cmp``
 reads an unknown pinned to one integer as that integer, so ``cons`` only
-holds constraints posted between two unpinned unknowns.
+holds constraints posted between two unpinned unknowns.  A write costs
+its dictionary copies and little else: every store shares one full
+domain per integer bounds (``_full``), and a deferred range unfolds from
+a layout kept per (type, depth, bounds) (``_layout``).
 
 ``sample`` pins one value of a range at a time, on demand, and keeps the
 pin when the store it leaves still has a solution.  One rule decides, at
@@ -147,6 +150,12 @@ _CACHE_SIZE = 4096
 _unfold_mu = lru_cache(maxsize=_CACHE_SIZE)(unfold_mu)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _full(int_bounds: tuple[int, int]) -> IntDomain:
+    """The one domain, shared by every store, of all integers in bounds."""
+    return IntDomain.bounded(*int_bounds)
+
+
 def _child_id(key: int, slot: int) -> int:
     """The id of child `slot` (0 or 1) when the range `key` is unfolded.
 
@@ -207,18 +216,19 @@ class ConstraintSet:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _copy(self, **kw) -> "ConstraintSet":
-        return ConstraintSet(
-            utypes=kw.get("utypes", self.utypes),
-            bindings=kw.get("bindings", self.bindings),
-            cons=kw.get("cons", self.cons),
-            next_fresh=kw.get("next_fresh", self.next_fresh),
-            failed=kw.get("failed", self.failed),
-            int_bounds=kw.get("int_bounds", self.int_bounds),
-        )
+    def _with(self, utypes, bindings, cons, next_fresh) -> "ConstraintSet":
+        """A snapshot with this store's bounds and flag, built directly."""
+        out = object.__new__(ConstraintSet)
+        out.utypes, out.bindings, out.cons = utypes, bindings, cons
+        out.next_fresh, out.failed = next_fresh, self.failed
+        out.int_bounds = self.int_bounds
+        return out
 
     def fail(self) -> "ConstraintSet":
-        return self._copy(failed=True)
+        out = self._with(self.utypes, self.bindings, self.cons,
+                         self.next_fresh)
+        out.failed = True
+        return out
 
     def find(self, u: int) -> int:
         """Follow alias links to the representative unknown."""
@@ -271,10 +281,10 @@ class ConstraintSet:
                 raise ContractViolation(f"unknown of non-flat type {ty}")
             utypes[nxt] = ty
             if isinstance(ty, TInt):
-                bindings[nxt] = IntDomain.bounded(*self.int_bounds)
+                bindings[nxt] = _full(self.int_bounds)
             uids.append(nxt)
             nxt += 1
-        return self._copy(utypes=utypes, bindings=bindings, next_fresh=nxt), uids
+        return self._with(utypes, bindings, self.cons, nxt), uids
 
     # -- materialization ----------------------------------------------------
 
@@ -293,19 +303,10 @@ class ConstraintSet:
         ty = self.utypes[root]
         if b is not None or isinstance(ty, TUnit):
             return self, True  # already shaped, or unit; leave as is
-        out = self._set_binding(root, self._range_of(ty, depth, root))
+        out = self._set_binding(root, Deferred(depth, root))
         if not _nonempty(ty, self.int_bounds, depth):
             return out.fail(), False
         return out, True
-
-    def _range_of(self, ty: Type, depth: int, key: int):
-        """The binding of an unknown ranging over `ty` to `depth`; None for
-        unit."""
-        if isinstance(ty, TUnit):
-            return None
-        if isinstance(ty, TInt):
-            return IntDomain.bounded(*self.int_bounds)
-        return Deferred(depth, key)
 
     def expand(self, u: int):
         """(set', representative, node): u's one-level range node.
@@ -337,36 +338,23 @@ class ConstraintSet:
         """One level of the deferred range `d` over `ty`: (set', binding).
 
         The binding is the node the range's top unknown needs, over
-        children minted with their own ranges; the depth drops by one only
-        across a fold.  With `holder`, the binding is also written there.
+        children minted with their own ranges, as ``_layout`` lays them
+        out.  With `holder`, the binding is also written there.
         """
+        node, slots = _layout(ty, d.depth, self.int_bounds)
         utypes = dict(self.utypes)
         bindings = dict(self.bindings)
-
-        def child(slot: int, cty: Type, depth: int) -> int:
-            c = _child_id(d.key, slot)
-            utypes[c] = cty
-            if (b := self._range_of(cty, depth, c)) is not None:
-                bindings[c] = b
-            return c
-
-        if isinstance(ty, TMu):
-            level = RFold(child(0, _unfold_mu(ty), d.depth - 1))
-        elif isinstance(ty, TProd):
-            level = RPair(child(0, ty.left, d.depth),
-                          child(1, ty.right, d.depth))
-        elif isinstance(ty, TSum):
-            bounds = self.int_bounds
-            level = RSum(
-                child(0, ty.left, d.depth)
-                if _nonempty(ty.left, bounds, d.depth) else None,
-                child(1, ty.right, d.depth)
-                if _nonempty(ty.right, bounds, d.depth) else None)
-        else:
-            raise ContractViolation(f"cannot unfold a range of type {ty}")
+        ids = [None if part is None else _child_id(d.key, slot)
+               for slot, part in enumerate(slots)]
+        for c, part in zip(ids, slots):
+            if c is not None:
+                utypes[c], b = part
+                if b is not None:
+                    bindings[c] = Deferred(b, c) if type(b) is int else b
+        level = node(*ids)
         if holder is not None:
             bindings[holder] = level
-        return self._copy(utypes=utypes, bindings=bindings), level
+        return self._with(utypes, bindings, self.cons, self.next_fresh), level
 
     # -- satisfiability -----------------------------------------------------
 
@@ -542,7 +530,7 @@ class ConstraintSet:
         if merged_cons:
             cons[small] = merged_cons
             cons.pop(large, None)
-        out = self._copy(bindings=bindings, cons=cons)
+        out = self._with(self.utypes, bindings, cons, self.next_fresh)
 
         if bl is None or bs is None:
             return out._propagate_ok(small)
@@ -584,7 +572,7 @@ class ConstraintSet:
     def _set_binding(self, u: int, b) -> "ConstraintSet":
         bindings = dict(self.bindings)
         bindings[u] = b
-        return self._copy(bindings=bindings)
+        return self._with(self.utypes, bindings, self.cons, self.next_fresh)
 
     def _set_domain(self, root: int, dom: IntDomain) -> "ConstraintSet":
         """Write root's integer domain: failed when it is empty, else
@@ -654,7 +642,8 @@ class ConstraintSet:
         cons = dict(self.cons)
         cons[ra] = cons.get(ra, ()) + (c,)
         cons[rb] = cons.get(rb, ()) + (c,)
-        return self._copy(cons=cons).propagate([ra, rb])
+        out = self._with(self.utypes, self.bindings, cons, self.next_fresh)
+        return out.propagate([ra, rb])
 
     def _read(self, side):
         """A side of a comparison as its integer when it is one or an
@@ -681,7 +670,7 @@ class ConstraintSet:
         root, b = self.resolve(u)
         if isinstance(b, IntDomain):
             return b
-        return IntDomain.bounded(*self.int_bounds)
+        return _full(self.int_bounds)
 
     def _linked(self, seeds: list[int]) -> list[Constraint]:
         """Every constraint reachable from the seeds through shared ends."""
@@ -711,12 +700,11 @@ class ConstraintSet:
                                   for s in seeds):
             return self
         bindings = dict(self.bindings)
+        full = _full(self.int_bounds)
 
         def domain(root: int) -> IntDomain:
             b = bindings.get(root)
-            if isinstance(b, IntDomain):
-                return b
-            return IntDomain.bounded(*self.int_bounds)
+            return b if isinstance(b, IntDomain) else full
 
         work: deque = deque()
         queued: set = set()
@@ -756,7 +744,7 @@ class ConstraintSet:
                     break
                 enqueue_for(target)
 
-        out = self._copy(bindings=bindings)
+        out = self._with(self.utypes, bindings, self.cons, self.next_fresh)
         return out.fail() if failed else out
 
     def _propagate_ok(self, root: int) -> "ConstraintSet":
@@ -961,11 +949,34 @@ def _nonempty(ty: Type, int_bounds, depth: int) -> bool:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _layout(ty: Type, depth: int, int_bounds):
+    """How a deferred range of `ty` to `depth` unfolds: (node class, slots).
+
+    A slot is None for a ruled-out sum side, else (child type, binding):
+    None for unit, the shared full domain for an integer, else the depth of
+    the child's own deferred range, which drops by one only across a fold.
+    """
+    if isinstance(ty, TMu):
+        node, parts = RFold, [(_unfold_mu(ty), depth - 1)]
+    elif isinstance(ty, TProd):
+        node, parts = RPair, [(ty.left, depth), (ty.right, depth)]
+    elif isinstance(ty, TSum):
+        node, parts = RSum, [(t, depth) if _nonempty(t, int_bounds, depth)
+                             else None for t in (ty.left, ty.right)]
+    else:
+        raise ContractViolation(f"cannot unfold a range of type {ty}")
+    full = _full(int_bounds)
+    return node, tuple(p and (p[0], None if isinstance(p[0], TUnit) else
+                              full if isinstance(p[0], TInt) else p[1])
+                       for p in parts)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _type_count(ty: Type, int_bounds, depth: Optional[int]) -> int:
     if isinstance(ty, TUnit):
         return 1
     if isinstance(ty, TInt):
-        return IntDomain.bounded(*int_bounds).size()
+        return _full(int_bounds).size()
     if isinstance(ty, TSum):
         return (_type_count(ty.left, int_bounds, depth)
                 + _type_count(ty.right, int_bounds, depth))
@@ -985,7 +996,7 @@ def _type_unrank(ty: Type, i: int, int_bounds, depth: Optional[int]) -> Expr:
             raise IndexError(i)
         return Unit()
     if isinstance(ty, TInt):
-        return IntLit(IntDomain.bounded(*int_bounds).nth(i))
+        return IntLit(_full(int_bounds).nth(i))
     if isinstance(ty, TSum):
         nl = _type_count(ty.left, int_bounds, depth)
         if i < nl:
@@ -1067,14 +1078,7 @@ def union(a: ConstraintSet, b: ConstraintSet) -> ConstraintSet:
                      if c.lhs not in dropped and c.rhs not in dropped)
         if live:
             cons[u] = live
-    return ConstraintSet(
-        utypes=utypes,
-        bindings=bindings,
-        cons=cons,
-        next_fresh=max(a.next_fresh, b.next_fresh),
-        failed=False,
-        int_bounds=a.int_bounds,
-    )
+    return a._with(utypes, bindings, cons, max(a.next_fresh, b.next_fresh))
 
 
 def _join_deferred(b1, b2):
@@ -1128,7 +1132,4 @@ def rename(uids: list[int], cset: ConstraintSet, floor: int = 0):
     for u, cs in cset.cons.items():
         cons[m(u)] = tuple(
             Constraint(c.op, m(c.lhs), m(c.rhs), c.offset) for c in cs)
-    out = ConstraintSet(utypes=utypes, bindings=bindings, cons=cons,
-                        next_fresh=nxt, failed=cset.failed,
-                        int_bounds=cset.int_bounds)
-    return out, mapping
+    return cset._with(utypes, bindings, cons, nxt), mapping

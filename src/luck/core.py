@@ -31,7 +31,26 @@ class TypeCheckError(Exception):
 
 @dataclass(frozen=True)
 class Type:
-    pass
+    """A type hashes its fields on first use and keeps the hash, which the
+    store's caches would otherwise recompute down the whole type; pickles
+    leave it out, since strings hash differently in another process."""
+
+    _hash = None  # not a field: the instance's own copy is set once
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        cls.__hash__ = Type.__hash__  # set before @dataclass, which keeps it
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(tuple(map(self.__getattribute__,
+                               self.__dataclass_fields__)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)

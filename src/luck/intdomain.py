@@ -38,10 +38,13 @@ class IntDomain:
 
     @staticmethod
     def bounded(lo: int = MIN_INT, hi: int = MAX_INT) -> "IntDomain":
-        return IntDomain(normalize([(lo, hi)]))
+        return IntDomain(((lo, hi),) if lo <= hi else ())
 
     @staticmethod
     def of_values(values) -> "IntDomain":
+        if len(values) == 1:
+            (v,) = values
+            return IntDomain(((v, v),))
         return IntDomain(normalize([(v, v) for v in values]))
 
     def is_empty(self) -> bool:
@@ -106,12 +109,12 @@ class IntDomain:
         return IntDomain(tuple(out))
 
     def restrict_le(self, k: int) -> "IntDomain":
-        out = [(lo, min(hi, k)) for lo, hi in self.intervals if lo <= k]
-        return IntDomain(normalize(out))
+        return IntDomain(tuple((lo, min(hi, k))
+                               for lo, hi in self.intervals if lo <= k))
 
     def restrict_ge(self, k: int) -> "IntDomain":
-        out = [(max(lo, k), hi) for lo, hi in self.intervals if hi >= k]
-        return IntDomain(normalize(out))
+        return IntDomain(tuple((max(lo, k), hi)
+                               for lo, hi in self.intervals if hi >= k))
 
     def shift(self, c: int) -> "IntDomain":
         return IntDomain(tuple((lo + c, hi + c) for lo, hi in self.intervals))

@@ -169,7 +169,7 @@ class PInt(SPat):
     value: int
 
     def __str__(self) -> str:
-        return str(self.value)
+        return str(self.value) if self.value >= 0 else f"({self.value})"
 
 
 @dataclass(frozen=True)
@@ -372,6 +372,13 @@ class _Parser:
     def error(self, message: str):
         t = self.peek()
         raise LuckSyntaxError(message, t.line, t.col)
+
+    def negative_int(self) -> Optional[int]:
+        """-n, the way a negative integer prints, when it comes next."""
+        if self.at("-") and self.peek(1).kind == "int":
+            self.next()
+            return -int(self.next().text)
+        return None
 
     # -- declarations --------------------------------------------------------
 
@@ -598,6 +605,8 @@ class _Parser:
             return SVar(self.next().text, t.line)
         if t.kind == "upper":
             return SCon(self.next().text, t.line)
+        if (n := self.negative_int()) is not None:
+            return SInt(n, t.line)
         if t.kind == "(":
             self.next()
             items = [self.expr()]
@@ -647,6 +656,8 @@ class _Parser:
             return PInt(int(self.next().text))
         if t.kind == "upper":
             return PCon(self.next().text)
+        if (n := self.negative_int()) is not None:
+            return PInt(n)
         if t.kind == "(":
             self.next()
             items = [self.pattern()]
@@ -785,7 +796,7 @@ def pretty_expr(e: SExpr, level: int = 0, indent: int = 0) -> str:
     if isinstance(e, SCon):
         return e.name
     if isinstance(e, SInt):
-        return str(e.value)
+        return str(e.value) if e.value >= 0 else f"({e.value})"
     if isinstance(e, STupleE):
         return "(" + ", ".join(pretty_expr(x, 0, indent) for x in e.items) + ")"
     if isinstance(e, SListE):

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luck.constraints import (
     ConstraintSet,
@@ -32,7 +34,7 @@ from luck.core import (
     Unknown,
     unfold_mu,
 )
-from luck.intdomain import IntDomain, eval_op
+from luck.intdomain import IntDomain, eval_op, normalize
 
 from .store_gen import (
     UNIT_LIST,
@@ -856,3 +858,23 @@ def test_expand_leaves_an_integer_unknown_its_domain():
     cs, (u,) = ConstraintSet(int_bounds=(0, 3)).fresh([TInt()])
     out, root, b = cs.expand(u)
     assert out is cs and root == u and b == IntDomain.bounded(0, 3)
+
+
+# -- integer domains ----------------------------------------------------------
+
+SMALL = st.integers(-6, 6)
+
+
+@settings(database=None, deadline=None)
+@given(SMALL, SMALL, st.lists(SMALL, max_size=3),
+       st.lists(st.tuples(SMALL, SMALL), max_size=4), SMALL)
+def test_the_direct_domain_constructors_match_normalize(lo, hi, vals,
+                                                        pairs, k):
+    assert IntDomain.bounded(lo, hi).intervals == normalize([(lo, hi)])
+    assert IntDomain.of_values(vals).intervals == normalize(
+        [(v, v) for v in vals])
+    d = IntDomain(normalize(pairs))
+    assert d.restrict_le(k).intervals == normalize(
+        [(a, min(b, k)) for a, b in d.intervals])
+    assert d.restrict_ge(k).intervals == normalize(
+        [(max(a, k), b) for a, b in d.intervals])

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 from luck.core import (
     BOOL,
     FALSE,
@@ -161,3 +167,26 @@ def test_typecheck_cmp_and_arith():
 def test_erase_strips_annotations():
     e = After(Inst(Bang(Unknown(0)), IntLit(1), IntLit(1)), TRUE)
     assert erase(e) == Unknown(0)
+
+
+def test_a_kept_type_hash_is_left_out_of_pickles():
+    # a string hashes differently under another PYTHONHASHSEED, so a hash
+    # that travelled with the pickle would miss every dictionary there
+    list_ty = TMu("L", TSum(TUnit(), TProd(TInt(), TVar("L"))))
+    hash(list_ty)
+    child = (
+        "import pickle, sys\n"
+        "from luck.core import TInt, TMu, TProd, TSum, TUnit, TVar\n"
+        "got = pickle.loads(sys.stdin.buffer.read())\n"
+        "built = TMu('L', TSum(TUnit(), TProd(TInt(), TVar('L'))))\n"
+        f"print(hash('L') != {hash('L')}, got == built,\n"
+        "      hash(got) == hash(built), {built: 1}[got])\n")
+    src = str(Path(__file__).parent.parent / "src")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", child],
+                         input=pickle.dumps(list_ty), env=env,
+                         capture_output=True, check=True)
+    assert out.stdout.split() == [b"True", b"True", b"True", b"1"]

@@ -346,3 +346,23 @@ def test_seeded_runs_follow_the_exact_distribution():
     chi2 = sum((seen[k] - n * p / total) ** 2 / (n * p / total)
                for k, p in exact.items())
     assert chi2 < CHI2_CRITICAL_DF14
+
+
+# One query per place a negative integer prints: a constructor argument,
+# a list element and a whole value.
+@pytest.mark.parametrize("file,query,bound", [
+    ("bst.luck", "bst 2 (-2) 2 t = True", (-2, 2)),
+    ("distinct.luck", "distinct l = True", (-2, -1)),
+    ("ex35.luck", "a u = False", (-2, 0)),
+])
+def test_every_value_shown_under_negative_bounds_parses_back(file, query,
+                                                             bound):
+    prog = load(file)
+    rows = [shown for _, _, shown in enumerate_query(
+        prog, query, int_bound=bound, depth=3) if shown]
+    assert any("-" in text for shown in rows for text in shown.values())
+    for shown in rows:
+        ((name, text),) = shown.items()
+        again = run_query(prog, f"{name} == {text} = True",
+                          int_bound=bound, depth=3)
+        assert again.shown == {name: text}
