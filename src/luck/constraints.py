@@ -589,7 +589,7 @@ class ConstraintSet:
     def _unify_shaped(self, root: int, b, v: Expr) -> "ConstraintSet":
         """Unify root, whose binding ``expand`` gave as b, with the value v."""
         if isinstance(v, IntLit):
-            only = IntDomain.of_values([v.value])
+            only = IntDomain.bounded(v.value, v.value)
             return self._set_domain(root, self._domain(root).intersect(only))
         if isinstance(v, Unit):
             return self if b is None else self.fail()
@@ -633,8 +633,9 @@ class ConstraintSet:
             op, lhs, rhs, offset = flip_op(op), rhs, lhs - offset, 0
         if not isinstance(rhs, Unknown):
             root = self.find(lhs.uid)
+            pin = rhs + offset
             return self._set_domain(root, revise(
-                self._domain(root), op, IntDomain.of_values([rhs + offset])))
+                self._domain(root), op, IntDomain.bounded(pin, pin)))
         ra, rb = self.find(lhs.uid), self.find(rhs.uid)
         if ra == rb:
             return self if eval_op(op, 0, offset) else self.fail()

@@ -40,13 +40,6 @@ class IntDomain:
     def bounded(lo: int = MIN_INT, hi: int = MAX_INT) -> "IntDomain":
         return IntDomain(((lo, hi),) if lo <= hi else ())
 
-    @staticmethod
-    def of_values(values) -> "IntDomain":
-        if len(values) == 1:
-            (v,) = values
-            return IntDomain(((v, v),))
-        return IntDomain(normalize([(v, v) for v in values]))
-
     def is_empty(self) -> bool:
         return not self.intervals
 

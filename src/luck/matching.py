@@ -38,6 +38,7 @@ typechecker.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
 from .constraints import ConstraintSet, ContractViolation
@@ -279,10 +280,10 @@ def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
     if ls and rs:
         side = ctx.pick_weighted(n1, n2)
         if not ctx.local_backtracking:
-            ctx.record(side, 2, n1 if side == 0 else n2, n1 + n2)
+            ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
             return run(side, left if side == 0 else right)
         marker = ctx.mark()
-        ctx.record(side, 2, n1 if side == 0 else n2, n1 + n2)
+        ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
         try:
             got = run(side, left if side == 0 else right)
             if not got.failed:
@@ -292,7 +293,7 @@ def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
         ctx.rollback(marker)
         ctx.local_backtracks += 1
         other = 1 - side
-        ctx.record(other, 2, n1 if other == 0 else n2, n1 + n2)
+        ctx.record(other, 2, Fraction(n1 if other == 0 else n2, n1 + n2))
         return run(other, left if other == 0 else right)
     if ls:
         return run(0, left)

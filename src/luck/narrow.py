@@ -21,6 +21,7 @@ unknowns of its own.
 from __future__ import annotations
 
 from bisect import insort
+from fractions import Fraction
 
 from .constraints import ConstraintSet, ContractViolation, RFold, RPair, RSum
 from .core import (
@@ -242,8 +243,8 @@ def choose(w_left: int, left: ConstraintSet, w_right: int,
     ls, rs = left.sat() and w_left > 0, right.sat() and w_right > 0
     if ls and rs:
         side = ctx.pick_weighted(w_left, w_right)
-        ctx.record(side, 2, w_left if side == 0 else w_right,
-                   w_left + w_right)
+        q = Fraction(w_left if side == 0 else w_right, w_left + w_right)
+        ctx.record(side, 2, q)
         return side, (left if side == 0 else right)
     if ls:
         return 0, left
@@ -286,7 +287,7 @@ def sample_value(v: Expr, cs: ConstraintSet, ctx: RunCtx):
                 k = 0
             else:
                 k = ctx.pick(m)
-                ctx.record(k, m, 1, m)
+                ctx.record(k, m, Fraction(1, m))
             i = k  # the k-th index not excluded
             for x in excluded:
                 if x > i:

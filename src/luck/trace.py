@@ -1,11 +1,10 @@
 """Choice traces, rational probabilities, and replayable choice sources.
 
 Every random decision a generator makes is recorded as a (index, arity)
-pair; the product of the branch probabilities is carried as an exact
-numerator and denominator, reduced to a Fraction when read.  A recorded
-trace doubles as a script: replaying it through ReplaySource reproduces
-the identical run, and the enumeration source drives systematic
-exploration of every trace prefix.
+pair; the product of 1/arity-weighted branch probabilities is carried as
+an exact Fraction.  A recorded trace doubles as a script: replaying it
+through ReplaySource reproduces the identical run, and the enumeration
+source drives systematic exploration of every trace prefix.
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ class RunCtx:
                  local_backtracking: bool = True) -> None:
         self.source = source
         self.trace: list[Choice] = []
-        self.q_num, self.q_den = 1, 1  # reduced only when `q` is read
+        self.q: Fraction = Fraction(1)
         self.fuel = fuel
         self.local_backtracking = local_backtracking
         self.local_backtracks = 0
@@ -193,16 +192,9 @@ class RunCtx:
         if self.fuel < 0:
             raise EvalTimeout()
 
-    @property
-    def q(self) -> Fraction:
-        """The probability of the choices recorded so far."""
-        return Fraction(self.q_num, self.q_den)
-
-    def record(self, index: int, arity: int, num: int, den: int) -> None:
-        """Note a choice taken with probability num/den."""
+    def record(self, index: int, arity: int, q_factor: Fraction) -> None:
         self.trace.append(Choice(index, arity))
-        self.q_num *= num
-        self.q_den *= den
+        self.q *= q_factor
 
     def pick(self, arity: int) -> int:
         return self.source.pick(arity)
@@ -212,11 +204,12 @@ class RunCtx:
 
     def mark(self):
         """A rollback point: (trace length, probability so far)."""
-        return len(self.trace), self.q_num, self.q_den
+        return len(self.trace), self.q
 
     def rollback(self, mark) -> None:
-        length, self.q_num, self.q_den = mark
+        length, q = mark
         del self.trace[length:]
+        self.q = q
 
 
 def enumerate_traces(run):

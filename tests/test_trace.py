@@ -131,17 +131,17 @@ def test_scripted_source_checks_prefix_arity():
 
 def test_run_ctx_accumulates():
     ctx = RunCtx(ScriptedSource([]))
-    ctx.record(0, 3, 1, 3)
-    ctx.record(1, 2, 1, 2)
+    ctx.record(0, 3, Fraction(1, 3))
+    ctx.record(1, 2, Fraction(1, 2))
     assert ctx.trace == [Choice(0, 3), Choice(1, 2)]
     assert ctx.q == Fraction(1, 6)
 
 
 def test_run_ctx_mark_rollback():
     ctx = RunCtx(ScriptedSource([]))
-    ctx.record(0, 2, 1, 2)
+    ctx.record(0, 2, Fraction(1, 2))
     marker = ctx.mark()
-    ctx.record(1, 4, 1, 4)
+    ctx.record(1, 4, Fraction(1, 4))
     ctx.rollback(marker)
     assert ctx.trace == [Choice(0, 2)]
     assert ctx.q == Fraction(1, 2)
