@@ -35,7 +35,9 @@ any range size: the pin must not fail (its writes ran AC-3), and then
 either the all-least assignment of the constraints linked to the range is
 a solution or ``denote_restricted``, a deliberately naive brute-force
 enumeration of the store's meaning (also the ground truth in tests), finds
-one within a small cap; a check that exceeds its cap keeps the pin.
+one within a small cap; a check that exceeds its cap keeps the pin.  A
+range of one value that no binary constraint is linked to is not pinned:
+its store already denotes just that value, and comes back as it is.
 """
 
 from __future__ import annotations
@@ -569,6 +571,12 @@ class ConstraintSet:
             return out if node == b1 else out._set_binding(root, node)
         raise ContractViolation(f"merge of incompatible bindings {b1} / {b2}")
 
+    def keep_side(self, root: int, node: RSum, left: bool) -> "ConstraintSet":
+        """The store in which root, whose node ``expand`` gave as `node`,
+        takes only its left (or right) injection, a side `node` keeps."""
+        kept = RSum(node.left, None) if left else RSum(None, node.right)
+        return self if kept == node else self._set_binding(root, kept)
+
     def _set_binding(self, u: int, b) -> "ConstraintSet":
         bindings = dict(self.bindings)
         bindings[u] = b
@@ -598,9 +606,8 @@ class ConstraintSet:
             if not isinstance(b, RSum) or \
                     (keep := b.left if want_left else b.right) is None:
                 return self.fail()
-            node = RSum(keep, None) if want_left else RSum(None, keep)
-            out = self if node == b else self._set_binding(root, node)
-            return out.unify(Unknown(keep), v.arg)
+            return self.keep_side(root, b, want_left).unify(Unknown(keep),
+                                                            v.arg)
         if isinstance(v, Pair):
             if isinstance(b, RPair):
                 out = self.unify(Unknown(b.fst), v.fst)
@@ -800,33 +807,32 @@ class ConstraintSet:
     def _count_table(self, u: int) -> dict[int, int]:
         """The range size of u and of every unknown below it, by the id its
         parent node holds (``count_values``'s walk)."""
-        seen: set[int] = set()
         counts: dict[int, int] = {}
-
-        def go(uid: int) -> int:
-            root, b = self.resolve(uid)
-            if root in seen:
-                raise ContractViolation("shared unknown in counted range")
-            seen.add(root)
-            if b is None or isinstance(b, Deferred):
-                n = _type_count(self.utypes[root], self.int_bounds,
-                                None if b is None else b.depth)
-            elif isinstance(b, IntDomain):
-                n = b.size()
-            elif isinstance(b, RPair):
-                n = go(b.fst) * go(b.snd)
-            elif isinstance(b, RFold):
-                n = go(b.child)
-            elif isinstance(b, RSum):
-                n = (0 if b.left is None else go(b.left)) \
-                    + (0 if b.right is None else go(b.right))
-            else:
-                raise ContractViolation(f"bad binding {b!r}")
-            counts[uid] = n
-            return n
-
-        go(u)
+        self._count(u, set(), counts)
         return counts
+
+    def _count(self, uid: int, seen: set[int], counts: dict[int, int]) -> int:
+        """uid's range size, written to `counts` with every size below it
+        (a method: a self-recursive closure is a reference cycle, which
+        keeps the store alive until a cyclic collection)."""
+        root, b = self.resolve(uid)
+        if root in seen:
+            raise ContractViolation("shared unknown in counted range")
+        seen.add(root)
+        if b is None or isinstance(b, Deferred):
+            n = _type_count(self.utypes[root], self.int_bounds,
+                            None if b is None else b.depth)
+        elif isinstance(b, IntDomain):
+            n = b.size()
+        elif isinstance(b, RPair):
+            n = self._count(b.fst, seen, counts) \
+                * self._count(b.snd, seen, counts)
+        elif isinstance(b, (RFold, RSum)):
+            n = sum(self._count(c, seen, counts) for c in _children(b))
+        else:
+            raise ContractViolation(f"bad binding {b!r}")
+        counts[uid] = n
+        return n
 
     def _unrank(self, u: int, i: int,
                 counts: Optional[dict[int, int]] = None) -> Expr:
@@ -893,8 +899,8 @@ class SampleSpace:
     constraints (0 for a failed store).  ``at(i)`` unranks value i from
     `counts`, the range's count table, pins the unknown to it and returns
     (value, pinned store); the store is failed unless the pin passes the
-    rule of ``ConstraintSet.sample``.  Iteration yields only the kept
-    pairs, in order.
+    rule of ``ConstraintSet.sample``, and is `cset` itself for a one-value
+    range with nothing linked.  Iteration yields the kept pairs in order.
     """
 
     cset: ConstraintSet
@@ -905,6 +911,8 @@ class SampleSpace:
 
     def at(self, i: int):
         v = self.cset._unrank(self.root, i, self.counts)
+        if self.count == 1 and not self.linked:
+            return v, self.cset  # the store already denotes just v
         # unify has run AC-3 from every leaf it wrote
         pinned = self.cset.unify(Unknown(self.root), v)
         if pinned.failed or pinned._solved_by(self.linked, IntDomain.min):

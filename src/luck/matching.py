@@ -29,7 +29,9 @@ matched against a pattern of fresh unknowns, to which the arm variables
 are then bound.  A constructor matched against a pattern is matched part
 by part against the pattern's parts (``narrow.open_value``), and an
 instantiation splits the pattern with ``narrow.split_sum``; neither
-mints unknowns.
+mints unknowns.  A plain sum case binds an arm variable of unit type to
+the unit value and mints only the others.  A weighted case builds the
+store of the side it chooses, and its sibling's only when a retry runs.
 
 The fresh unknowns take their types from the node: lowering gives every
 case and unfold the type of its scrutinee, so matching never calls the
@@ -63,7 +65,9 @@ from .core import (
     Inst,
     IntLit,
     Pair,
+    TUnit,
     Unfold,
+    Unit,
     Unknown,
     Var,
     subst,  # noqa: F401 -- unused; perfbench traces calls by this name
@@ -156,8 +160,9 @@ def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
             return cs
         n1, cs = narrow_weight(e.w_left, cs, ctx, env)
         n2, cs = narrow_weight(e.w_right, cs, ctx, env)
-        _, _, left, right = split_sum(p, cs)
-        return choose(n1, left, n2, right, ctx)[1]
+        left, right, cs = split_sum(p, cs)
+        side = choose(n1, left is not None, n2, right is not None, ctx)
+        return open_value(p, (Inl, Inr)[side], cs)[1]
     if isinstance(e, Cmp):
         return match_cmp(e, p, cs, ctx, env)
     if isinstance(e, After):
@@ -216,15 +221,22 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     over-approximates their union, one unknown at a time: `member 1 l`
     emits `[0]` (ROADMAP item 2).  A side whose body is a value that
     cannot possibly match the pattern (say, False against True) has no
-    derivation, so its scrutinee premise is never explored.
+    derivation, so its scrutinee premise is never explored.  An arm
+    variable of unit type is bound to the unit value; only the others are
+    minted.
     """
-    cs0, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
-    lenv = {**env, e.left_name: Unknown(u1)}
-    renv = {**env, e.right_name: Unknown(u2)}
+    sides = (e.ty.left, e.ty.right)
+    mint = [t for t in sides if not isinstance(t, TUnit)]
+    cs0, uids = cs.fresh(mint) if mint else (cs, [])
+    minted = iter(uids)
+    vl, vr = (Unit() if isinstance(t, TUnit) else Unknown(next(minted))
+              for t in sides)
+    lenv = {**env, e.left_name: vl}
+    renv = {**env, e.right_name: vr}
     as_inl = cs0.fail() if heads_clash(e.left_body, p, lenv) else \
-        match_eval(e.scrut, Inl(Unknown(u1), e.ty), cs0, ctx, env)
+        match_eval(e.scrut, Inl(vl, e.ty), cs0, ctx, env)
     as_inr = cs0.fail() if heads_clash(e.right_body, p, renv) else \
-        match_eval(e.scrut, Inr(Unknown(u2), e.ty), cs0, ctx, env)
+        match_eval(e.scrut, Inr(vr, e.ty), cs0, ctx, env)
     left = as_inl if as_inl.failed else \
         match_eval(e.left_body, p, as_inl, ctx, lenv)
     right = as_inr if as_inr.failed else \
@@ -253,39 +265,41 @@ def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
                           {**env, e.right_name: v.arg})
     if not isinstance(v, Unknown):
         raise GenFailure(f"case dispatch over non-sum value {v}")
-    vl, vr, left, right = split_sum(v, cs)
+    left, right, cs = split_sum(v, cs)
 
-    def run(side: int, branch: ConstraintSet) -> ConstraintSet:
+    def run(side: int) -> ConstraintSet:
+        (arg,), branch = open_value(v, (Inl, Inr)[side], cs)
         if side == 0:
             return match_eval(e.left_body, p, branch, ctx,
-                              {**env, e.left_name: vl})
+                              {**env, e.left_name: arg})
         return match_eval(e.right_body, p, branch, ctx,
-                          {**env, e.right_name: vr})
+                          {**env, e.right_name: arg})
 
-    return backtracking_choose(n1, left, n2, right, ctx, run)
+    return backtracking_choose(n1, left is not None, n2, right is not None,
+                               ctx, run)
 
 
-def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
-                        right: ConstraintSet, ctx: RunCtx,
-                        run: Callable[[int, ConstraintSet], ConstraintSet],
+def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
+                        ctx: RunCtx, run: Callable[[int], ConstraintSet],
                         ) -> ConstraintSet:
     """Weighted commitment whose continuation may locally fail.
 
-    When both sides are viable and the chosen side's continuation comes
-    back failed, the sibling is tried once from the rollback point; the
-    abandoned choices disappear from the trace but are counted on the
+    `run(side)` builds the store of a viable side and runs its
+    continuation.  When both sides are viable and the chosen side's run
+    comes back failed, the sibling is run once from the rollback point;
+    the abandoned choices disappear from the trace but are counted on the
     run context.  Zero-weight sides are never entered.
     """
-    ls, rs = left.sat() and n1 > 0, right.sat() and n2 > 0
+    ls, rs = left and n1 > 0, right and n2 > 0
     if ls and rs:
         side = ctx.pick_weighted(n1, n2)
         if not ctx.local_backtracking:
             ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
-            return run(side, left if side == 0 else right)
+            return run(side)
         marker = ctx.mark()
         ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
         try:
-            got = run(side, left if side == 0 else right)
+            got = run(side)
             if not got.failed:
                 return got
         except GenFailure:
@@ -294,11 +308,11 @@ def backtracking_choose(n1: int, left: ConstraintSet, n2: int,
         ctx.local_backtracks += 1
         other = 1 - side
         ctx.record(other, 2, Fraction(n1 if other == 0 else n2, n1 + n2))
-        return run(other, left if other == 0 else right)
+        return run(other)
     if ls:
-        return run(0, left)
+        return run(0)
     if rs:
-        return run(1, right)
+        return run(1)
     raise GenFailure("no viable case branch")
 
 

@@ -14,8 +14,9 @@ variables.  A variable takes one step and yields the value it is bound to
 as it is, whatever that value's size.
 
 A split of an unknown reads the children of the node the store gives it
-(``open_value`` and ``split_sum``, shared with matching); no split mints
-unknowns of its own.
+(``open_value`` and ``split_sum``, shared with matching) and mints
+nothing.  A sum split writes nothing either: a choice reads which sides
+are viable, and only the side it keeps is written (``open_value``).
 """
 
 from __future__ import annotations
@@ -111,11 +112,12 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
             return narrow(e.right_body, cs, ctx,
                           {**env, e.right_name: v.arg})
         if isinstance(v, Unknown):
-            vl, vr, left, right = split_sum(v, cs)
-            side, cs3 = choose(1, left, 1, right, ctx)
+            left, right, cs = split_sum(v, cs)
+            side = choose(1, left is not None, 1, right is not None, ctx)
+            (arg,), cs = open_value(v, (Inl, Inr)[side], cs)
             if side == 0:
-                return narrow(e.left_body, cs3, ctx, {**env, e.left_name: vl})
-            return narrow(e.right_body, cs3, ctx, {**env, e.right_name: vr})
+                return narrow(e.left_body, cs, ctx, {**env, e.left_name: arg})
+            return narrow(e.right_body, cs, ctx, {**env, e.right_name: arg})
         raise GenFailure(f"sum case over non-injection {v}")
     if isinstance(e, Inst):
         v, cs = narrow(e.arg, cs, ctx, env)
@@ -125,8 +127,9 @@ def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
             return v, cs  # already decided; weights have no say
         if not isinstance(v, Unknown):
             raise GenFailure(f"instantiation of non-sum value {v}")
-        _, _, left, right = split_sum(v, cs)
-        return v, choose(n1, left, n2, right, ctx)[1]
+        left, right, cs = split_sum(v, cs)
+        side = choose(n1, left is not None, n2, right is not None, ctx)
+        return v, open_value(v, (Inl, Inr)[side], cs)[1]
     if isinstance(e, Bang):
         v, cs = narrow(e.arg, cs, ctx, env)
         return sample_value(v, cs, ctx)
@@ -151,9 +154,9 @@ def open_value(v: Expr, kind: type, cs: ConstraintSet):
     another constructor.
 
     For an unknown, the parts are the children of the node ``expand``
-    gives it; a sum node is narrowed to the asked side with ``unify``, and
-    None is returned when that side is ruled out.  A node of a kind that
-    does not fit raises ContractViolation.
+    gives it; a sum node keeps only the asked side, one binding write when
+    it kept both, and None is returned when that side is ruled out.  A
+    node of a kind that does not fit raises ContractViolation.
     """
     if not isinstance(v, Unknown):
         if type(v) is not kind:
@@ -168,22 +171,24 @@ def open_value(v: Expr, kind: type, cs: ConstraintSet):
         side = node.left if kind is Inl else node.right
         if side is None:
             return None
-        return (Unknown(side),), cs.unify(v, kind(Unknown(side),
-                                                  cs.utypes[root]))
+        return (Unknown(side),), cs.keep_side(root, node, kind is Inl)
     raise ContractViolation(f"{kind.__name__} split of ?{v.uid} bound to "
                             f"{node}")
 
 
 def split_sum(v: Expr, cs: ConstraintSet):
-    """(left, right, as_left, as_right) for the sum pattern v: its two sides,
-    each None when ruled out, and the refinements of cs in which v is the
-    left and the right injection (failed for a ruled-out side)."""
-    if isinstance(v, Unknown):
-        cs = cs.expand(v.uid)[0]  # both sides read one node
-    sides = [open_value(v, kind, cs) or ((None,), cs.fail())
-             for kind in (Inl, Inr)]
-    ((left,), as_left), ((right,), as_right) = sides
-    return left, right, as_left, as_right
+    """(left, right, cs') for the sum pattern v: its two sides, each None
+    when ruled out, read from the node ``expand`` gave v in cs'.  Nothing
+    else is written; the caller keeps the side it chooses (``open_value``).
+    """
+    if not isinstance(v, Unknown):
+        return (v.arg if type(v) is Inl else None,
+                v.arg if type(v) is Inr else None, cs)
+    cs, _, node = cs.expand(v.uid)
+    if not isinstance(node, RSum):
+        raise ContractViolation(f"sum split of ?{v.uid} bound to {node}")
+    return (None if node.left is None else Unknown(node.left),
+            None if node.right is None else Unknown(node.right), cs)
 
 
 def narrow_weight(e: Expr, cs: ConstraintSet, ctx: RunCtx,
@@ -208,8 +213,9 @@ def narrow_cmp(op: str, l: Expr, r: Expr, cs: ConstraintSet, ctx: RunCtx):
     rv = r if isinstance(r, Unknown) else r.value
     yes = cs.post_cmp(op, lv, rv)
     no = cs.post_cmp(negate_op(op), lv, rv)
-    side, cs2 = choose(1, yes, 1, no, ctx)
-    return (TRUE if side == 0 else FALSE), cs2
+    if choose(1, yes.sat(), 1, no.sat(), ctx) == 0:
+        return TRUE, yes
+    return FALSE, no
 
 
 def narrow_arith(op: str, l: Expr, r: Expr, cs: ConstraintSet):
@@ -233,24 +239,25 @@ def narrow_arith(op: str, l: Expr, r: Expr, cs: ConstraintSet):
     raise ContractViolation(f"symbolic arithmetic {l} {op} {r} unsupported")
 
 
-def choose(w_left: int, left: ConstraintSet, w_right: int,
-           right: ConstraintSet, ctx: RunCtx):
-    """Commit to one of two refinements, weighted when both are open.
+def choose(w_left: int, left: bool, w_right: int, right: bool,
+           ctx: RunCtx) -> int:
+    """Commit to one of two branches, weighted when both are open; returns
+    the side taken, 0 for the left.
 
-    A branch is available when it is satisfiable and carries positive
-    weight; with a single available branch the pick is silent.
+    A branch is available when it is viable (`left`, `right`) and carries
+    positive weight; with a single available branch the pick is silent.
     """
-    ls, rs = left.sat() and w_left > 0, right.sat() and w_right > 0
+    ls, rs = left and w_left > 0, right and w_right > 0
     if ls and rs:
         side = ctx.pick_weighted(w_left, w_right)
         q = Fraction(w_left if side == 0 else w_right, w_left + w_right)
         ctx.record(side, 2, q)
-        return side, (left if side == 0 else right)
+        return side
     if ls:
-        return 0, left
+        return 0
     if rs:
-        return 1, right
-    if left.sat() or right.sat():
+        return 1
+    if left or right:
         raise GenFailure("no weight mass on the satisfiable branches")
     raise GenFailure("both branches unsatisfiable")
 

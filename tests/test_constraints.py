@@ -796,6 +796,40 @@ def test_sample_pins_nothing_until_a_value_is_asked_for(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_one_value_range_samples_to_the_store_it_came_from(monkeypatch):
+    cs, (u, w) = ConstraintSet(int_bounds=(0, 3)).fresh(
+        [TProd(TInt(), TUnit()), BOOL])
+    cs = cs.unify(Unknown(u), Pair(IntLit(2), Unit()))
+    cs = cs.unify(Unknown(w), FALSE)
+    calls = count_unify_calls(monkeypatch)
+    for x, value in ((u, Pair(IntLit(2), Unit())), (w, FALSE)):
+        space = cs.sample(x)
+        assert space.count == 1 and not space.linked
+        assert space.at(0) == (value, cs) and space.at(0)[1] is cs
+    assert not calls  # nothing was pinned
+
+
+def test_a_one_value_range_with_a_linked_constraint_is_still_checked(
+        monkeypatch):
+    cs, (x, y) = ConstraintSet(int_bounds=(0, 1)).fresh([TInt(), TInt()])
+    cs = cs.post_cmp("<", Unknown(x), Unknown(y))
+    assert (cs.index(x), cs.index(y)) == (IntLit(0), IntLit(1)) and cs.cons
+    calls = count_unify_calls(monkeypatch)
+    solved_by = ConstraintSet._solved_by
+    checks = []
+
+    def counted(self, cons, pick):
+        checks.append(cons)
+        return solved_by(self, cons, pick)
+
+    monkeypatch.setattr(ConstraintSet, "_solved_by", counted)
+    space = cs.sample(x)
+    assert space.count == 1 and space.linked
+    v, pinned = space.at(0)
+    assert v == IntLit(0) and pinned is not cs and not pinned.failed
+    assert len(calls) == 1 and checks == [space.linked]
+
+
 def test_a_pin_without_a_solution_comes_back_failed():
     cs, w = pigeonhole_store()
     space = cs.sample(w)

@@ -1,5 +1,6 @@
 """Driver: seeded generation, retries, replay, and exhaustive enumeration."""
 
+import gc
 import json
 from collections import Counter
 from fractions import Fraction
@@ -84,6 +85,21 @@ def test_no_store_holds_a_binary_constraint(monkeypatch):
     # each comparison meets a bound that `!` has already pinned, and a
     # pinned unknown is read as its integer
     assert not [cs for cs in matched_stores(monkeypatch) if cs.cons]
+
+
+def test_valuations_leave_no_cyclic_garbage():
+    # reference counting frees every store a valuation makes: a cycle
+    # through a store keeps all its dictionaries until a cyclic collection
+    runs = benchmark_runs()
+    gc.collect()
+    gc.disable()
+    try:
+        for prep, seeds in runs:
+            for seed in seeds:
+                assert run_prepared(prep, seed=seed, check=True).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_same_seed_reproduces_the_report():

@@ -532,16 +532,41 @@ def test_splits_read_an_existing_node_and_mint_nothing():
                              cs.utypes[p]), cs, ctx_with())
     assert v == Pair(Unknown(node.snd), Unknown(node.fst))
     assert out.next_fresh == n
-    left, right, as_left, as_right = split_sum(Unknown(s), cs)
+    # a split reads both sides and hands back the store it was given
+    left, right, out = split_sum(Unknown(s), cs)
     assert (left, right) == (Unknown(cs.bindings[s].left),
                              Unknown(cs.bindings[s].right))
+    assert out is cs
+    # only the chosen side's store is built, and it mints nothing
+    as_left, as_right = (open_value(Unknown(s), kind, cs)[1]
+                         for kind in (Inl, Inr))
     assert as_left.next_fresh == as_right.next_fresh == n
     assert (as_left.index(s), as_right.index(s)) == (TRUE, FALSE)
     # an injection value splits without the store
-    left, right, as_left, as_right = split_sum(TRUE, cs)
-    assert (left, right, as_left, as_right.failed) == (Unit(), None, cs, True)
+    assert split_sum(TRUE, cs) == (Unit(), None, cs)
+    assert split_sum(FALSE, cs) == (None, Unit(), cs)
     v, out = narrow(Unfold(Unknown(lst), UNIT_LIST), cs, ctx_with())
     assert v == Unknown(cs.bindings[lst].child) and out.next_fresh == n
+
+
+def test_the_kept_side_has_the_bindings_a_unification_gives():
+    sum_ty = TSum(TInt(), BOOL)
+    cs, (s,) = ConstraintSet(int_bounds=(0, 3)).fresh([sum_ty])
+    for store in (cs.expand(s)[0], cs.materialize(s, 2)[0]):
+        # split_sum writes what `expand` writes and nothing more
+        left, right, split = split_sum(Unknown(s), store)
+        assert split.bindings == store.expand(s)[0].bindings
+        assert split.utypes == store.expand(s)[0].utypes
+        for kind, side in ((Inl, left), (Inr, right)):
+            (arg,), kept = open_value(Unknown(s), kind, split)
+            assert arg == side
+            assert kept.bindings == split.unify(Unknown(s),
+                                                kind(side, sum_ty)).bindings
+            # a node that keeps one side already comes back as it is
+            again = open_value(Unknown(s), kind, kept)
+            assert again[0] == (arg,) and again[1] is kept
+            ruled_out = Inr if kind is Inl else Inl
+            assert open_value(Unknown(s), ruled_out, kept) is None
 
 
 def test_a_split_of_the_wrong_node_kind_is_a_contract_violation():
