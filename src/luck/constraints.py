@@ -134,13 +134,11 @@ class Deferred:
     most `depth` times along any path; never empty.
 
     Nothing below it is built.  Unfolding it (``ConstraintSet.expand``)
-    writes the one-level node and gives its children ids derived from
-    `key`, so two branches that unfold the same range agree on the ids and
-    ``union`` can join them id by id.
+    writes the one-level node over fresh children, each with its own
+    range.
     """
 
     depth: int
-    key: int
 
     def __str__(self) -> str:
         return f"<depth {self.depth}>"
@@ -156,16 +154,6 @@ _unfold_mu = lru_cache(maxsize=_CACHE_SIZE)(unfold_mu)
 def _full(int_bounds: tuple[int, int]) -> IntDomain:
     """The one domain, shared by every store, of all integers in bounds."""
     return IntDomain.bounded(*int_bounds)
-
-
-def _child_id(key: int, slot: int) -> int:
-    """The id of child `slot` (0 or 1) when the range `key` is unfolded.
-
-    Negative, so it never meets an id minted by ``fresh``, and distinct for
-    every (key, slot).
-    """
-    n = 2 * key if key >= 0 else -2 * key - 1
-    return -(2 * n + slot + 1)
 
 
 # RPair | RSum | RFold | IntDomain | Alias | Deferred; a unit unknown has none
@@ -305,7 +293,7 @@ class ConstraintSet:
         ty = self.utypes[root]
         if b is not None or isinstance(ty, TUnit):
             return self, True  # already shaped, or unit; leave as is
-        out = self._set_binding(root, Deferred(depth, root))
+        out = self._set_binding(root, Deferred(depth))
         if not _nonempty(ty, self.int_bounds, depth):
             return out.fail(), False
         return out, True
@@ -340,23 +328,28 @@ class ConstraintSet:
         """One level of the deferred range `d` over `ty`: (set', binding).
 
         The binding is the node the range's top unknown needs, over
-        children minted with their own ranges, as ``_layout`` lays them
-        out.  With `holder`, the binding is also written there.
+        children minted as ``fresh`` mints them, with their own ranges, as
+        ``_layout`` lays them out.  With `holder`, the binding is also
+        written there.
         """
         node, slots = _layout(ty, d.depth, self.int_bounds)
         utypes = dict(self.utypes)
         bindings = dict(self.bindings)
-        ids = [None if part is None else _child_id(d.key, slot)
-               for slot, part in enumerate(slots)]
-        for c, part in zip(ids, slots):
-            if c is not None:
-                utypes[c], b = part
-                if b is not None:
-                    bindings[c] = Deferred(b, c) if type(b) is int else b
+        ids = []
+        nxt = self.next_fresh
+        for part in slots:
+            if part is None:
+                ids.append(None)
+                continue
+            utypes[nxt], b = part
+            if b is not None:
+                bindings[nxt] = b
+            ids.append(nxt)
+            nxt += 1
         level = node(*ids)
         if holder is not None:
             bindings[holder] = level
-        return self._with(utypes, bindings, self.cons, self.next_fresh), level
+        return self._with(utypes, bindings, self.cons, nxt), level
 
     # -- satisfiability -----------------------------------------------------
 
@@ -680,8 +673,11 @@ class ConstraintSet:
             return b
         return _full(self.int_bounds)
 
-    def _linked(self, seeds: list[int]) -> list[Constraint]:
-        """Every constraint reachable from the seeds through shared ends."""
+    def _linked(self, seeds) -> list[Constraint]:
+        """Every constraint reachable from the seeds (an iterable of ids)
+        through shared ends."""
+        if not self.cons:
+            return []
         out: dict[Constraint, None] = {}
         seen: set[int] = set()
         todo = [self.find(s) for s in seeds]
@@ -862,13 +858,6 @@ class ConstraintSet:
             return Inr(self._unrank(b.right, i - nl, counts), ty)
         raise ContractViolation(f"bad binding {b!r}")
 
-    def _range_leaves(self, u: int, acc: list[int]) -> None:
-        root, b = self.resolve(u)
-        if isinstance(b, IntDomain):
-            acc.append(root)
-        for c in _children(b):
-            self._range_leaves(c, acc)
-
     def sample(self, u: int) -> "SampleSpace":
         """The unknown's values as a lazy space of (value, pinned store)
         pairs, in structural order (left injections first, integer
@@ -884,10 +873,8 @@ class ConstraintSet:
         root = self.find(u)
         if self.failed:
             return SampleSpace(self, root, 0, [], {})
-        leaves: list[int] = []
-        self._range_leaves(root, leaves)
         counts = self._count_table(root)
-        return SampleSpace(self, root, counts[root], self._linked(leaves),
+        return SampleSpace(self, root, counts[root], self._linked(counts),
                            counts)
 
 
@@ -962,8 +949,8 @@ def _layout(ty: Type, depth: int, int_bounds):
     """How a deferred range of `ty` to `depth` unfolds: (node class, slots).
 
     A slot is None for a ruled-out sum side, else (child type, binding):
-    None for unit, the shared full domain for an integer, else the depth of
-    the child's own deferred range, which drops by one only across a fold.
+    None for unit, the shared full domain for an integer, else the child's
+    own deferred range, whose depth drops by one only across a fold.
     """
     if isinstance(ty, TMu):
         node, parts = RFold, [(_unfold_mu(ty), depth - 1)]
@@ -976,7 +963,8 @@ def _layout(ty: Type, depth: int, int_bounds):
         raise ContractViolation(f"cannot unfold a range of type {ty}")
     full = _full(int_bounds)
     return node, tuple(p and (p[0], None if isinstance(p[0], TUnit) else
-                              full if isinstance(p[0], TInt) else p[1])
+                              full if isinstance(p[0], TInt) else
+                              Deferred(p[1]))
                        for p in parts)
 
 
@@ -1030,115 +1018,3 @@ def _type_values(ty: Type, int_bounds, budget, depth: Optional[int]):
         if budget[0] < 0:
             raise ContractViolation("denotation larger than cap")
         yield _type_unrank(ty, i, int_bounds, depth)
-
-
-# ---------------------------------------------------------------------------
-# Union and renaming
-
-
-def union(a: ConstraintSet, b: ConstraintSet) -> ConstraintSet:
-    """A store whose denotation contains both arguments' denotations.
-
-    Exact when the two stores differ only in integer domains, injection
-    pinnings and unfoldings of deferred ranges over the same unknowns (the
-    comparison-matching footprint); anything else widens the differing
-    unknown to its whole type.
-    """
-    if a.failed:
-        return b
-    if b.failed:
-        return a
-    utypes = dict(b.utypes)
-    utypes.update(a.utypes)
-    bindings: dict[int, Binding] = {}
-    uids = set(a.bindings) | set(b.bindings)
-    dropped: set[int] = set()
-    for u in sorted(uids):
-        b1 = a.bindings.get(u)
-        b2 = b.bindings.get(u)
-        if b1 == b2:
-            if b1 is not None:
-                bindings[u] = b1
-            continue
-        if b1 is None or b2 is None:
-            # one side unconstrained: widen to the whole type
-            dropped.add(u)
-            continue
-        if isinstance(b1, IntDomain) and isinstance(b2, IntDomain):
-            bindings[u] = b1.union(b2)
-        elif isinstance(b1, RSum) and isinstance(b2, RSum) and all(
-                c1 is None or c2 is None or c1 == c2
-                for c1, c2 in ((b1.left, b2.left), (b1.right, b2.right))):
-            # every injection either store keeps, over the same child
-            bindings[u] = RSum(b2.left if b1.left is None else b1.left,
-                               b2.right if b1.right is None else b1.right)
-        elif (joined := _join_deferred(b1, b2)) is not None:
-            bindings[u] = joined
-        else:
-            if not isinstance(utypes.get(u), TMu):
-                dropped.add(u)
-            else:
-                raise ContractViolation(
-                    f"union cannot join recursive bindings for ?{u}")
-    cons: dict[int, tuple[Constraint, ...]] = {}
-    for u in set(a.cons) | set(b.cons):
-        common = tuple(c for c in a.cons.get(u, ()) if c in b.cons.get(u, ()))
-        live = tuple(c for c in common
-                     if c.lhs not in dropped and c.rhs not in dropped)
-        if live:
-            cons[u] = live
-    return a._with(utypes, bindings, cons, max(a.next_fresh, b.next_fresh))
-
-
-def _join_deferred(b1, b2):
-    """The union of two bindings of one unknown when one is a deferred range
-    covering the other, else None.
-
-    Two deferred ranges of one type join to the deeper one.  A deferred
-    range covers every node unfolded from it, however refined below: an
-    unfolding made in only one branch is not widened to the whole type.
-    """
-    if isinstance(b1, Deferred) and isinstance(b2, Deferred):
-        return b1 if b1.depth >= b2.depth else b2
-    d, node = (b1, b2) if isinstance(b1, Deferred) else (b2, b1)
-    if not isinstance(d, Deferred):
-        return None
-    children = set(_children(node))
-    if children and children <= {_child_id(d.key, 0), _child_id(d.key, 1)}:
-        return d
-    return None
-
-
-def rename(uids: list[int], cset: ConstraintSet, floor: int = 0):
-    """Rename the given unknowns to fresh ids; returns (set', mapping).
-
-    The new ids start at max(cset.next_fresh, floor), so a caller merging
-    the result into another store can keep the two id spaces disjoint.
-    """
-    mapping: dict[int, int] = {}
-    nxt = max(cset.next_fresh, floor)
-    for u in uids:
-        mapping[u] = nxt
-        nxt += 1
-
-    def m(u: Optional[int]) -> Optional[int]:
-        return mapping.get(u, u)  # a ruled-out sum side stays None
-
-    def mb(b):
-        if isinstance(b, RPair):
-            return RPair(m(b.fst), m(b.snd))
-        if isinstance(b, RSum):
-            return RSum(m(b.left), m(b.right))
-        if isinstance(b, RFold):
-            return RFold(m(b.child))
-        if isinstance(b, Alias):
-            return Alias(m(b.target))
-        return b
-
-    utypes = {m(u): t for u, t in cset.utypes.items()}
-    bindings = {m(u): mb(b) for u, b in cset.bindings.items()}
-    cons = {}
-    for u, cs in cset.cons.items():
-        cons[m(u)] = tuple(
-            Constraint(c.op, m(c.lhs), m(c.rhs), c.offset) for c in cs)
-    return cset._with(utypes, bindings, cons, nxt), mapping

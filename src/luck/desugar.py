@@ -407,7 +407,7 @@ class Program:
             st = self.resolve_deep(metas[u], default=True)
             ct = self.core_type(st)
             if not is_flat(ct):
-                raise LuckTypeError(f"unknown {u} has type {ct}, which "
+                raise LuckTypeError(f"unknown {u} has type {st}, which "
                                     "cannot be generated")
             unknowns[u] = ct
             surface[u] = st

@@ -18,18 +18,6 @@ MAX_INT = 2**62 - 1
 Interval = tuple[int, int]
 
 
-def normalize(pairs: list[Interval]) -> tuple[Interval, ...]:
-    """Sort, drop empties, and merge touching intervals."""
-    pairs = sorted((lo, hi) for lo, hi in pairs if lo <= hi)
-    out: list[Interval] = []
-    for lo, hi in pairs:
-        if out and lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class IntDomain:
     """An integer domain; immutable."""
@@ -85,9 +73,6 @@ class IntDomain:
             else:
                 j += 1
         return IntDomain(tuple(out))
-
-    def union(self, other: "IntDomain") -> "IntDomain":
-        return IntDomain(normalize(list(self.intervals) + list(other.intervals)))
 
     def remove(self, v: int) -> "IntDomain":
         out: list[Interval] = []

@@ -32,6 +32,10 @@ instantiation splits the pattern with ``narrow.split_sum``; neither
 mints unknowns.  A plain sum case binds an arm variable of unit type to
 the unit value and mints only the others.  A weighted case builds the
 store of the side it chooses, and its sibling's only when a retry runs.
+A plain sum case, and a comparison matched against an open boolean, run
+both sides and keep one store (``either``): the only live one, or one
+picked by a recorded 1:1 choice.  Stores are never joined, so the kept
+store is exact and every valuation it leads to satisfies the predicate.
 
 The fresh unknowns take their types from the node: lowering gives every
 case and unfold the type of its scrutinee, so matching never calls the
@@ -44,8 +48,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .constraints import ConstraintSet, ContractViolation
-from .constraints import rename as rename_unknowns
-from .constraints import union as union_sets
 from .core import (
     EMPTY_ENV,
     FALSE,
@@ -76,6 +78,9 @@ from .intdomain import eval_op, negate_op
 from .narrow import (GenFailure, choose, narrow, narrow_weight, open_value,
                      sample_value, split_sum)
 from .trace import RunCtx
+
+# unused; perfbench traces calls by these names
+union_sets = rename_unknowns = None
 
 
 def heads_clash(body: Expr, p: Expr, env: Env = EMPTY_ENV) -> bool:
@@ -195,10 +200,10 @@ def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
               env: Env = EMPTY_ENV) -> ConstraintSet:
     """A comparison matched against a boolean pattern.
 
-    Rather than flipping a coin for an undetermined comparison (as
-    narrowing must), assert the comparison on the side where the pattern
-    is True and its negation where the pattern is False, and keep every
-    satisfiable side.  No randomness, no failure mass.
+    Assert the comparison on the side where the pattern is True and its
+    negation where the pattern is False, and keep a satisfiable side
+    (``either``): a coin is flipped only when both are, so no failure
+    mass.
     """
     l, cs = narrow(e.lhs, cs, ctx, env)
     r, cs = narrow(e.rhs, cs, ctx, env)
@@ -206,8 +211,8 @@ def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
         return cs.unify(TRUE if eval_op(e.op, l.value, r.value) else FALSE, p)
     lv = l if isinstance(l, Unknown) else l.value
     rv = r if isinstance(r, Unknown) else r.value
-    return combine(cs, cs.unify(p, TRUE).post_cmp(e.op, lv, rv),
-                   cs.unify(p, FALSE).post_cmp(negate_op(e.op), lv, rv))
+    return either(cs.unify(p, TRUE).post_cmp(e.op, lv, rv),
+                  cs.unify(p, FALSE).post_cmp(negate_op(e.op), lv, rv), ctx)
 
 
 def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
@@ -215,13 +220,11 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     """The lookahead case: try the scrutinee against both injections.
 
     Both attempts start from the same store, and each side that survives
-    its scrutinee match has its branch body matched against the pattern;
-    the surviving refinements are joined into one store (``combine``),
-    which is failed when neither side survives.  The join
-    over-approximates their union, one unknown at a time: `member 1 l`
-    emits `[0]` (ROADMAP item 2).  A side whose body is a value that
-    cannot possibly match the pattern (say, False against True) has no
-    derivation, so its scrutinee premise is never explored.  An arm
+    its scrutinee match has its branch body matched against the pattern.
+    Of the surviving refinements one is kept (``either``), and the store
+    is failed when neither side survives.  A side whose body is a value
+    that cannot possibly match the pattern (say, False against True) has
+    no derivation, so its scrutinee premise is never explored.  An arm
     variable of unit type is bound to the unit value; only the others are
     minted.
     """
@@ -241,7 +244,22 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
         match_eval(e.left_body, p, as_inl, ctx, lenv)
     right = as_inr if as_inr.failed else \
         match_eval(e.right_body, p, as_inr, ctx, renv)
-    return combine(cs0, left, right)
+    return either(left, right, ctx)
+
+
+def either(a: ConstraintSet, b: ConstraintSet, ctx: RunCtx) -> ConstraintSet:
+    """The outcome of one of two derivations: the live one, or, when both
+    are live, one picked by a recorded 1:1 choice.
+
+    Each store is exact, so the kept one denotes only valuations its
+    derivation proves, and both keep positive mass.  A failed store is
+    returned when both are.
+    """
+    if a.failed:
+        return b
+    if b.failed:
+        return a
+    return (a, b)[choose(1, True, 1, True, ctx)]
 
 
 def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
@@ -314,20 +332,3 @@ def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
     if rs:
         return run(1)
     raise GenFailure("no viable case branch")
-
-
-def combine(base: ConstraintSet, a: ConstraintSet,
-            b: ConstraintSet) -> ConstraintSet:
-    """Merge the outcomes of two branch derivations rooted at base; a
-    failed outcome adds nothing.
-
-    Both derivations mint fresh unknowns from the same counter, so the
-    right store's newcomers are renamed out of the way before the union.
-    """
-    if a.failed:
-        return b
-    if b.failed:
-        return a
-    created = a.created_since(base)
-    renamed, _ = rename_unknowns(created, b, floor=a.next_fresh)
-    return union_sets(a, renamed)

@@ -7,7 +7,7 @@ so the brute-force denotation stays cheap.
 
 import random
 
-from luck.constraints import ConstraintSet, union
+from luck.constraints import ConstraintSet
 from luck.core import (
     BOOL,
     Expr,
@@ -118,8 +118,8 @@ def holed_store():
     """(store, a): a <= b <= a with b in {0, 5}, so a = 1..4 pin b into
     the hole between its two intervals; a's range is still 0..5."""
     cs, (a, b) = ConstraintSet(int_bounds=(0, 5)).fresh([TInt(), TInt()])
-    cs = union(cs.post_cmp("<=", Unknown(b), 0),
-               cs.post_cmp(">=", Unknown(b), 5))
+    for v in range(1, 5):
+        cs = cs.post_cmp("/=", Unknown(b), v)
     cs = cs.post_cmp("<=", Unknown(a), Unknown(b))
     return cs.post_cmp("<=", Unknown(b), Unknown(a)), a
 

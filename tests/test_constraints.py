@@ -12,8 +12,6 @@ from luck.constraints import (
     RFold,
     RPair,
     RSum,
-    union,
-    rename,
 )
 from luck.core import (
     BOOL,
@@ -34,7 +32,7 @@ from luck.core import (
     Unknown,
     unfold_mu,
 )
-from luck.intdomain import IntDomain, eval_op, normalize
+from luck.intdomain import IntDomain, eval_op
 
 from .store_gen import (
     UNIT_LIST,
@@ -299,38 +297,7 @@ def test_sample_virtual_for_huge_domains():
 
 
 # ---------------------------------------------------------------------------
-# union / rename
-
-
-def test_union_of_int_splits_is_exact():
-    cs, (u,) = ConstraintSet(int_bounds=(0, 9)).fresh([TInt()])
-    lo = cs.post_cmp("<", Unknown(u), 3)
-    hi = cs.post_cmp(">=", Unknown(u), 7)
-    joined = union(lo, hi)
-    assert joined.denote_restricted([u]) == \
-        lo.denote_restricted([u]) | hi.denote_restricted([u])
-
-
-def test_union_superset_in_general():
-    cs, u = bool_store()
-    t = cs.unify(Unknown(u), TRUE)
-    f = cs.unify(Unknown(u), FALSE)
-    joined = union(t, f)
-    d = joined.denote_restricted([u])
-    assert d >= t.denote_restricted([u]) | f.denote_restricted([u])
-    assert d == {(TRUE,), (FALSE,)}
-
-
-def test_union_with_failed_side():
-    cs, u = bool_store()
-    t = cs.unify(Unknown(u), TRUE)
-    bad = cs.unify(Unknown(u), TRUE).unify(Unknown(u), FALSE)
-    assert union(t, bad) is t
-    assert union(bad, t) is t
-
-
-# ---------------------------------------------------------------------------
-# sum nodes: every pair of shapes under unify and union
+# sum nodes: every pair of shapes under unify
 
 SUM = TSum(TInt(), TInt())
 SHAPES = ["inl", "inr", "both"]
@@ -379,35 +346,6 @@ def test_unifying_two_sum_shapes_meets_their_denotations(sx, sy, doms):
     assert out.failed == (not meet)
     assert out.denote_restricted([x]) == meet
     assert out.denote_restricted([y]) == meet
-
-
-@pytest.mark.parametrize("doms", SUM_DOMAINS)
-@pytest.mark.parametrize("s1", SHAPES)
-@pytest.mark.parametrize("s2", SHAPES)
-def test_union_of_two_sum_shapes_covers_both(s1, s2, doms):
-    cs, (x,) = sum_store(1)
-    one = shape_sum(cs, x, s1, *doms[0])
-    two = shape_sum(cs, x, s2, *doms[1])
-    d1, d2 = one.denote_restricted([x]), two.denote_restricted([x])
-    joined = union(one, two).denote_restricted([x])
-    assert joined >= d1 | d2
-    # a side kept by only one store joins the other store's unused child
-    # domain, so the union is exact when those domains agree
-    def sides(shape):
-        return {0, 1} if shape == "both" else {SHAPES.index(shape)}
-
-    if all(doms[0][k] == doms[1][k] for k in sides(s1) ^ sides(s2)):
-        assert joined == d1 | d2
-
-
-def test_rename_is_consistent():
-    cs, uids = ConstraintSet(int_bounds=(0, 3)).fresh([TInt(), TInt()])
-    a, b = uids
-    cs = cs.post_cmp("<", Unknown(a), Unknown(b))
-    base = ConstraintSet(int_bounds=(0, 3))
-    renamed, mapping = rename([a, b], cs)
-    a2, b2 = mapping[a], mapping[b]
-    assert renamed.denote_restricted([a2, b2]) == cs.denote_restricted([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +481,7 @@ def test_deferred_range_counts_and_order(name, depth):
 def test_materialize_builds_nothing():
     cs, (u,) = ConstraintSet(int_bounds=(0, 9)).fresh([TREE])
     cs, ok = cs.materialize(u, 14)
-    assert ok and cs.bindings == {u: Deferred(14, u)}
+    assert ok and cs.bindings == {u: Deferred(14)}
 
 
 def test_index_of_a_range_with_one_value():
@@ -584,26 +522,6 @@ def test_unifying_a_deferred_range_with_a_shaped_one_unfolds_it():
     assert too_long.failed
 
 
-def test_union_keeps_a_range_unfolded_in_one_branch():
-    cs, (u,) = ConstraintSet().fresh([UNIT_LIST])
-    cs, _ = cs.materialize(u, 3)
-    one = cs.unify(Unknown(u), list_value(UNIT_LIST, 1))
-    whole = cs.denote_restricted([u])
-    assert union(one, cs).denote_restricted([u]) == whole
-    assert union(cs, one).denote_restricted([u]) == whole
-
-
-def test_union_joins_ranges_unfolded_in_both_branches():
-    cs, (u,) = ConstraintSet().fresh([UNIT_LIST])
-    cs, _ = cs.materialize(u, 3)
-    empty = cs.unify(Unknown(u), list_value(UNIT_LIST, 0))
-    longer = cs.unify(Unknown(u), list_value(UNIT_LIST, 1))
-    joined = union(empty, longer).denote_restricted([u])
-    assert joined >= empty.denote_restricted([u]) | \
-        longer.denote_restricted([u])
-    assert joined <= cs.denote_restricted([u])
-
-
 @pytest.mark.parametrize("seed", range(120))
 def test_sat_is_the_failed_flag(seed):
     rng = random.Random(3000 + seed)
@@ -634,7 +552,19 @@ def filtered_sample(cs, u):
     the pins that survive both AC-3 and the brute-force denotation."""
     root = cs.find(u)
     leaves = []
-    cs._range_leaves(root, leaves)
+
+    def walk(x):
+        r, b = cs.resolve(x)
+        if isinstance(b, IntDomain):
+            leaves.append(r)
+        kids = ((b.fst, b.snd) if isinstance(b, RPair) else
+                (b.left, b.right) if isinstance(b, RSum) else
+                (b.child,) if isinstance(b, RFold) else ())
+        for c in kids:
+            if c is not None:
+                walk(c)
+
+    walk(root)
     kept = []
     for i in range(cs.count_values(root)):
         v = cs._unrank(root, i)
@@ -651,8 +581,8 @@ def filtered_sample(cs, u):
 
 def random_int_store(rng):
     """2-4 integer unknowns over 0..5 under random comparisons (all six
-    operators, offsets -1..2), aliasing, and unions that leave holes in
-    domains; sometimes also a pair unknown over two of them."""
+    operators, offsets -1..2), aliasing, and disequalities that leave holes
+    in domains; sometimes also a pair unknown over two of them."""
     cs, uids = ConstraintSet(int_bounds=(0, 5)).fresh(
         [TInt()] * rng.randint(2, 4))
     for _ in range(rng.randint(1, 6)):
@@ -667,8 +597,8 @@ def random_int_store(rng):
             cs = cs.unify(Unknown(a), Unknown(b))
         else:
             lo = rng.randint(0, 3)
-            cs = union(cs.post_cmp("<=", Unknown(a), lo),
-                       cs.post_cmp(">=", Unknown(a), rng.randint(lo + 2, 5)))
+            for v in range(lo + 1, rng.randint(lo + 2, 5)):
+                cs = cs.post_cmp("/=", Unknown(a), v)
         if cs.failed:
             return cs, uids
     reps = sorted({cs.find(u) for u in uids})
@@ -706,8 +636,8 @@ def kept(cs, u):
 
 def test_a_hole_forces_the_per_value_path():
     cs, (a, b) = int_store(2)
-    cs = union(cs.post_cmp("<=", Unknown(b), 0),
-               cs.post_cmp(">=", Unknown(b), 5))
+    for v in range(1, 5):
+        cs = cs.post_cmp("/=", Unknown(b), v)
     cs = cs.post_cmp("<=", Unknown(a), Unknown(b))
     cs = cs.post_cmp("<=", Unknown(b), Unknown(a))
     assert str(cs.bindings[b]) == "{0, 5}"
@@ -860,9 +790,6 @@ def test_constraint_keys_are_representatives():
     for _ in range(400):
         cs, uids = random_int_store(rng)
         assert_indexed_by_representative(cs)
-        renamed, _ = rename(rng.sample(uids, 2), cs, floor=cs.next_fresh)
-        assert_indexed_by_representative(renamed)
-        assert_indexed_by_representative(union(cs, renamed))
         a, b = rng.sample(uids[:2], 2)
         assert_indexed_by_representative(cs.unify(Unknown(a), Unknown(b)))
 
@@ -897,6 +824,17 @@ def test_expand_leaves_an_integer_unknown_its_domain():
 # -- integer domains ----------------------------------------------------------
 
 SMALL = st.integers(-6, 6)
+
+
+def normalize(pairs):
+    """The reference domain: sort, drop empties, merge touching intervals."""
+    out = []
+    for lo, hi in sorted((lo, hi) for lo, hi in pairs if lo <= hi):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 @settings(database=None, deadline=None)

@@ -275,26 +275,39 @@ def test_enumeration_counts_a_trace_out_of_fuel_as_failure():
 # The paper's soundness and completeness theorems at small bounds: the
 # successes of the exhaustive enumeration are exactly the valuations that
 # satisfy the predicate within the bounds, and the probabilities of all
-# traces sum to one.
+# traces sum to one.  The last four keep two live sides in matching, a
+# plain case or a comparison against an open boolean, where a store that
+# joined both sides let unsound valuations through.
 THEOREM_QUERIES = [
-    ("bst.luck", "bst 2 0 3 t = True", (0, 3)),
-    ("distinct.luck", "distinct l = True", (0, 2)),
-    ("sorted.luck", "sorted l = True", (0, 2)),
-    ("rbt.luck", "isRBT 1 0 3 Black t = True", (0, 3)),
+    ("bst.luck", "bst 2 0 3 t = True", (0, 3), 3),
+    ("distinct.luck", "distinct l = True", (0, 2), 3),
+    ("sorted.luck", "sorted l = True", (0, 2), 3),
+    ("rbt.luck", "isRBT 1 0 3 Black t = True", (0, 3), 3),
+    ("member.luck", "member 1 l = True", (0, 2), 3),
+    ("bst.luck", "bst 1 0 3 t = False", (0, 3), 3),
+    ("distinct.luck", "distinct l = False", (0, 3), 4),
+    pytest.param("rbt.luck", "isRBT 1 0 2 Black t = False", (0, 2), 3,
+                 marks=pytest.mark.slow),  # enumerating takes about 9 s
 ]
 
 
-@pytest.mark.parametrize("file,query,bound", THEOREM_QUERIES,
-                         ids=[q.split()[0] for _, q, _ in THEOREM_QUERIES])
-def test_enumeration_is_sound_complete_and_sums_to_one(file, query, bound):
+def theorem_id(case):
+    query = (case.values if hasattr(case, "values") else case)[1]
+    return query.split()[0] + ("-False" if query.endswith("False") else "")
+
+
+@pytest.mark.parametrize("file,query,bound,depth", THEOREM_QUERIES,
+                         ids=[theorem_id(c) for c in THEOREM_QUERIES])
+def test_enumeration_is_sound_complete_and_sums_to_one(file, query, bound,
+                                                       depth):
     prog = load(file)
-    prep = prepare(prog, query, int_bound=bound, depth=3)
+    prep = prepare(prog, query, int_bound=bound, depth=depth)
     (name, uid), = prep.uids.items()
     ty = prep.compiled.surface_types[name]
     satisfying = {prog.show_value(v, ty)
                   for v, in prep.base.denote_restricted([uid])
                   if recheck(prep, {name: v})}
-    rows = list(enumerate_query(prog, query, int_bound=bound, depth=3))
+    rows = list(enumerate_query(prog, query, int_bound=bound, depth=depth))
     assert sum(q for _, q, _ in rows) == 1
     assert {shown[name] for _, _, shown in rows if shown} == satisfying
     assert satisfying
@@ -325,6 +338,13 @@ EXACT_DISTRIBUTIONS = [
         "Node 2 Empty Empty": F(1, 12),
         "Node 1 Empty (Node 2 Empty Empty)": F(1, 12),
         "Node 2 (Node 1 Empty Empty) Empty": F(1, 12),
+    }),
+    # each `h == 1 || member 1 t` that can go both ways is a 1:1 choice;
+    # the failure mass is 1/2
+    (("member.luck", "member 1 l = True", (0, 2), 3), {
+        "[0, 1]": F(1, 16), "[2, 1]": F(1, 16),
+        "[1]": F(3, 32), "[1, 0]": F(3, 32), "[1, 1]": F(3, 32),
+        "[1, 2]": F(3, 32),
     }),
 ]
 

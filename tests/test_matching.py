@@ -36,7 +36,7 @@ from luck.core import (
     Unknown,
     Var,
 )
-from luck.matching import combine, heads_clash, match_eval
+from luck.matching import either, heads_clash, match_eval
 from luck.narrow import GenFailure
 from luck.predsem import DEFAULT_FUEL
 from luck.trace import Choice, RunCtx, ScriptedSource, enumerate_traces
@@ -208,14 +208,17 @@ def test_lookahead_pins_scrutinee_through_recursion():
 
 
 def test_comparison_against_open_pattern_keeps_both_sides():
+    # both outcomes are satisfiable: one 1:1 choice picks the store of
+    # one, which is exact, and each is reachable
     cs, u = int_unknown(0, 9)
     cs, (b,) = cs.fresh([BOOL])
-    ctx = ctx_with()
-    out = match_eval(Cmp("<", Unknown(u), IntLit(4)), Unknown(b), cs, ctx)
-    assert not out.failed and ctx.trace == []
-    # neither the pattern nor the operand has committed
-    assert out.count_values(b) == 2
-    assert out.count_values(u) == 10
+    for side, want_b, lo, hi in ((0, TRUE, 0, 3), (1, FALSE, 4, 9)):
+        ctx = ctx_with(Choice(side, 2))
+        out = match_eval(Cmp("<", Unknown(u), IntLit(4)), Unknown(b), cs,
+                         ctx)
+        assert ctx.trace == [Choice(side, 2)] and ctx.q == Fraction(1, 2)
+        assert out.denote_restricted([b, u]) == {
+            (want_b, IntLit(v)) for v in range(lo, hi + 1)}
 
 
 def test_til_failure_skips_the_hook():
@@ -374,40 +377,27 @@ def test_function_name_shadows_an_argument_of_the_same_name():
     assert match_eval(App(r, FALSE), TRUE, ConstraintSet(), ctx_with()).failed
 
 
-# -- combine ------------------------------------------------------------------
+# -- either -------------------------------------------------------------------
 
 
-def test_combine_prefers_whichever_side_exists():
+def test_either_returns_the_live_side_without_a_choice():
     cs, (u,) = bool_unknowns(1)
     a = cs.unify(Unknown(u), TRUE)
-    assert combine(cs, a, cs.fail()) is a
-    assert combine(cs, cs.fail(), a) is a
-    assert combine(cs, cs.fail(), cs.fail()).failed
+    ctx = ctx_with()
+    assert either(a, cs.fail(), ctx) is a
+    assert either(cs.fail(), a, ctx) is a
+    assert either(cs.fail(), cs.fail(), ctx).failed
+    assert ctx.trace == [] and ctx.q == 1
 
 
-def test_combine_unions_disjoint_refinements():
+def test_either_picks_one_of_two_live_sides_one_to_one():
     cs, u = int_unknown(0, 9)
     a = cs.post_cmp("<", Unknown(u), 3)
     b = cs.post_cmp(">", Unknown(u), 7)
-    out = combine(cs, a, b)
-    assert out.count_values(u) == 5  # {0,1,2,8,9}
-
-
-def test_combine_renames_colliding_fresh_ids():
-    # both derivations mint from the same counter: derivation a mints
-    # three unknowns, derivation b mints one that reuses a's numbering
-    # and has a different type; renaming must keep them apart
-    cs, (x,) = bool_unknowns(1)
-    a, (a0, a1, a2) = cs.fresh([BOOL, BOOL, TUnit()])
-    a = a.unify(Unknown(x), TRUE).unify(Unknown(a1), FALSE)
-    b, (b0,) = cs.fresh([TUnit()])
-    b = b.unify(Unknown(x), Inr(Unknown(b0), BOOL))
-    out = combine(cs, a, b)
-    assert not out.failed
-    assert out.count_values(x) == 2  # both injections survive
-    # the union ranges over both derivations, so a's private pin widens
-    assert out.count_values(a1) == 2
-    assert out.utypes[a1] == BOOL  # ...but nobody rebound it to b's unit
+    for side, want in ((0, a), (1, b)):
+        ctx = ctx_with(Choice(side, 2))
+        assert either(a, b, ctx) is want
+        assert ctx.trace == [Choice(side, 2)] and ctx.q == Fraction(1, 2)
 
 
 def test_constructor_and_inst_rules_read_the_patterns_node():

@@ -55,10 +55,9 @@ EX35_B = [
 ]
 
 MEMBER = [
-    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 0, \"values\": {\"l\": \"[2, 1, 0, 2, 2, 0, 3]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [121918, 335922]], \"q\": \"1/42998016\", \"attempts\": 2, \"local_backtracks\": 4, \"discards\": 1, \"error\": null}",
-    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 1, \"values\": {\"l\": \"[0, 3, 5, 1, 3, 0]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [36161, 335922]], \"q\": \"1/42998016\", \"attempts\": 2, \"local_backtracks\": 7, \"discards\": 1, \"error\": null}",
-    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 2, \"values\": {\"l\": \"[4, 4, 1, 3, 5, 2, 3]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [263842, 335922]], \"q\": \"1/42998016\", \"attempts\": 2, \"local_backtracks\": 8, \"discards\": 1, \"error\": null}",
-    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 3, \"values\": {\"l\": \"[1, 3, 2, 5, 2, 3]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [88497, 335922]], \"q\": \"1/42998016\", \"attempts\": 1, \"local_backtracks\": 4, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 0, \"values\": {\"l\": \"[3, 5, 1, 5, 0, 3, 0]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [0, 2], [0, 2], [1, 2], [0, 2], [49532, 55987]], \"q\": \"1/458645504\", \"attempts\": 1, \"local_backtracks\": 1, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 1, \"values\": {\"l\": \"[5, 0, 0, 3, 3, 0]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [0, 2], [0, 2], [0, 2], [1, 2], [1, 2], [1, 2], [26031, 32375]], \"q\": \"1/265216000\", \"attempts\": 1, \"local_backtracks\": 4, \"discards\": 0, \"error\": null}",
+    "{\"query\": \"member 3 l = True\", \"ok\": true, \"seed\": 2, \"values\": {\"l\": \"[4, 1, 1, 3, 3, 1, 5]\"}, \"choices\": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [0, 2], [0, 2], [1, 2], [1, 2], [1, 2], [21123, 32375]], \"q\": \"1/265216000\", \"attempts\": 1, \"local_backtracks\": 5, \"discards\": 0, \"error\": null}",
 ]
 
 SORTED = [
@@ -148,24 +147,24 @@ DIGESTS = [
     ("ex35.luck", "b u = True", (0, 9), 8, 30,
      "aa8a5a85402b7963d550496273985dfb7040063c2a6f04277fe81770382a1d3d"),
     ("member.luck", "member 3 l = True", (0, 5), 8, 20,
-     "1700db4c5692d50834e52e77b71cc057b29da4652bae1e17719f27fa1a0959d5"),
+     "d3c560d2cf598e47fb341da9068db5b2dddc0132a7be39a34ed82057ddb72527"),
     ("sorted.luck", "sorted l = True", (0, 20), 8, 30,
      "f7d5134798a4791a98eba1d118578a232d053cca34a69ae3a2d489af43143b66"),
     ("length.luck", "length l 3 = True", (0, 3), 8, 30,
      "a39f12ad0724d1d216d761e0d20cf64e0e6baa1a1a158183ccc396d3f0fcf2f3"),
     ("redex.luck", "isRedex t = True", (0, 1), 4, 30,
      "7a3fedf7a150f7a565a2a73555c05bec8b510860c57995e5791387fd518d853c"),
-    # the queries where matching joins two refined stores with `union`; some
-    # of these outputs are unsound (ROADMAP item 2), and the pins record the
-    # current behaviour, not the intended one
+    # queries where matching keeps two live sides (of a plain case or of a
+    # comparison against an open boolean) and one recorded 1:1 choice picks
+    # the store it keeps; every one of these outputs passes `check`
     ("distinct.luck", "distinct l = False", (0, 3), 4, 60,
-     "6d6537aad09ad639f4f8ca3acdc0ae53b8f09dc2a2bafe1f08e3a3feeedc0f07"),
+     "23fe96e0a03c725f108c0947b23facde2d7dfc0b6b35a74125e07a49c8bd5409"),
     ("bst.luck", "bst 2 0 3 t = False", (0, 3), 3, 60,
-     "61fd8f1445a99f24dd3f056684efc83508a92e24de8e599ba4c0632b008e2bd0"),
+     "8ca00fcbcb3dabfc91dbb395246d823f551f31b2f5f23754ba9854c17ee08af6"),
     ("rbt.luck", "isRBT 1 0 3 Black t = False", (0, 3), 3, 60,
-     "2d7a09b7634b059bddc672df6f7128c4f408c34fcaa91fd29cf8e3a1815d87d4"),
+     "0c6c0daeaa7c398bf8ab2c883d2dcae753d57a50358af107d3c77309f9ac0ace"),
     ("member.luck", "member 1 l = True", (0, 2), 3, 60,
-     "a38c1511f1b61d065b4d1e6d0e5d37d8bc7ad7c9a8176792b2e31ea77bbb853e"),
+     "ac3db5f524dde5fbbf43ff9625aaf4bda4fa9cbf0b58f72d243eadc063276ec8"),
 ]
 
 
