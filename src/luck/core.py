@@ -196,7 +196,12 @@ def unfold_mu(ty: Type) -> Type:
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    """A core node.  Narrowing, matching and the predicate semantics each
+    compile a node once, on its first evaluation, and keep the code on the
+    node in these attributes; they are not fields, so equality, hashing
+    and printing ignore them."""
+
+    _narrow = _match = _pred = None
 
 
 @dataclass(frozen=True)

@@ -151,14 +151,16 @@ def attempt(prep: PreparedQuery, ctx: RunCtx) -> dict[str, Expr]:
 
 
 def recheck(prep: PreparedQuery, vals: dict[str, Expr],
-            fuel: int = DEFAULT_FUEL) -> bool:
+            fuel: int = DEFAULT_FUEL) -> Optional[bool]:
     """Confirm a generated valuation by plain predicate evaluation within
-    `fuel` steps; a valuation whose evaluation fails or runs out of fuel
-    is not confirmed."""
+    `fuel` steps; a valuation whose evaluation fails is not confirmed
+    (False), nor one whose evaluation runs out of fuel (None)."""
     try:
         return pred_eval(prep.target, fuel, vals) == prep.pattern
-    except (EvalFailure, EvalTimeout):
+    except EvalFailure:
         return False
+    except EvalTimeout:
+        return None
 
 
 def _too_deep() -> str:
@@ -199,14 +201,16 @@ def run_prepared(prep: PreparedQuery, *,
     backtracks = 0
     discards = 0
     attempts = 0
+    timeouts = 0  # attempts and rechecks that ran out of fuel
     error = None
     for i in range(retries + 1):
         ctx = RunCtx(RandomSource(derive_seed(seed, i)), fuel=fuel)
         attempts = i + 1
         try:
             vals = attempt(prep, ctx)
-        except (GenFailure, EvalTimeout):
+        except (GenFailure, EvalTimeout) as ex:
             backtracks += ctx.local_backtracks
+            timeouts += isinstance(ex, EvalTimeout)
             continue
         except RecursionError:
             # every retry would recurse as deep again
@@ -214,16 +218,26 @@ def run_prepared(prep: PreparedQuery, *,
             error = _too_deep()
             break
         backtracks += ctx.local_backtracks
-        if check and not recheck(prep, vals, fuel):
-            discards += 1
-            continue
+        if check:
+            confirmed = recheck(prep, vals, fuel)
+            if not confirmed:
+                discards += 1
+                timeouts += confirmed is None
+                continue
         return GenReport(query, True, seed, vals, _show_all(prep, vals),
                          list(ctx.trace), ctx.q, attempts, backtracks,
                          discards, time.perf_counter() - t0)
     return GenReport(query, False, seed, None, None, [], Fraction(1),
                      attempts, backtracks, discards,
                      time.perf_counter() - t0,
-                     error=error or f"no success in {attempts} attempts")
+                     error=error or _no_success(attempts, timeouts, fuel))
+
+
+def _no_success(attempts: int, timeouts: int, fuel: int) -> str:
+    text = f"no success in {attempts} attempts"
+    if timeouts:
+        text += f" ({timeouts} ran out of the {fuel}-step fuel)"
+    return text
 
 
 def replay_query(prog: Program, query: str, choices: list[Choice], *,

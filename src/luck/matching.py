@@ -6,13 +6,23 @@ backwards through the expression.  Case branches whose bodies cannot
 produce the pattern are pruned before any random commitment is made, so
 far less generation effort is wasted on doomed attempts.
 
-Only the forms in ``PUSHES`` push the pattern into their parts: the
-constructors, unfold, application, the two cases, instantiation,
-comparison and the two sequencing forms.  Every other form (a variable,
-a literal, an unknown, a function, arithmetic, a failing arm) is
-narrowed to its value, which is unified with the pattern once; a
-function value cannot match.  Values reach matching only through the
-environment of closed values it runs under, as in narrowing.
+A term is compiled once, on its first match, into one closure per node,
+as narrowing compiles it (see ``narrow``): a node's code holds its
+children's code and the node's fields, and decides at compile time what
+the interpreter decided on every visit (whether a case is weighted,
+which arm variables to mint, whether a scrutinee can be opened in place
+or an arm body can clash with a pattern).  The code is kept on the node
+(``Expr._match``) and refers to no node above it.  Matching reaches
+narrowing, weights and sampling only through the names ``narrow``,
+``narrow_weight`` and ``sample_value``, on the child node they apply to.
+
+Only the constructors, unfold, application, the two cases,
+instantiation, comparison and the two sequencing forms push the pattern
+into their parts.  Every other form (a variable, a literal, an unknown,
+a function, arithmetic, a failing arm) is narrowed to its value, which
+is unified with the pattern once; a function value cannot match.
+Values reach matching only through the environment of closed values it
+runs under, as in narrowing.
 
 match_eval returns a refined constraint set, failed when no derivation
 of the pattern exists down this path; the probability accumulated on
@@ -44,6 +54,7 @@ typechecker.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable
 
@@ -105,99 +116,157 @@ def heads_clash(body: Expr, p: Expr, env: Env = EMPTY_ENV) -> bool:
     return False
 
 
-# the forms that push the pattern into their parts
-PUSHES = (Pair, Inl, Inr, Fold, Unfold, App, CasePair, CaseSum, Inst, Cmp,
-          After, Bang)
+# the forms of a body that heads_clash can rule out; any other never clashes
+CLASHING = (Var, Inl, Inr, Fold, Pair, IntLit)
 
 
 def match_eval(e: Expr, p: Expr, cs: ConstraintSet, ctx: RunCtx,
                env: Env = EMPTY_ENV) -> ConstraintSet:
     """Evaluate e under env demanding that its value match the pattern p;
     the store is failed when no derivation exists."""
-    if not isinstance(e, PUSHES):
-        v, cs = narrow(e, cs, ctx, env)
-        if isinstance(v, Closure):
-            raise ContractViolation("cannot match a function value")
-        return cs.unify(v, p)
-    ctx.tick()
-    if isinstance(e, (Pair, Inl, Inr, Fold)):
-        opened = open_value(p, type(e), cs)
-        if opened is None:
-            return cs.fail()
-        parts, cs = opened
-        subs = (e.fst, e.snd) if isinstance(e, Pair) else (e.arg,)
-        for sub, part in zip(subs, parts):
-            cs = match_eval(sub, part, cs, ctx, env)
-            if cs.failed:
-                break
-        return cs
-    if isinstance(e, Unfold):
-        opened = open_scrutinee(e.arg, Fold, cs, ctx, env)
-        if opened is None:
-            return match_eval(e.arg, Fold(p, e.ty), cs, ctx, env)
-        (child,), cs = opened
-        return cs.unify(child, p)
-    if isinstance(e, App):
-        f, cs = narrow(e.fun, cs, ctx, env)
-        if not isinstance(f, Closure):
-            raise GenFailure(f"application of non-function {f}")
-        v, cs = narrow(e.arg, cs, ctx, env)
-        return match_eval(f.rec.body, p, cs, ctx, f.body_env(v))
-    if isinstance(e, CasePair):
-        opened = open_scrutinee(e.scrut, Pair, cs, ctx, env)
-        if opened is None:
-            cs, (u1, u2) = cs.fresh([e.ty.left, e.ty.right])
-            fst, snd = Unknown(u1), Unknown(u2)
-            cs = match_eval(e.scrut, Pair(fst, snd), cs, ctx, env)
-            if cs.failed:
+    return (e._match or _compile(e))(p, cs, ctx, env)
+
+
+def _compile(e: Expr):
+    """The code of e: code(p, cs, ctx, env) matches e against p, returning
+    the refined store.
+
+    Builds the code of e's children first, except a function's body;
+    the code is kept on e.  Narrowing is reached through ``narrow`` on a
+    child node, or on a copy of e for a form that pushes no pattern.
+    """
+    match e:
+        case Pair() | Inl() | Inr() | Fold():
+            kind = type(e)
+            subs = [_code(sub) for sub in
+                    ((e.fst, e.snd) if kind is Pair else (e.arg,))]
+
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                opened = open_value(p, kind, cs)
+                if opened is None:
+                    return cs.fail()
+                parts, cs = opened
+                for sub, part in zip(subs, parts):
+                    cs = sub(part, cs, ctx, env)
+                    if cs.failed:
+                        break
                 return cs
-        else:
-            (fst, snd), cs = opened
-        return match_eval(e.body, p, cs, ctx,
-                          {**env, e.snd_name: snd, e.fst_name: fst})
-    if isinstance(e, CaseSum):
-        if isinstance(e.scrut, Inst):
-            return match_case_narrowed(e, p, cs, ctx, env)
-        return match_case_plain(e, p, cs, ctx, env)
-    if isinstance(e, Inst):
-        cs = match_eval(e.arg, p, cs, ctx, env)
-        if cs.failed:
-            return cs
-        n1, cs = narrow_weight(e.w_left, cs, ctx, env)
-        n2, cs = narrow_weight(e.w_right, cs, ctx, env)
-        left, right, cs = split_sum(p, cs)
-        side = choose(n1, left is not None, n2, right is not None, ctx)
-        return open_value(p, (Inl, Inr)[side], cs)[1]
-    if isinstance(e, Cmp):
-        return match_cmp(e, p, cs, ctx, env)
-    if isinstance(e, After):
-        cs = match_eval(e.main, p, cs, ctx, env)
-        return cs if cs.failed else narrow(e.hook, cs, ctx, env)[1]
-    cs = match_eval(e.arg, p, cs, ctx, env)  # Bang, the last of PUSHES
-    return cs if cs.failed else sample_value(p, cs, ctx)[1]
+        case Unfold(arg, ty):
+            opener, arg = _opener(arg, Fold), _code(arg)
+
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                opened = opener and opener(cs, ctx, env)
+                if opened is None:
+                    return arg(Fold(p, ty), cs, ctx, env)
+                (child,), cs = opened
+                return cs.unify(child, p)
+        case App(fun, arg):
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                f, cs = narrow(fun, cs, ctx, env)
+                if not isinstance(f, Closure):
+                    raise GenFailure(f"application of non-function {f}")
+                v, cs = narrow(arg, cs, ctx, env)
+                body = f.rec.body
+                return (body._match or _compile(body))(p, cs, ctx,
+                                                       f.body_env(v))
+        case CasePair(scrut, fst_name, snd_name, body, ty):
+            opener, parts = _opener(scrut, Pair), (ty.left, ty.right)
+            scrut, body = _code(scrut), _code(body)
+
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                opened = opener and opener(cs, ctx, env)
+                if opened is None:
+                    cs, (u1, u2) = cs.fresh(parts)
+                    fst, snd = Unknown(u1), Unknown(u2)
+                    cs = scrut(Pair(fst, snd), cs, ctx, env)
+                    if cs.failed:
+                        return cs
+                else:
+                    (fst, snd), cs = opened
+                return body(p, cs, ctx, {**env, snd_name: snd, fst_name: fst})
+        case CaseSum(Inst()):
+            code = _weighted_case(e)
+        case CaseSum():
+            code = _plain_case(e)
+        case Inst(arg, w_left, w_right):
+            arg = _code(arg)
+
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                cs = arg(p, cs, ctx, env)
+                if cs.failed:
+                    return cs
+                n1, cs = narrow_weight(w_left, cs, ctx, env)
+                n2, cs = narrow_weight(w_right, cs, ctx, env)
+                left, right, cs = split_sum(p, cs)
+                side = choose(n1, left is not None, n2, right is not None,
+                              ctx)
+                return open_value(p, (Inl, Inr)[side], cs)[1]
+        case Cmp(op, lhs, rhs):
+            code = _comparison(op, lhs, rhs)
+        case After(main, hook):
+            main = _code(main)
+
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                cs = main(p, cs, ctx, env)
+                return cs if cs.failed else narrow(hook, cs, ctx, env)[1]
+        case Bang(arg):
+            arg = _code(arg)
+
+            def code(p, cs, ctx, env):
+                ctx.tick()
+                cs = arg(p, cs, ctx, env)
+                return cs if cs.failed else sample_value(p, cs, ctx)[1]
+        case _:
+            # no pattern to push: narrow, then unify the value once
+            node = replace(e)  # a copy: the code does not refer to e
+
+            def code(p, cs, ctx, env):
+                v, cs = narrow(node, cs, ctx, env)
+                if isinstance(v, Closure):
+                    raise ContractViolation("cannot match a function value")
+                return cs.unify(v, p)
+    object.__setattr__(e, "_match", code)
+    return code
 
 
-def open_scrutinee(scrut: Expr, kind: type, cs: ConstraintSet, ctx: RunCtx,
-                   env: Env):
-    """(parts, cs'): a scrutinee that is an unknown, or a variable bound to
-    an unknown or to a `kind` value, opened in place by
-    ``narrow.open_value``; None for any other scrutinee.
+def _code(e: Expr):
+    return e._match or _compile(e)
+
+
+def _opener(scrut: Expr, kind: type):
+    """The code that opens a scrutinee that is an unknown, or a variable
+    bound to an unknown or to a `kind` value, in place by
+    ``narrow.open_value``: opener(cs, ctx, env) gives (parts, cs'), or None
+    for any other value.  None for a compound scrutinee, whose parts are
+    not values.
 
     The opening takes the one step a variable or an unknown takes, and
     mints nothing when the unknown already has its node.
     """
-    if isinstance(scrut, Var):
-        scrut = env.get(scrut.name)
-    elif not isinstance(scrut, Unknown):
-        return None  # a compound expression: its parts are not values
-    if not isinstance(scrut, (Unknown, kind)):
-        return None
-    ctx.tick()
-    return open_value(scrut, kind, cs)
+    match scrut:
+        case Var(name):
+            def opener(cs, ctx, env):
+                v = env.get(name)
+                if not isinstance(v, (Unknown, kind)):
+                    return None
+                ctx.tick()
+                return open_value(v, kind, cs)
+        case Unknown():
+            def opener(cs, ctx, env):
+                ctx.tick()
+                return open_value(scrut, kind, cs)
+        case _:
+            return None
+    return opener
 
 
-def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-              env: Env = EMPTY_ENV) -> ConstraintSet:
+def _comparison(op: str, lhs: Expr, rhs: Expr):
     """A comparison matched against a boolean pattern.
 
     Assert the comparison on the side where the pattern is True and its
@@ -205,18 +274,23 @@ def match_cmp(e: Cmp, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     (``either``): a coin is flipped only when both are, so no failure
     mass.
     """
-    l, cs = narrow(e.lhs, cs, ctx, env)
-    r, cs = narrow(e.rhs, cs, ctx, env)
-    if isinstance(l, IntLit) and isinstance(r, IntLit):
-        return cs.unify(TRUE if eval_op(e.op, l.value, r.value) else FALSE, p)
-    lv = l if isinstance(l, Unknown) else l.value
-    rv = r if isinstance(r, Unknown) else r.value
-    return either(cs.unify(p, TRUE).post_cmp(e.op, lv, rv),
-                  cs.unify(p, FALSE).post_cmp(negate_op(e.op), lv, rv), ctx)
+    negated = negate_op(op)
+
+    def code(p, cs, ctx, env):
+        ctx.tick()
+        l, cs = narrow(lhs, cs, ctx, env)
+        r, cs = narrow(rhs, cs, ctx, env)
+        if isinstance(l, IntLit) and isinstance(r, IntLit):
+            return cs.unify(TRUE if eval_op(op, l.value, r.value) else FALSE,
+                            p)
+        lv = l if isinstance(l, Unknown) else l.value
+        rv = r if isinstance(r, Unknown) else r.value
+        return either(cs.unify(p, TRUE).post_cmp(op, lv, rv),
+                      cs.unify(p, FALSE).post_cmp(negated, lv, rv), ctx)
+    return code
 
 
-def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-                     env: Env = EMPTY_ENV) -> ConstraintSet:
+def _plain_case(e: CaseSum):
     """The lookahead case: try the scrutinee against both injections.
 
     Both attempts start from the same store, and each side that survives
@@ -228,23 +302,28 @@ def match_case_plain(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     variable of unit type is bound to the unit value; only the others are
     minted.
     """
-    sides = (e.ty.left, e.ty.right)
-    mint = [t for t in sides if not isinstance(t, TUnit)]
-    cs0, uids = cs.fresh(mint) if mint else (cs, [])
-    minted = iter(uids)
-    vl, vr = (Unit() if isinstance(t, TUnit) else Unknown(next(minted))
-              for t in sides)
-    lenv = {**env, e.left_name: vl}
-    renv = {**env, e.right_name: vr}
-    as_inl = cs0.fail() if heads_clash(e.left_body, p, lenv) else \
-        match_eval(e.scrut, Inl(vl, e.ty), cs0, ctx, env)
-    as_inr = cs0.fail() if heads_clash(e.right_body, p, renv) else \
-        match_eval(e.scrut, Inr(vr, e.ty), cs0, ctx, env)
-    left = as_inl if as_inl.failed else \
-        match_eval(e.left_body, p, as_inl, ctx, lenv)
-    right = as_inr if as_inr.failed else \
-        match_eval(e.right_body, p, as_inr, ctx, renv)
-    return either(left, right, ctx)
+    ty, left_name, right_name = e.ty, e.left_name, e.right_name
+    left_body, right_body = e.left_body, e.right_body
+    scrut, left, right = _code(e.scrut), _code(left_body), _code(right_body)
+    mint = [t for t in (ty.left, ty.right) if not isinstance(t, TUnit)]
+    unit_left, unit_right = (isinstance(t, TUnit) for t in (ty.left, ty.right))
+    lclash, rclash = (isinstance(b, CLASHING) for b in (left_body, right_body))
+
+    def code(p, cs, ctx, env):
+        ctx.tick()
+        cs0, uids = cs.fresh(mint) if mint else (cs, ())
+        vl = Unit() if unit_left else Unknown(uids[0])
+        vr = Unit() if unit_right else Unknown(uids[-1])
+        lenv = {**env, left_name: vl}
+        renv = {**env, right_name: vr}
+        as_inl = (cs0.fail() if lclash and heads_clash(left_body, p, lenv)
+                  else scrut(Inl(vl, ty), cs0, ctx, env))
+        as_inr = (cs0.fail() if rclash and heads_clash(right_body, p, renv)
+                  else scrut(Inr(vr, ty), cs0, ctx, env))
+        ls = as_inl if as_inl.failed else left(p, as_inl, ctx, lenv)
+        rs = as_inr if as_inr.failed else right(p, as_inr, ctx, renv)
+        return either(ls, rs, ctx)
+    return code
 
 
 def either(a: ConstraintSet, b: ConstraintSet, ctx: RunCtx) -> ConstraintSet:
@@ -262,8 +341,7 @@ def either(a: ConstraintSet, b: ConstraintSet, ctx: RunCtx) -> ConstraintSet:
     return (a, b)[choose(1, True, 1, True, ctx)]
 
 
-def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
-                        env: Env = EMPTY_ENV) -> ConstraintSet:
+def _weighted_case(e: CaseSum):
     """Weighted dispatch for a case whose scrutinee carries weights.
 
     The instantiated scrutinee is narrowed (committing to one branch with
@@ -271,30 +349,32 @@ def match_case_narrowed(e: CaseSum, p: Expr, cs: ConstraintSet, ctx: RunCtx,
     that body fails and the sibling branch was viable, the sibling is
     retried once in place of a full restart.
     """
-    inst = e.scrut
-    v, cs = narrow(inst.arg, cs, ctx, env)
-    n1, cs = narrow_weight(inst.w_left, cs, ctx, env)
-    n2, cs = narrow_weight(inst.w_right, cs, ctx, env)
-    if isinstance(v, Inl):
-        return match_eval(e.left_body, p, cs, ctx,
-                          {**env, e.left_name: v.arg})
-    if isinstance(v, Inr):
-        return match_eval(e.right_body, p, cs, ctx,
-                          {**env, e.right_name: v.arg})
-    if not isinstance(v, Unknown):
-        raise GenFailure(f"case dispatch over non-sum value {v}")
-    left, right, cs = split_sum(v, cs)
+    left_name, right_name = e.left_name, e.right_name
+    left, right = _code(e.left_body), _code(e.right_body)
+    arg, w_left, w_right = e.scrut.arg, e.scrut.w_left, e.scrut.w_right
 
-    def run(side: int) -> ConstraintSet:
-        (arg,), branch = open_value(v, (Inl, Inr)[side], cs)
-        if side == 0:
-            return match_eval(e.left_body, p, branch, ctx,
-                              {**env, e.left_name: arg})
-        return match_eval(e.right_body, p, branch, ctx,
-                          {**env, e.right_name: arg})
+    def code(p, cs, ctx, env):
+        ctx.tick()
+        v, cs = narrow(arg, cs, ctx, env)
+        n1, cs = narrow_weight(w_left, cs, ctx, env)
+        n2, cs = narrow_weight(w_right, cs, ctx, env)
+        if isinstance(v, Inl):
+            return left(p, cs, ctx, {**env, left_name: v.arg})
+        if isinstance(v, Inr):
+            return right(p, cs, ctx, {**env, right_name: v.arg})
+        if not isinstance(v, Unknown):
+            raise GenFailure(f"case dispatch over non-sum value {v}")
+        ls, rs, cs = split_sum(v, cs)
 
-    return backtracking_choose(n1, left is not None, n2, right is not None,
-                               ctx, run)
+        def run(side: int) -> ConstraintSet:
+            (a,), branch = open_value(v, (Inl, Inr)[side], cs)
+            if side == 0:
+                return left(p, branch, ctx, {**env, left_name: a})
+            return right(p, branch, ctx, {**env, right_name: a})
+
+        return backtracking_choose(n1, ls is not None, n2, rs is not None,
+                                   ctx, run)
+    return code
 
 
 def backtracking_choose(n1: int, left: bool, n2: int, right: bool,

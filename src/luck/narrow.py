@@ -7,11 +7,22 @@ concrete values.  The result of narrowing is the expression's value
 together with the refined constraint set; the probability of the taken
 path accumulates on the run context as an exact fraction.
 
+A term is compiled once, on its first narrowing, into one closure per
+node (Feeley and Lapalme, "Using closures for code generation", 1987).
+A node's closure holds its children's closures and the node's own fields
+(names, types, the operator), so a visit is one call that makes no type
+test on the node; a function body is compiled on its first application.
+The code is kept on the node (``Expr._narrow``) and holds no reference
+back to it, only to copies of a leaf's value or a function, so a term
+and its code are freed together by reference counting.  ``narrow`` runs
+a node's code, compiling it first when it has none.
+
 Expressions run under an environment of closed values: an application
 runs the function's body under its closure's environment extended with
 the argument, and a case arm under the current one extended with the arm
 variables.  A variable takes one step and yields the value it is bound to
-as it is, whatever that value's size.
+as it is, whatever that value's size.  Every node's code takes one step
+when it starts, as each visit of the node did before compilation.
 
 A split of an unknown reads the children of the node the store gives it
 (``open_value`` and ``split_sum``, shared with matching) and mints
@@ -22,6 +33,7 @@ are viable, and only the side it keeps is written (``open_value``).
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import replace
 from fractions import Fraction
 
 from .constraints import ConstraintSet, ContractViolation, RFold, RPair, RSum
@@ -64,88 +76,164 @@ class GenFailure(Exception):
 
 def narrow(e: Expr, cs: ConstraintSet, ctx: RunCtx, env: Env = EMPTY_ENV):
     """Evaluate e over cs under env; returns (value, refined store)."""
-    ctx.tick()
-    if isinstance(e, Var):
-        try:
-            return env[e.name], cs
-        except KeyError:
-            raise GenFailure(f"unbound variable {e.name}") from None
-    if isinstance(e, (Unit, IntLit, Unknown)):
-        return e, cs
-    if isinstance(e, Rec):
-        return Closure(e, env), cs
-    if isinstance(e, MatchFail):
-        raise GenFailure("inexhaustive match")
-    if isinstance(e, Pair):
-        f, cs = narrow(e.fst, cs, ctx, env)
-        s, cs = narrow(e.snd, cs, ctx, env)
-        return Pair(f, s), cs
-    if isinstance(e, (Inl, Inr, Fold)):
-        v, cs = narrow(e.arg, cs, ctx, env)
-        return type(e)(v, e.ty), cs
-    if isinstance(e, Unfold):
-        v, cs = narrow(e.arg, cs, ctx, env)
-        opened = open_value(v, Fold, cs)
-        if opened is None:
-            raise GenFailure(f"unfold of non-fold {v}")
-        (arg,), cs = opened
-        return arg, cs
-    if isinstance(e, App):
-        f, cs = narrow(e.fun, cs, ctx, env)
-        if not isinstance(f, Closure):
-            raise GenFailure(f"application of non-function {f}")
-        a, cs = narrow(e.arg, cs, ctx, env)
-        return narrow(f.rec.body, cs, ctx, f.body_env(a))
-    if isinstance(e, CasePair):
-        v, cs = narrow(e.scrut, cs, ctx, env)
-        opened = open_value(v, Pair, cs)
-        if opened is None:
-            raise GenFailure(f"pair case over non-pair {v}")
-        (fst, snd), cs = opened
-        return narrow(e.body, cs, ctx,
-                      {**env, e.snd_name: snd, e.fst_name: fst})
-    if isinstance(e, CaseSum):
-        v, cs = narrow(e.scrut, cs, ctx, env)
-        if isinstance(v, Inl):
-            return narrow(e.left_body, cs, ctx, {**env, e.left_name: v.arg})
-        if isinstance(v, Inr):
-            return narrow(e.right_body, cs, ctx,
-                          {**env, e.right_name: v.arg})
-        if isinstance(v, Unknown):
-            left, right, cs = split_sum(v, cs)
-            side = choose(1, left is not None, 1, right is not None, ctx)
-            (arg,), cs = open_value(v, (Inl, Inr)[side], cs)
-            if side == 0:
-                return narrow(e.left_body, cs, ctx, {**env, e.left_name: arg})
-            return narrow(e.right_body, cs, ctx, {**env, e.right_name: arg})
-        raise GenFailure(f"sum case over non-injection {v}")
-    if isinstance(e, Inst):
-        v, cs = narrow(e.arg, cs, ctx, env)
-        n1, cs = narrow_weight(e.w_left, cs, ctx, env)
-        n2, cs = narrow_weight(e.w_right, cs, ctx, env)
-        if isinstance(v, (Inl, Inr)):
-            return v, cs  # already decided; weights have no say
-        if not isinstance(v, Unknown):
-            raise GenFailure(f"instantiation of non-sum value {v}")
-        left, right, cs = split_sum(v, cs)
-        side = choose(n1, left is not None, n2, right is not None, ctx)
-        return v, open_value(v, (Inl, Inr)[side], cs)[1]
-    if isinstance(e, Bang):
-        v, cs = narrow(e.arg, cs, ctx, env)
-        return sample_value(v, cs, ctx)
-    if isinstance(e, After):
-        v, cs = narrow(e.main, cs, ctx, env)
-        _, cs = narrow(e.hook, cs, ctx, env)
-        return v, cs
-    if isinstance(e, Cmp):
-        l, cs = narrow(e.lhs, cs, ctx, env)
-        r, cs = narrow(e.rhs, cs, ctx, env)
-        return narrow_cmp(e.op, l, r, cs, ctx)
-    if isinstance(e, Arith):
-        l, cs = narrow(e.lhs, cs, ctx, env)
-        r, cs = narrow(e.rhs, cs, ctx, env)
-        return narrow_arith(e.op, l, r, cs)
-    raise ContractViolation(f"cannot narrow {e!r}")
+    return (e._narrow or _compile(e))(cs, ctx, env)
+
+
+def _compile(e: Expr):
+    """The code of e: code(cs, ctx, env) narrows e, returning (value, cs').
+
+    Builds the code of e's children first, except a function's body;
+    the code is kept on e.
+    """
+    match e:
+        case Var(name):
+            def code(cs, ctx, env):
+                ctx.tick()
+                try:
+                    return env[name], cs
+                except KeyError:
+                    raise GenFailure(f"unbound variable {name}") from None
+        case Unit() | IntLit() | Unknown():
+            value = replace(e)  # a copy: the code does not refer to e
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                return value, cs
+        case Rec():
+            rec = replace(e)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                return Closure(rec, env), cs
+        case MatchFail():
+            def code(cs, ctx, env):
+                ctx.tick()
+                raise GenFailure("inexhaustive match")
+        case Pair(fst, snd):
+            fst, snd = _code(fst), _code(snd)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                f, cs = fst(cs, ctx, env)
+                s, cs = snd(cs, ctx, env)
+                return Pair(f, s), cs
+        case Inl(arg, ty) | Inr(arg, ty) | Fold(arg, ty):
+            make, arg = type(e), _code(arg)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = arg(cs, ctx, env)
+                return make(v, ty), cs
+        case Unfold(arg):
+            arg = _code(arg)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = arg(cs, ctx, env)
+                opened = open_value(v, Fold, cs)
+                if opened is None:
+                    raise GenFailure(f"unfold of non-fold {v}")
+                (child,), cs = opened
+                return child, cs
+        case App(fun, arg):
+            fun, arg = _code(fun), _code(arg)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                f, cs = fun(cs, ctx, env)
+                if not isinstance(f, Closure):
+                    raise GenFailure(f"application of non-function {f}")
+                a, cs = arg(cs, ctx, env)
+                body = f.rec.body
+                return (body._narrow or _compile(body))(cs, ctx,
+                                                        f.body_env(a))
+        case CasePair(scrut, fst_name, snd_name, body):
+            scrut, body = _code(scrut), _code(body)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = scrut(cs, ctx, env)
+                opened = open_value(v, Pair, cs)
+                if opened is None:
+                    raise GenFailure(f"pair case over non-pair {v}")
+                (fst, snd), cs = opened
+                return body(cs, ctx, {**env, snd_name: snd, fst_name: fst})
+        case CaseSum(scrut, left_name, left, right_name, right):
+            scrut, left, right = _code(scrut), _code(left), _code(right)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = scrut(cs, ctx, env)
+                if isinstance(v, Inl):
+                    return left(cs, ctx, {**env, left_name: v.arg})
+                if isinstance(v, Inr):
+                    return right(cs, ctx, {**env, right_name: v.arg})
+                if not isinstance(v, Unknown):
+                    raise GenFailure(f"sum case over non-injection {v}")
+                ls, rs, cs = split_sum(v, cs)
+                side = choose(1, ls is not None, 1, rs is not None, ctx)
+                (arg,), cs = open_value(v, (Inl, Inr)[side], cs)
+                if side == 0:
+                    return left(cs, ctx, {**env, left_name: arg})
+                return right(cs, ctx, {**env, right_name: arg})
+        case Inst(arg, w_left, w_right):
+            arg, w_left, w_right = _code(arg), _code(w_left), _code(w_right)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = arg(cs, ctx, env)
+                n1, cs = _weight(*w_left(cs, ctx, env), ctx)
+                n2, cs = _weight(*w_right(cs, ctx, env), ctx)
+                if isinstance(v, (Inl, Inr)):
+                    return v, cs  # already decided; weights have no say
+                if not isinstance(v, Unknown):
+                    raise GenFailure(f"instantiation of non-sum value {v}")
+                left, right, cs = split_sum(v, cs)
+                side = choose(n1, left is not None, n2, right is not None,
+                              ctx)
+                return v, open_value(v, (Inl, Inr)[side], cs)[1]
+        case Bang(arg):
+            arg = _code(arg)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = arg(cs, ctx, env)
+                return sample_value(v, cs, ctx)
+        case After(main, hook):
+            main, hook = _code(main), _code(hook)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                v, cs = main(cs, ctx, env)
+                return v, hook(cs, ctx, env)[1]
+        case Cmp(op, lhs, rhs):
+            lhs, rhs = _code(lhs), _code(rhs)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                l, cs = lhs(cs, ctx, env)
+                r, cs = rhs(cs, ctx, env)
+                return narrow_cmp(op, l, r, cs, ctx)
+        case Arith(op, lhs, rhs):
+            lhs, rhs = _code(lhs), _code(rhs)
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                l, cs = lhs(cs, ctx, env)
+                r, cs = rhs(cs, ctx, env)
+                return narrow_arith(op, l, r, cs)
+        case _:
+            message = f"cannot narrow {e!r}"
+
+            def code(cs, ctx, env):
+                ctx.tick()
+                raise ContractViolation(message)
+    object.__setattr__(e, "_narrow", code)
+    return code
+
+
+def _code(e: Expr):
+    return e._narrow or _compile(e)
 
 
 def open_value(v: Expr, kind: type, cs: ConstraintSet):
@@ -198,7 +286,11 @@ def narrow_weight(e: Expr, cs: ConstraintSet, ctx: RunCtx,
     A zero weight is legal and marks a branch that gets no probability
     mass; choice sites treat such branches as unavailable.
     """
-    v, cs = narrow(e, cs, ctx, env)
+    return _weight(*narrow(e, cs, ctx, env), ctx)
+
+
+def _weight(v: Expr, cs: ConstraintSet, ctx: RunCtx):
+    """The integer of a narrowed weight v, sampled first if unknown."""
     if isinstance(v, Unknown):
         v, cs = sample_value(v, cs, ctx)
     if not isinstance(v, IntLit) or v.value < 0:

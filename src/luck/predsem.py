@@ -9,9 +9,21 @@ query under an environment binding each queried name to its value makes
 this evaluator return True.  Bodies run under environments of closed
 values, as in narrowing: a variable takes one step and evaluates to the
 value it is bound to, as it is.
+
+A term is compiled once, on its first evaluation, into one closure per
+node that holds its children's closures and the node's fields; a
+function body is compiled on its first application.  The code is kept
+on the node (``Expr._pred``) and refers to no node above it, so a term
+built for one check is freed with its code.  This compiler shares no
+rule with narrowing or matching: case selection, comparison and
+instantiation are decided here on their own, so the recheck judges the
+generators independently.  Each node's code takes one step when it
+starts, as each visit of the node did before compilation.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .core import (
     EMPTY_ENV,
@@ -80,82 +92,152 @@ def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL, env: Env = EMPTY_ENV) -> Expr:
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 50_000))
     try:
-        return _eval(e, _Fuel(fuel), env)
+        return (e._pred or _compile(e))(_Fuel(fuel), env)
     except RecursionError:
         raise EvalTimeout() from None
     finally:
         sys.setrecursionlimit(old)
 
 
-def _eval(e: Expr, fuel: _Fuel, env: Env) -> Expr:
-    fuel.tick()
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalFailure(f"unbound variable {e.name}") from None
-    if isinstance(e, (Unit, IntLit)):
-        return e
-    if isinstance(e, Rec):
-        return Closure(e, env)
-    if isinstance(e, Unknown):
-        raise EvalFailure(f"unknown ?{e.uid} in a closed evaluation")
-    if isinstance(e, MatchFail):
-        raise EvalFailure("inexhaustive match")
-    if isinstance(e, Pair):
-        return Pair(_eval(e.fst, fuel, env), _eval(e.snd, fuel, env))
-    if isinstance(e, (Inl, Inr, Fold)):
-        return type(e)(_eval(e.arg, fuel, env), e.ty)
-    if isinstance(e, Unfold):
-        v = _eval(e.arg, fuel, env)
-        if not isinstance(v, Fold):
-            raise EvalFailure(f"unfold of non-fold value {v}")
-        return v.arg
-    if isinstance(e, CasePair):
-        v = _eval(e.scrut, fuel, env)
-        if not isinstance(v, Pair):
-            raise EvalFailure(f"pair case over non-pair value {v}")
-        return _eval(e.body, fuel,
-                     {**env, e.snd_name: v.snd, e.fst_name: v.fst})
-    if isinstance(e, CaseSum):
-        v = _eval(e.scrut, fuel, env)
-        if isinstance(v, Inl):
-            return _eval(e.left_body, fuel, {**env, e.left_name: v.arg})
-        if isinstance(v, Inr):
-            return _eval(e.right_body, fuel, {**env, e.right_name: v.arg})
-        raise EvalFailure(f"sum case over non-injection value {v}")
-    if isinstance(e, App):
-        f = _eval(e.fun, fuel, env)
-        if not isinstance(f, Closure):
-            raise EvalFailure(f"application of non-function {f}")
-        a = _eval(e.arg, fuel, env)
-        return _eval(f.rec.body, fuel, f.body_env(a))
-    if isinstance(e, Inst):
-        wl = _eval(e.w_left, fuel, env)
-        wr = _eval(e.w_right, fuel, env)
-        for w in (wl, wr):
-            if not isinstance(w, IntLit) or w.value < 0:
-                raise EvalFailure(f"bad instantiation weight {w}")
-        return _eval(e.arg, fuel, env)
-    if isinstance(e, Bang):
-        return _eval(e.arg, fuel, env)
-    if isinstance(e, After):
-        v = _eval(e.main, fuel, env)
-        _eval(e.hook, fuel, env)
-        return v
-    if isinstance(e, Cmp):
-        l = _eval(e.lhs, fuel, env)
-        r = _eval(e.rhs, fuel, env)
-        if not isinstance(l, IntLit) or not isinstance(r, IntLit):
-            raise EvalFailure("comparison of non-integers")
-        return TRUE if eval_op(e.op, l.value, r.value) else FALSE
-    if isinstance(e, Arith):
-        l = _eval(e.lhs, fuel, env)
-        r = _eval(e.rhs, fuel, env)
-        if not isinstance(l, IntLit) or not isinstance(r, IntLit):
-            raise EvalFailure("arithmetic on non-integers")
-        return IntLit(_arith(e.op, l.value, r.value))
-    raise EvalFailure(f"no rule for {e!r}")
+def _compile(e: Expr):
+    """The code of e: code(fuel, env) evaluates e to a value.
+
+    Builds the code of e's children first, except a function's body;
+    the code is kept on e.
+    """
+    match e:
+        case Var(name):
+            def code(fuel, env):
+                fuel.tick()
+                try:
+                    return env[name]
+                except KeyError:
+                    raise EvalFailure(f"unbound variable {name}") from None
+        case Unit() | IntLit():
+            value = replace(e)  # a copy: the code does not refer to e
+
+            def code(fuel, env):
+                fuel.tick()
+                return value
+        case Rec():
+            rec = replace(e)
+
+            def code(fuel, env):
+                fuel.tick()
+                return Closure(rec, env)
+        case Unknown(uid):
+            def code(fuel, env):
+                fuel.tick()
+                raise EvalFailure(f"unknown ?{uid} in a closed evaluation")
+        case MatchFail():
+            def code(fuel, env):
+                fuel.tick()
+                raise EvalFailure("inexhaustive match")
+        case Pair(fst, snd):
+            fst, snd = _code(fst), _code(snd)
+
+            def code(fuel, env):
+                fuel.tick()
+                return Pair(fst(fuel, env), snd(fuel, env))
+        case Inl(arg, ty) | Inr(arg, ty) | Fold(arg, ty):
+            make, arg = type(e), _code(arg)
+
+            def code(fuel, env):
+                fuel.tick()
+                return make(arg(fuel, env), ty)
+        case Unfold(arg):
+            arg = _code(arg)
+
+            def code(fuel, env):
+                fuel.tick()
+                v = arg(fuel, env)
+                if not isinstance(v, Fold):
+                    raise EvalFailure(f"unfold of non-fold value {v}")
+                return v.arg
+        case CasePair(scrut, fst_name, snd_name, body):
+            scrut, body = _code(scrut), _code(body)
+
+            def code(fuel, env):
+                fuel.tick()
+                v = scrut(fuel, env)
+                if not isinstance(v, Pair):
+                    raise EvalFailure(f"pair case over non-pair value {v}")
+                return body(fuel, {**env, snd_name: v.snd, fst_name: v.fst})
+        case CaseSum(scrut, left_name, left, right_name, right):
+            scrut, left, right = _code(scrut), _code(left), _code(right)
+
+            def code(fuel, env):
+                fuel.tick()
+                v = scrut(fuel, env)
+                if isinstance(v, Inl):
+                    return left(fuel, {**env, left_name: v.arg})
+                if isinstance(v, Inr):
+                    return right(fuel, {**env, right_name: v.arg})
+                raise EvalFailure(f"sum case over non-injection value {v}")
+        case App(fun, arg):
+            fun, arg = _code(fun), _code(arg)
+
+            def code(fuel, env):
+                fuel.tick()
+                f = fun(fuel, env)
+                if not isinstance(f, Closure):
+                    raise EvalFailure(f"application of non-function {f}")
+                a = arg(fuel, env)
+                body = f.rec.body
+                return (body._pred or _compile(body))(fuel, f.body_env(a))
+        case Inst(arg, w_left, w_right):
+            arg, w_left, w_right = _code(arg), _code(w_left), _code(w_right)
+
+            def code(fuel, env):
+                fuel.tick()
+                for w in (w_left(fuel, env), w_right(fuel, env)):
+                    if not isinstance(w, IntLit) or w.value < 0:
+                        raise EvalFailure(f"bad instantiation weight {w}")
+                return arg(fuel, env)
+        case Bang(arg):
+            arg = _code(arg)
+
+            def code(fuel, env):
+                fuel.tick()
+                return arg(fuel, env)
+        case After(main, hook):
+            main, hook = _code(main), _code(hook)
+
+            def code(fuel, env):
+                fuel.tick()
+                v = main(fuel, env)
+                hook(fuel, env)
+                return v
+        case Cmp(op, lhs, rhs):
+            lhs, rhs = _code(lhs), _code(rhs)
+
+            def code(fuel, env):
+                fuel.tick()
+                l, r = lhs(fuel, env), rhs(fuel, env)
+                if not isinstance(l, IntLit) or not isinstance(r, IntLit):
+                    raise EvalFailure("comparison of non-integers")
+                return TRUE if eval_op(op, l.value, r.value) else FALSE
+        case Arith(op, lhs, rhs):
+            lhs, rhs = _code(lhs), _code(rhs)
+
+            def code(fuel, env):
+                fuel.tick()
+                l, r = lhs(fuel, env), rhs(fuel, env)
+                if not isinstance(l, IntLit) or not isinstance(r, IntLit):
+                    raise EvalFailure("arithmetic on non-integers")
+                return IntLit(_arith(op, l.value, r.value))
+        case _:
+            message = f"no rule for {e!r}"
+
+            def code(fuel, env):
+                fuel.tick()
+                raise EvalFailure(message)
+    object.__setattr__(e, "_pred", code)
+    return code
+
+
+def _code(e: Expr):
+    return e._pred or _compile(e)
 
 
 def _arith(op: str, a: int, b: int) -> int:

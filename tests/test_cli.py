@@ -103,6 +103,15 @@ def test_exhausted_budget_exits_2_with_diagnostics(capsys):
                              "--int-bound", "5..9", "--retries", "4")
     assert code == 2 and out == ""
     assert "no success in 5 attempts" in err
+    assert "ran out of" not in err
+
+
+def test_a_budget_spent_on_fuel_says_so(capsys):
+    code, out, err = run_cli(capsys, BST, "bst 3 0 10 t = True", "--seed",
+                             "1", "--int-bound", "0..10", "--fuel", "60",
+                             "--retries", "3")
+    assert code == 2 and out == ""
+    assert "no success in 4 attempts (4 ran out of the 60-step fuel)" in err
 
 
 def test_configuration_errors_exit_1(capsys):

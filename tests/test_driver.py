@@ -2,6 +2,8 @@
 
 import gc
 import json
+import pickle
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +102,21 @@ def test_valuations_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_compiled_code_is_freed_with_its_program():
+    # no registry outlives a program's code; nothing compiled travels with
+    # a report, which --jobs pickles
+    prep = prepare(load("rbt.luck"), "isRBT 2 0 20 Black t = True",
+                   int_bound=(0, 20))
+    reports = [run_prepared(prep, seed=s, check=True) for s in range(3)]
+    assert all(r.ok for r in reports)
+    assert pickle.loads(pickle.dumps(reports)) == reports
+    assert prep.target._match is not None and prep.target._pred is not None
+    target = weakref.ref(prep.target)
+    del prep, reports
+    gc.collect()
+    assert target() is None
 
 
 def test_same_seed_reproduces_the_report():
@@ -263,6 +280,16 @@ def test_the_recheck_runs_under_the_given_fuel():
                    int_bound=(0, 3))
     assert not recheck(prep, {"x": core.IntLit(1)}, fuel=50_000)
     assert recheck(prep, {"x": core.IntLit(1)}, fuel=100_000)
+
+
+def test_a_recheck_out_of_fuel_is_counted_in_the_error():
+    # seed 0's first attempt at sorted takes 43 steps and its recheck 46
+    prep = prepare(load("sorted.luck"), "sorted l = True", int_bound=(0, 20))
+    assert recheck(prep, run_prepared(prep, seed=0, retries=0).values,
+                   fuel=45) is None
+    r = run_prepared(prep, seed=0, retries=0, fuel=45, check=True)
+    assert not r.ok and r.discards == 1
+    assert r.error == "no success in 1 attempts (1 ran out of the 45-step fuel)"
 
 
 def test_enumeration_counts_a_trace_out_of_fuel_as_failure():

@@ -1,5 +1,7 @@
 """Narrowing evaluation: running expressions over a constraint store."""
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +20,7 @@ from luck.core import (
     CasePair,
     CaseSum,
     Cmp,
+    Expr,
     Fold,
     Inl,
     Inr,
@@ -38,6 +41,7 @@ from luck.core import (
 )
 from luck.desugar import Program
 from luck.driver import DEFAULT_FUEL, attempt, prepare
+from luck.matching import match_eval
 from luck.narrow import GenFailure, narrow, open_value, sample_value, split_sum
 from luck.predsem import EvalTimeout, pred_eval
 from luck.trace import (
@@ -313,6 +317,58 @@ def test_attempt_takes_the_recorded_number_of_steps(file, query, int_bound,
             pass
         used.append(DEFAULT_FUEL - ctx.fuel)
     assert used == steps
+
+
+def run_attempt(prep, seed: int, fuel: int):
+    """(values, trace, q) of one attempt, values None when it fails."""
+    ctx = RunCtx(RandomSource(derive_seed(seed, 0)), fuel=fuel)
+    try:
+        vals = attempt(prep, ctx)
+    except GenFailure:
+        vals = None
+    return vals, ctx.trace, ctx.q
+
+
+@pytest.mark.parametrize("file,query,int_bound,depth,steps", ATTEMPT_STEPS,
+                         ids=["bst", "rbt", "distinct", "sorted", "member",
+                              "bst-d12"])
+def test_an_attempt_fits_exactly_its_recorded_steps(file, query, int_bound,
+                                                    depth, steps):
+    # the last step comes last: no step is moved past the end or batched
+    prog = Program.from_source((CORPUS / file).read_text())
+    prep = prepare(prog, query, int_bound=int_bound, depth=depth)
+    for seed, fuel in enumerate(steps):
+        assert run_attempt(prep, seed, fuel) == run_attempt(prep, seed,
+                                                             DEFAULT_FUEL)
+        with pytest.raises(EvalTimeout):
+            run_attempt(prep, seed, fuel - 1)
+
+
+def test_compiled_code_refers_to_no_node_above_it():
+    # each evaluator compiles every node kind here: leaves, a function,
+    # a call, a comparison and a body that pushes no pattern; a node's code
+    # holding the node would make a cycle only a collection frees
+    f = Rec("f", "x", TInt(), Cmp("<", Var("x"), IntLit(3)), BOOL)
+    g = Rec("g", "y", BOOL, Var("y"), BOOL)
+    term = After(App(g, App(f, Var("u"))), Unit())
+    nodes, todo = [], [term]
+    while todo:
+        node = todo.pop()
+        nodes.append(weakref.ref(node))
+        todo.extend(v for v in vars(node).values() if isinstance(v, Expr))
+    cs, u = int_unknown(0, 9)
+    gc.collect()
+    gc.disable()
+    try:
+        assert not match_eval(term, TRUE, cs, ctx_with(), {"u": Unknown(u)}
+                              ).failed
+        assert narrow(term, cs, ctx_with(), {"u": Unknown(u)})[0] == TRUE
+        assert pred_eval(term, env={"u": IntLit(1)}) == TRUE
+        assert term._match and term._narrow and term._pred
+        del term, f, g, node
+        assert [n for n in nodes if n() is not None] == []
+    finally:
+        gc.enable()
 
 
 # -- sampling -----------------------------------------------------------------
