@@ -1,14 +1,14 @@
 """Constraint sets: orthogonal maps of ranges plus integer interval domains.
 
-A constraint set is an immutable snapshot holding, for every unknown, its
-flat type and either nothing or one of six binding kinds:
+A constraint set is an immutable snapshot holding one map, ``bindings``,
+from unknowns to their ranges.  Only a unit unknown is unbound: its type
+gives its one value.  Every other unknown has one of four binding kinds,
+and every binding but a domain and an alias carries the unknown's type:
 
-  * nothing: the unknown ranges over its whole type, and ``expand``
-    gives it its type's node the first time something looks inside it;
-    a unit unknown is never bound, since its type gives its one value,
-  * a deferred range: every value of its type within a recursion depth,
-    not yet built (``Deferred``; the first unification or case split that
-    looks inside unfolds it by one level),
+  * a deferred range: every value of its type, or every one within a
+    recursion depth, not yet built (``Deferred``; ``fresh`` gives a sum,
+    product or recursive unknown its whole type, and the first
+    unification or case split that looks inside unfolds it by one level),
   * a one-level range node whose children are further unknowns
     (pair / fold / sum; a sum node holds one child per injection the
     unknown can still take, so one side may be ruled out),
@@ -27,7 +27,8 @@ reads an unknown pinned to one integer as that integer, so ``cons`` only
 holds constraints posted between two unpinned unknowns.  A write costs
 its dictionary copies and little else: every store shares one full
 domain per integer bounds (``_full``), and a deferred range unfolds from
-a layout kept per (type, depth, bounds) (``_layout``).
+a layout kept per (type, depth, bounds) (``_layout``).  ``type_of``
+reads an unknown's type from its binding.
 
 ``sample`` pins one value of a range at a time, on demand, and keeps the
 pin when the store it leaves still has a solution.  One rule decides, at
@@ -87,6 +88,7 @@ class ContractViolation(Exception):
 class RPair:
     fst: int
     snd: int
+    ty: Type
 
     def __str__(self) -> str:
         return f"(?{self.fst}, ?{self.snd})"
@@ -103,6 +105,7 @@ class RSum:
 
     left: Optional[int]
     right: Optional[int]
+    ty: Type
 
     def __str__(self) -> str:
         if self.right is None:
@@ -115,6 +118,7 @@ class RSum:
 @dataclass(frozen=True)
 class RFold:
     child: int
+    ty: Type
 
     def __str__(self) -> str:
         return f"fold ?{self.child}"
@@ -130,18 +134,21 @@ class Alias:
 
 @dataclass(frozen=True)
 class Deferred:
-    """Every value of the unknown's type that unrolls recursive types at
-    most `depth` times along any path; never empty.
+    """Every value of the sum, product or recursive type `ty` that unrolls
+    recursive types at most `depth` times along any path, or every value
+    of `ty` when `depth` is None; never empty.
 
     Nothing below it is built.  Unfolding it (``ConstraintSet.expand``)
     writes the one-level node over fresh children, each with its own
-    range.
+    range.  A range with no depth bound has no count and no denotation
+    when `ty` is recursive; ``materialize`` gives it a depth.
     """
 
-    depth: int
+    ty: Type
+    depth: Optional[int]
 
     def __str__(self) -> str:
-        return f"<depth {self.depth}>"
+        return "<whole>" if self.depth is None else f"<depth {self.depth}>"
 
 
 # Deferred ranges unfold, count and test the same few (type, depth) pairs
@@ -156,8 +163,23 @@ def _full(int_bounds: tuple[int, int]) -> IntDomain:
     return IntDomain.bounded(*int_bounds)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _range(ty: Type, depth: Optional[int], int_bounds) -> Binding:
+    """The binding, shared by every store, of an unknown ranging over the
+    values of the flat type `ty` to `depth` (None: no depth bound): none
+    for unit, the full domain for an integer, else a deferred range."""
+    if not is_flat(ty):
+        raise ContractViolation(f"unknown of non-flat type {ty}")
+    if isinstance(ty, TUnit):
+        return None
+    if isinstance(ty, TInt):
+        return _full(int_bounds)
+    return Deferred(ty, depth)
+
+
 # RPair | RSum | RFold | IntDomain | Alias | Deferred; a unit unknown has none
 Binding = object
+_INT, _UNIT = TInt(), TUnit()
 
 
 def _children(b: Binding) -> tuple[int, ...]:
@@ -190,14 +212,12 @@ DENOTE_CAP = 100_000
 
 
 class ConstraintSet:
-    """Immutable store of unknown types, ranges, domains, and constraints."""
+    """Immutable store of unknown ranges, domains, and constraints."""
 
-    __slots__ = ("utypes", "bindings", "cons", "next_fresh", "failed",
-                 "int_bounds")
+    __slots__ = ("bindings", "cons", "next_fresh", "failed", "int_bounds")
 
-    def __init__(self, utypes=None, bindings=None, cons=None, next_fresh=0,
+    def __init__(self, bindings=None, cons=None, next_fresh=0,
                  failed=False, int_bounds=(MIN_INT, MAX_INT)):
-        self.utypes: dict[int, Type] = utypes if utypes is not None else {}
         self.bindings: dict[int, Binding] = bindings if bindings is not None else {}
         self.cons: dict[int, tuple[Constraint, ...]] = cons if cons is not None else {}
         self.next_fresh: int = next_fresh
@@ -206,17 +226,16 @@ class ConstraintSet:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _with(self, utypes, bindings, cons, next_fresh) -> "ConstraintSet":
+    def _with(self, bindings, cons, next_fresh) -> "ConstraintSet":
         """A snapshot with this store's bounds and flag, built directly."""
         out = object.__new__(ConstraintSet)
-        out.utypes, out.bindings, out.cons = utypes, bindings, cons
+        out.bindings, out.cons = bindings, cons
         out.next_fresh, out.failed = next_fresh, self.failed
         out.int_bounds = self.int_bounds
         return out
 
     def fail(self) -> "ConstraintSet":
-        out = self._with(self.utypes, self.bindings, self.cons,
-                         self.next_fresh)
+        out = self._with(self.bindings, self.cons, self.next_fresh)
         out.failed = True
         return out
 
@@ -239,7 +258,10 @@ class ConstraintSet:
         return r, self.bindings.get(r)
 
     def type_of(self, u: int) -> Type:
-        return self.utypes[self.find(u)]
+        b = self.bindings.get(self.find(u))
+        if b is None:
+            return _UNIT
+        return _INT if isinstance(b, IntDomain) else b.ty
 
     def created_since(self, older: "ConstraintSet") -> list[int]:
         return list(range(older.next_fresh, self.next_fresh))
@@ -261,20 +283,18 @@ class ConstraintSet:
     # -- fresh unknowns -----------------------------------------------------
 
     def fresh(self, types: list[Type]):
-        """Allocate unconstrained unknowns of the given flat types."""
-        utypes = dict(self.utypes)
+        """Allocate unknowns of the given flat types, each ranging over its
+        whole type."""
         bindings = dict(self.bindings)
         uids = []
         nxt = self.next_fresh
         for ty in types:
-            if not is_flat(ty):
-                raise ContractViolation(f"unknown of non-flat type {ty}")
-            utypes[nxt] = ty
-            if isinstance(ty, TInt):
-                bindings[nxt] = _full(self.int_bounds)
+            b = _range(ty, None, self.int_bounds)
+            if b is not None:
+                bindings[nxt] = b
             uids.append(nxt)
             nxt += 1
-        return self._with(utypes, bindings, self.cons, nxt), uids
+        return self._with(bindings, self.cons, nxt), uids
 
     # -- materialization ----------------------------------------------------
 
@@ -290,11 +310,10 @@ class ConstraintSet:
         root, b = self.resolve(u)
         if isinstance(b, IntDomain):
             return self, not b.is_empty()
-        ty = self.utypes[root]
-        if b is not None or isinstance(ty, TUnit):
-            return self, True  # already shaped, or unit; leave as is
-        out = self._set_binding(root, Deferred(depth))
-        if not _nonempty(ty, self.int_bounds, depth):
+        if not isinstance(b, Deferred) or b.depth is not None:
+            return self, True  # already bounded or shaped, or unit
+        out = self._set_binding(root, _range(b.ty, depth, self.int_bounds))
+        if not _nonempty(b.ty, self.int_bounds, depth):
             return out.fail(), False
         return out, True
 
@@ -302,54 +321,40 @@ class ConstraintSet:
         """(set', representative, node): u's one-level range node.
 
         This is the one place an unknown is opened.  A deferred range is
-        unfolded by one level.  An unknown of sum, product or recursive type
-        without a binding gets its type's node, over fresh children that
-        range over their whole types.  Either node is written to the store.
-        An integer unknown's binding, an existing node and a unit unknown's
+        unfolded by one level, and the node is written to the store.  An
+        integer unknown's domain, an existing node and a unit unknown's
         None come back as they are.
         """
         root, b = self.resolve(u)
         if isinstance(b, Deferred):
-            out, level = self._unfold(b, self.utypes[root], holder=root)
+            out, level = self._unfold(b, holder=root)
             return out, root, level
-        ty = self.utypes[root]
-        if b is not None or isinstance(ty, (TInt, TUnit)):
-            return self, root, b
-        if isinstance(ty, TMu):
-            out, ids = self.fresh([_unfold_mu(ty)])
-        else:
-            out, ids = self.fresh([ty.left, ty.right])
-        node = (RFold if isinstance(ty, TMu) else
-                RPair if isinstance(ty, TProd) else RSum)(*ids)
-        out.bindings[root] = node  # `fresh` gave `out` its own dictionary
-        return out, root, node
+        return self, root, b
 
-    def _unfold(self, d: Deferred, ty: Type, holder: Optional[int] = None):
-        """One level of the deferred range `d` over `ty`: (set', binding).
+    def _unfold(self, d: Deferred, holder: Optional[int] = None):
+        """One level of the deferred range `d`: (set', binding).
 
         The binding is the node the range's top unknown needs, over
         children minted as ``fresh`` mints them, with their own ranges, as
         ``_layout`` lays them out.  With `holder`, the binding is also
         written there.
         """
-        node, slots = _layout(ty, d.depth, self.int_bounds)
-        utypes = dict(self.utypes)
+        node, slots = _layout(d.ty, d.depth, self.int_bounds)
         bindings = dict(self.bindings)
         ids = []
         nxt = self.next_fresh
-        for part in slots:
-            if part is None:
+        for b in slots:
+            if b is _RULED_OUT:
                 ids.append(None)
                 continue
-            utypes[nxt], b = part
             if b is not None:
                 bindings[nxt] = b
             ids.append(nxt)
             nxt += 1
-        level = node(*ids)
+        level = node(*ids, d.ty)
         if holder is not None:
             bindings[holder] = level
-        return self._with(utypes, bindings, self.cons, nxt), level
+        return self._with(bindings, self.cons, nxt), level
 
     # -- satisfiability -----------------------------------------------------
 
@@ -409,9 +414,17 @@ class ConstraintSet:
             budget[0] -= 1
             if budget[0] < 0:
                 raise ContractViolation("denotation larger than cap")
-            if b is None or isinstance(b, Deferred):
-                yield from assign_top(r, self.utypes[r], asg,
-                                      None if b is None else b.depth)
+            if b is None:
+                a2 = dict(asg)
+                a2[r] = Unit()
+                yield a2
+            elif isinstance(b, Deferred):
+                # expand virtually without minting
+                for val in _type_values(b.ty, self.int_bounds, budget,
+                                        b.depth):
+                    a2 = dict(asg)
+                    a2[r] = val
+                    yield a2
             elif isinstance(b, IntDomain):
                 if b.size() > cap:
                     raise ContractViolation("integer domain larger than cap")
@@ -426,41 +439,20 @@ class ConstraintSet:
                         a4[r] = Pair(a3[self.find(b.fst)], a3[self.find(b.snd)])
                         yield a4
             elif isinstance(b, RSum):
-                ty = self.utypes[r]
                 for inj, c in ((Inl, b.left), (Inr, b.right)):
                     if c is None:
                         continue
                     for a2 in assign_one(c, asg):
                         a3 = dict(a2)
-                        a3[r] = inj(a2[self.find(c)], ty)
+                        a3[r] = inj(a2[self.find(c)], b.ty)
                         yield a3
             elif isinstance(b, RFold):
-                ty = self.utypes[r]
                 for a2 in assign_one(b.child, asg):
                     a3 = dict(a2)
-                    a3[r] = Fold(a2[self.find(b.child)], ty)
+                    a3[r] = Fold(a2[self.find(b.child)], b.ty)
                     yield a3
             else:
                 raise ContractViolation(f"bad binding {b!r}")
-
-        def assign_top(r: int, ty: Type, asg: dict, depth: Optional[int]):
-            if isinstance(ty, TUnit):
-                a2 = dict(asg)
-                a2[r] = Unit()
-                yield a2
-            elif isinstance(ty, TInt):
-                raise AssertionError("int unknowns always carry a domain")
-            elif isinstance(ty, TMu) and depth is None:
-                raise ContractViolation(
-                    "denotation of unmaterialized recursive unknown")
-            elif isinstance(ty, (TSum, TProd, TMu)):
-                # expand virtually without minting
-                for val in _type_values(ty, self.int_bounds, budget, depth):
-                    a2 = dict(asg)
-                    a2[r] = val
-                    yield a2
-            else:
-                raise ContractViolation(f"cannot enumerate type {ty}")
 
         out = set()
         for asg in assignments(sorted(seen), {}):
@@ -511,35 +503,35 @@ class ConstraintSet:
 
     def _unify_uu(self, ua: int, ub: int) -> "ConstraintSet":
         ra, rb = self.find(ua), self.find(ub)
-        if ra == rb or isinstance(self.utypes[ra], TUnit):
-            return self
         small, large = (ra, rb) if ra < rb else (rb, ra)
         bs, bl = self.bindings.get(small), self.bindings.get(large)
+        if ra == rb or bs is None:  # one unknown, or two unit ones
+            return self
 
         bindings = dict(self.bindings)
         cons = dict(self.cons)
         bindings[large] = Alias(small)
-        if bs is None and bl is not None:
-            bindings[small] = bl
         merged_cons = self.cons.get(small, ()) + self.cons.get(large, ())
         if merged_cons:
             cons[small] = merged_cons
             cons.pop(large, None)
-        out = self._with(self.utypes, bindings, cons, self.next_fresh)
-
-        if bl is None or bs is None:
-            return out._propagate_ok(small)
+        out = self._with(bindings, cons, self.next_fresh)
         return out._merge_bindings(small, bs, bl)
 
     def _merge_bindings(self, root: int, b1, b2) -> "ConstraintSet":
+        """Write at root, which holds `b1`, the meet of `b1` and `b2`."""
+        if isinstance(b2, Deferred) and b2.depth is None:
+            return self  # a whole range meets any binding as that binding
+        if isinstance(b1, Deferred) and b1.depth is None:
+            return self._set_binding(root, b2)
         if isinstance(b1, Deferred) and isinstance(b2, Deferred):
-            # two whole ranges of one type: the shallower is their meet
+            # two depth-bounded ranges of one type: the shallower is the meet
             return self._set_binding(root, b2 if b2.depth < b1.depth else b1)
         if isinstance(b1, Deferred):
-            out, b1 = self._unfold(b1, self.utypes[root], holder=root)
+            out, b1 = self._unfold(b1, holder=root)
             return out._merge_bindings(root, b1, b2)
         if isinstance(b2, Deferred):
-            out, b2 = self._unfold(b2, self.utypes[root])
+            out, b2 = self._unfold(b2)
             return out._merge_bindings(root, b1, b2)
         if isinstance(b1, IntDomain) and isinstance(b2, IntDomain):
             return self._set_domain(root, b1.intersect(b2))
@@ -560,20 +552,21 @@ class ConstraintSet:
                         out, sides[k] = tried, c1
             if sides == [None, None]:
                 return self.fail()
-            node = RSum(*sides)
+            node = RSum(*sides, b1.ty)
             return out if node == b1 else out._set_binding(root, node)
         raise ContractViolation(f"merge of incompatible bindings {b1} / {b2}")
 
     def keep_side(self, root: int, node: RSum, left: bool) -> "ConstraintSet":
         """The store in which root, whose node ``expand`` gave as `node`,
         takes only its left (or right) injection, a side `node` keeps."""
-        kept = RSum(node.left, None) if left else RSum(None, node.right)
+        kept = (RSum(node.left, None, node.ty) if left else
+                RSum(None, node.right, node.ty))
         return self if kept == node else self._set_binding(root, kept)
 
     def _set_binding(self, u: int, b) -> "ConstraintSet":
         bindings = dict(self.bindings)
         bindings[u] = b
-        return self._with(self.utypes, bindings, self.cons, self.next_fresh)
+        return self._with(bindings, self.cons, self.next_fresh)
 
     def _set_domain(self, root: int, dom: IntDomain) -> "ConstraintSet":
         """Write root's integer domain: failed when it is empty, else
@@ -643,7 +636,7 @@ class ConstraintSet:
         cons = dict(self.cons)
         cons[ra] = cons.get(ra, ()) + (c,)
         cons[rb] = cons.get(rb, ()) + (c,)
-        out = self._with(self.utypes, self.bindings, cons, self.next_fresh)
+        out = self._with(self.bindings, cons, self.next_fresh)
         return out.propagate([ra, rb])
 
     def _read(self, side):
@@ -663,7 +656,7 @@ class ConstraintSet:
         values past the configured range without clamping u in return.
         A pinned u gives a pinned w, and no constraint is stored.
         """
-        out, (w,) = self.fresh([TInt()])
+        out, (w,) = self.fresh([_INT])
         out.bindings[w] = self._domain(u).shift(offset)  # `out`'s own copy
         return out.post_cmp("==", Unknown(w), Unknown(u), offset=offset), w
 
@@ -748,16 +741,8 @@ class ConstraintSet:
                     break
                 enqueue_for(target)
 
-        out = self._with(self.utypes, bindings, self.cons, self.next_fresh)
+        out = self._with(bindings, self.cons, self.next_fresh)
         return out.fail() if failed else out
-
-    def _propagate_ok(self, root: int) -> "ConstraintSet":
-        b = self.bindings.get(root)
-        if isinstance(b, IntDomain):
-            if b.is_empty():
-                return self.fail()
-            return self.propagate([root])
-        return self
 
     # -- singleton resolution -------------------------------------------------
 
@@ -765,9 +750,9 @@ class ConstraintSet:
         """The unknown's value if its range is a single value, else None."""
         if self.failed:
             return None
-        root, b = self.resolve(u)
+        b = self.resolve(u)[1]
         if b is None:
-            return Unit() if isinstance(self.utypes[root], TUnit) else None
+            return Unit()
         if isinstance(b, IntDomain):
             return IntLit(b.min()) if b.is_singleton() else None
         if isinstance(b, RPair):
@@ -779,15 +764,16 @@ class ConstraintSet:
                 return None
             inj, c = (Inl, b.left) if b.right is None else (Inr, b.right)
             v = self.index(c)
-            return inj(v, self.utypes[root]) if v is not None else None
+            return inj(v, b.ty) if v is not None else None
         if isinstance(b, RFold):
             v = self.index(b.child)
-            return Fold(v, self.utypes[root]) if v is not None else None
+            return Fold(v, b.ty) if v is not None else None
         if isinstance(b, Deferred):
-            ty = self.utypes[root]
-            if _type_count(ty, self.int_bounds, b.depth) != 1:
+            # a whole range may have no count; it is never read as one value
+            if b.depth is None or \
+                    _type_count(b.ty, self.int_bounds, b.depth) != 1:
                 return None
-            return _type_unrank(ty, 0, self.int_bounds, b.depth)
+            return _type_unrank(b.ty, 0, self.int_bounds, b.depth)
         raise ContractViolation(f"bad binding {b!r}")
 
     # -- counting and sampling -------------------------------------------------
@@ -815,9 +801,10 @@ class ConstraintSet:
         if root in seen:
             raise ContractViolation("shared unknown in counted range")
         seen.add(root)
-        if b is None or isinstance(b, Deferred):
-            n = _type_count(self.utypes[root], self.int_bounds,
-                            None if b is None else b.depth)
+        if b is None:
+            n = 1
+        elif isinstance(b, Deferred):
+            n = _type_count(b.ty, self.int_bounds, b.depth)
         elif isinstance(b, IntDomain):
             n = b.size()
         elif isinstance(b, RPair):
@@ -838,11 +825,11 @@ class ConstraintSet:
         """
         if counts is None:
             counts = self._count_table(u)
-        root, b = self.resolve(u)
-        ty = self.utypes[root]
-        if b is None or isinstance(b, Deferred):
-            return _type_unrank(ty, i, self.int_bounds,
-                                None if b is None else b.depth)
+        b = self.resolve(u)[1]
+        if b is None:
+            return Unit()
+        if isinstance(b, Deferred):
+            return _type_unrank(b.ty, i, self.int_bounds, b.depth)
         if isinstance(b, IntDomain):
             return IntLit(b.nth(i))
         if isinstance(b, RPair):
@@ -850,12 +837,12 @@ class ConstraintSet:
             return Pair(self._unrank(b.fst, i // n2, counts),
                         self._unrank(b.snd, i % n2, counts))
         if isinstance(b, RFold):
-            return Fold(self._unrank(b.child, i, counts), ty)
+            return Fold(self._unrank(b.child, i, counts), b.ty)
         if isinstance(b, RSum):
             nl = 0 if b.left is None else counts[b.left]
             if i < nl:
-                return Inl(self._unrank(b.left, i, counts), ty)
-            return Inr(self._unrank(b.right, i - nl, counts), ty)
+                return Inl(self._unrank(b.left, i, counts), b.ty)
+            return Inr(self._unrank(b.right, i - nl, counts), b.ty)
         raise ContractViolation(f"bad binding {b!r}")
 
     def sample(self, u: int) -> "SampleSpace":
@@ -920,11 +907,12 @@ class SampleSpace:
 
 
 # ---------------------------------------------------------------------------
-# Whole-type ranges: unknowns never given a shaped range, and deferred ones
+# Deferred ranges
 #
-# `depth` bounds the unrollings of recursive types as in ``Deferred``; None
-# (an unknown without a range) admits no recursive type at all.  Values come in structural order: left
-# injections first, pairs first-component-major, integers ascending.
+# `depth` bounds the unrollings of recursive types as in ``Deferred``; a
+# range with no depth bound (None) has no count under a recursive type.
+# Values come in structural order: left injections first, pairs
+# first-component-major, integers ascending.
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -944,27 +932,29 @@ def _nonempty(ty: Type, int_bounds, depth: int) -> bool:
     raise ContractViolation(f"cannot materialize type {ty}")
 
 
+_RULED_OUT = object()
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _layout(ty: Type, depth: int, int_bounds):
+def _layout(ty: Type, depth: Optional[int], int_bounds):
     """How a deferred range of `ty` to `depth` unfolds: (node class, slots).
 
-    A slot is None for a ruled-out sum side, else (child type, binding):
-    None for unit, the shared full domain for an integer, else the child's
-    own deferred range, whose depth drops by one only across a fold.
+    A slot is ``_RULED_OUT`` for a ruled-out sum side (none is with no
+    depth bound), else the child's binding as ``_range`` gives it, whose
+    depth drops by one only across a fold.
     """
     if isinstance(ty, TMu):
-        node, parts = RFold, [(_unfold_mu(ty), depth - 1)]
+        node, parts = RFold, [(_unfold_mu(ty),
+                               None if depth is None else depth - 1)]
     elif isinstance(ty, TProd):
         node, parts = RPair, [(ty.left, depth), (ty.right, depth)]
     elif isinstance(ty, TSum):
-        node, parts = RSum, [(t, depth) if _nonempty(t, int_bounds, depth)
+        node, parts = RSum, [(t, depth) if depth is None
+                             or _nonempty(t, int_bounds, depth)
                              else None for t in (ty.left, ty.right)]
     else:
         raise ContractViolation(f"cannot unfold a range of type {ty}")
-    full = _full(int_bounds)
-    return node, tuple(p and (p[0], None if isinstance(p[0], TUnit) else
-                              full if isinstance(p[0], TInt) else
-                              Deferred(p[1]))
+    return node, tuple(_RULED_OUT if p is None else _range(*p, int_bounds)
                        for p in parts)
 
 

@@ -28,6 +28,8 @@ from .predsem import DEFAULT_FUEL, EvalFailure, EvalTimeout, pred_eval
 from .trace import (
     Choice,
     RandomSource,
+    ReplayExhausted,
+    ReplayMismatch,
     ReplaySource,
     RunCtx,
     derive_seed,
@@ -250,7 +252,7 @@ def replay_query(prog: Program, query: str, choices: list[Choice], *,
     ctx = RunCtx(ReplaySource(choices), fuel=fuel)
     try:
         vals = attempt(prep, ctx)
-    except (GenFailure, EvalTimeout) as ex:
+    except (GenFailure, EvalTimeout, ReplayExhausted, ReplayMismatch) as ex:
         error = str(ex) or type(ex).__name__
     except RecursionError:
         error = _too_deep()

@@ -136,7 +136,8 @@ class ReplaySource:
 
     def pick(self, arity: int) -> int:
         if self._pos >= len(self._choices):
-            raise ReplayExhausted()
+            raise ReplayExhausted(
+                f"the script ran out after {len(self._choices)} choices")
         c = self._choices[self._pos]
         self._pos += 1
         if c.arity != arity:

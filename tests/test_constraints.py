@@ -300,7 +300,8 @@ def test_sample_virtual_for_huge_domains():
 # sum nodes: every pair of shapes under unify
 
 SUM = TSum(TInt(), TInt())
-SHAPES = ["inl", "inr", "both"]
+# "whole" is never materialized: its range is the whole type
+SHAPES = ["inl", "inr", "both", "whole"]
 # (left, right) child intervals of x, then of y: overlapping on both sides,
 # disjoint on the left, disjoint on the right, disjoint on both
 SUM_DOMAINS = [
@@ -313,7 +314,11 @@ SUM_DOMAINS = [
 
 def shape_sum(cs, u, shape, dom_l, dom_r):
     """Unfold the sum unknown u, bound its two children to the intervals,
-    then keep the sides that `shape` names."""
+    then keep the sides that `shape` names; a "whole" u is left as it is."""
+    if shape == "whole":
+        return cs
+    cs, ok = cs.materialize(u, 1)
+    assert ok
     cs, _, node = cs.expand(u)
     for child, (lo, hi) in ((node.left, dom_l), (node.right, dom_r)):
         cs = cs.post_cmp(">=", Unknown(child), lo)
@@ -326,19 +331,11 @@ def shape_sum(cs, u, shape, dom_l, dom_r):
     return cs
 
 
-def sum_store(n):
-    cs, uids = ConstraintSet(int_bounds=(0, 3)).fresh([SUM] * n)
-    for u in uids:
-        cs, ok = cs.materialize(u, 1)
-        assert ok
-    return cs, uids
-
-
 @pytest.mark.parametrize("doms", SUM_DOMAINS)
 @pytest.mark.parametrize("sx", SHAPES)
 @pytest.mark.parametrize("sy", SHAPES)
 def test_unifying_two_sum_shapes_meets_their_denotations(sx, sy, doms):
-    cs, (x, y) = sum_store(2)
+    cs, (x, y) = ConstraintSet(int_bounds=(0, 3)).fresh([SUM, SUM])
     cs = shape_sum(cs, x, sx, *doms[0])
     cs = shape_sum(cs, y, sy, *doms[1])
     meet = cs.denote_restricted([x]) & cs.denote_restricted([y])
@@ -362,8 +359,10 @@ def _check_store(cs, uids):
     if whole:
         assert cs.sat()
     for u in uids:
-        if isinstance(cs.type_of(u), TMu) and cs.resolve(u)[1] is None:
-            continue
+        b = cs.resolve(u)[1]
+        if isinstance(b, Deferred) and b.depth is None and \
+                isinstance(b.ty, TMu):
+            continue  # a whole recursive range has no denotation
         single = cs.denote_restricted([u])
         parts = [k.denote_restricted([u]) for _, k in cs.sample(u)]
         got = set().union(*parts) if parts else set()
@@ -481,7 +480,7 @@ def test_deferred_range_counts_and_order(name, depth):
 def test_materialize_builds_nothing():
     cs, (u,) = ConstraintSet(int_bounds=(0, 9)).fresh([TREE])
     cs, ok = cs.materialize(u, 14)
-    assert ok and cs.bindings == {u: Deferred(14)}
+    assert ok and cs.bindings == {u: Deferred(TREE, 14)}
 
 
 def test_index_of_a_range_with_one_value():
@@ -520,6 +519,65 @@ def test_unifying_a_deferred_range_with_a_shaped_one_unfolds_it():
     too_long = cs.unify(Unknown(a), Unknown(b)).unify(
         Unknown(a), list_value(UNIT_LIST, 3))
     assert too_long.failed
+
+
+def bounded_list(cs, u):
+    return cs.materialize(u, 2)[0]
+
+
+def shaped_list(cs, u):
+    return cs.unify(Unknown(u), list_value(UNIT_LIST, 1))
+
+
+@pytest.mark.parametrize("whole_first", [True, False])
+@pytest.mark.parametrize("narrowing,count,value", [
+    (bounded_list, 2, None), (shaped_list, 1, list_value(UNIT_LIST, 1))])
+def test_a_whole_range_meets_any_binding_as_that_binding(
+        whole_first, narrowing, count, value):
+    # a whole recursive range has no denotation, so the meet is read
+    # through count_values and index; the whole range may be either end
+    cs, (a, b) = ConstraintSet().fresh([UNIT_LIST, UNIT_LIST])
+    whole, other = (a, b) if whole_first else (b, a)
+    cs = narrowing(cs, other)
+    assert cs.bindings[whole] == Deferred(UNIT_LIST, None)
+    assert cs.index(whole) is None
+    for x, y in ((a, b), (b, a)):
+        out = cs.unify(Unknown(x), Unknown(y))
+        assert not out.failed and out.next_fresh == cs.next_fresh
+        assert out.resolve(whole)[1] == cs.bindings[other]
+        for u in (a, b):
+            assert out.count_values(u) == count and out.index(u) == value
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_store_is_a_snapshot(seed):
+    # every operation returns a new store and leaves its source as it was,
+    # including those that write into a dictionary they have just copied
+    rng = random.Random(4000 + seed)
+    for make in (random_store, random_int_store):
+        assert_unchanged_by_operations(*make(rng), rng)
+
+
+def assert_unchanged_by_operations(cs, uids, rng):
+    before = (dict(cs.bindings), dict(cs.cons), cs.next_fresh, cs.failed)
+    cs.fresh([TInt(), BOOL, UNIT_LIST])
+    for u in uids:
+        ty = cs.type_of(u)
+        cs.expand(u)
+        cs.materialize(u, 2)
+        value = (list_value(ty, 1) if isinstance(ty, TMu)
+                 else random_value(rng, ty))
+        cs.unify(Unknown(u), value)
+        same = rng.choice([w for w in uids if cs.type_of(w) == ty])
+        cs.unify(Unknown(u), Unknown(same))
+        if isinstance(ty, TInt):
+            cs.post_cmp("<", Unknown(u), 2)
+            cs.post_cmp("<=", Unknown(u), Unknown(same))
+            cs.fresh_shifted(u, 1)
+        space = cs.sample(u)
+        if space.count:
+            space.at(0)
+    assert (cs.bindings, cs.cons, cs.next_fresh, cs.failed) == before
 
 
 @pytest.mark.parametrize("seed", range(120))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from luck import core, driver
+from luck.constraints import RFold, RPair, RSum
 from luck.desugar import Program
 from luck.driver import (
     DriverError,
@@ -77,10 +78,26 @@ def matched_stores(monkeypatch):
     return stores
 
 
-def test_no_store_binds_a_unit_unknown(monkeypatch):
-    # a unit unknown's type gives its one value, so no store binds it
-    assert not [u for cs in matched_stores(monkeypatch) for u in cs.bindings
-                if isinstance(cs.utypes[u], core.TUnit)]
+def test_a_child_is_unbound_exactly_when_its_type_is_unit(monkeypatch):
+    # a unit unknown's type gives its one value, so it is the only kind of
+    # unknown without a binding; a node's type gives its children's types
+    checked = 0
+    for cs in matched_stores(monkeypatch):
+        for b in cs.bindings.values():
+            if isinstance(b, RFold):
+                kids = [(b.child, core.unfold_mu(b.ty))]
+            elif isinstance(b, RPair):
+                kids = [(b.fst, b.ty.left), (b.snd, b.ty.right)]
+            elif isinstance(b, RSum):
+                kids = [(c, t) for c, t in ((b.left, b.ty.left),
+                                            (b.right, b.ty.right))
+                        if c is not None]
+            else:
+                continue
+            for child, ty in kids:
+                assert (child not in cs.bindings) == isinstance(ty, core.TUnit)
+                checked += 1
+    assert checked
 
 
 def test_no_store_holds_a_binary_constraint(monkeypatch):
@@ -137,6 +154,17 @@ def test_recorded_trace_replays_to_the_identical_value():
                           int_bound=(0, 20))
         assert r2.ok and r2.shown == r.shown and r2.q == r.q
         assert r2.trace == r.trace
+
+
+def test_a_short_or_wrong_script_replays_to_a_failed_report():
+    prog = load("bst.luck")
+    short = replay_query(prog, "bst 3 0 10 t = True", [], int_bound=(0, 10))
+    assert not short.ok and short.values is None
+    assert "ran out after 0 choices" in short.error
+    # the first choice of this query is a 1:2 pick
+    wrong = replay_query(prog, "bst 3 0 10 t = True", [Choice(0, 3)],
+                         int_bound=(0, 10))
+    assert not wrong.ok and "recorded arity 3, run wants 2" in wrong.error
 
 
 def test_enumeration_of_the_two_bound_forms():

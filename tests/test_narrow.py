@@ -585,7 +585,7 @@ def test_splits_read_an_existing_node_and_mint_nothing():
     n = cs.next_fresh
     node = cs.bindings[p]
     v, out = narrow(CasePair(Unknown(p), "a", "b", Pair(Var("b"), Var("a")),
-                             cs.utypes[p]), cs, ctx_with())
+                             cs.type_of(p)), cs, ctx_with())
     assert v == Pair(Unknown(node.snd), Unknown(node.fst))
     assert out.next_fresh == n
     # a split reads both sides and hands back the store it was given
@@ -612,7 +612,6 @@ def test_the_kept_side_has_the_bindings_a_unification_gives():
         # split_sum writes what `expand` writes and nothing more
         left, right, split = split_sum(Unknown(s), store)
         assert split.bindings == store.expand(s)[0].bindings
-        assert split.utypes == store.expand(s)[0].utypes
         for kind, side in ((Inl, left), (Inr, right)):
             (arg,), kept = open_value(Unknown(s), kind, split)
             assert arg == side
