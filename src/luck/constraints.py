@@ -84,7 +84,7 @@ class ContractViolation(Exception):
 # Store bindings
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RPair:
     fst: int
     snd: int
@@ -94,7 +94,7 @@ class RPair:
         return f"(?{self.fst}, ?{self.snd})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RSum:
     """The injections the unknown can still take.
 
@@ -115,7 +115,7 @@ class RSum:
         return f"{{inl ?{self.left} | inr ?{self.right}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RFold:
     child: int
     ty: Type
@@ -124,7 +124,7 @@ class RFold:
         return f"fold ?{self.child}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Alias:
     target: int
 
@@ -132,7 +132,7 @@ class Alias:
         return f"= ?{self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Deferred:
     """Every value of the sum, product or recursive type `ty` that unrolls
     recursive types at most `depth` times along any path, or every value
@@ -194,7 +194,7 @@ def _children(b: Binding) -> tuple[int, ...]:
     return ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Constraint:
     """lhs OP rhs + offset, between two integer unknowns."""
 
@@ -865,7 +865,7 @@ class ConstraintSet:
                            counts)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SampleSpace:
     """The values of one unknown, each pinned when it is asked for.
 

@@ -194,17 +194,19 @@ def unfold_mu(ty: Type) -> Type:
 # Expressions
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Expr:
-    """A core node.  Narrowing, matching and the predicate semantics each
-    compile a node once, on its first evaluation, and keep the code on the
-    node in these attributes; they are not fields, so equality, hashing
-    and printing ignore them."""
+    """A core node.  Nodes are immutable by convention: nothing assigns a
+    field after construction, and equality and hashing read the fields.
+    Narrowing, matching and the predicate semantics each compile a node
+    once, on its first evaluation, and keep the code on the node by plain
+    assignment to these attributes; they are not fields, so equality,
+    hashing and printing ignore them."""
 
     _narrow = _match = _pred = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var(Expr):
     name: str
 
@@ -212,13 +214,13 @@ class Var(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Unit(Expr):
     def __str__(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntLit(Expr):
     value: int
 
@@ -226,7 +228,7 @@ class IntLit(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pair(Expr):
     fst: Expr
     snd: Expr
@@ -235,7 +237,7 @@ class Pair(Expr):
         return f"({self.fst}, {self.snd})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CasePair(Expr):
     """case e of (x, y) -> body; ty is the product type of e."""
 
@@ -250,7 +252,7 @@ class CasePair(Expr):
                 f" -> {self.body}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Inl(Expr):
     """Left injection annotated with the full sum type."""
 
@@ -261,7 +263,7 @@ class Inl(Expr):
         return f"inl {self.arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Inr(Expr):
     arg: Expr
     ty: Type
@@ -270,7 +272,7 @@ class Inr(Expr):
         return f"inr {self.arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CaseSum(Expr):
     """case e of inl xl -> el | inr xr -> er; ty is the sum type of e."""
 
@@ -286,7 +288,7 @@ class CaseSum(Expr):
                 f" | inr {self.right_name} -> {self.right_body}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Fold(Expr):
     """Roll a value into a recursive type; annotated with the mu type."""
 
@@ -297,7 +299,7 @@ class Fold(Expr):
         return f"fold {self.arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Unfold(Expr):
     """Unroll a value of a recursive type; ty is that mu type."""
 
@@ -308,7 +310,7 @@ class Unfold(Expr):
         return f"unfold {self.arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Rec(Expr):
     """Recursive function value: rec f x. body."""
 
@@ -322,7 +324,7 @@ class Rec(Expr):
         return f"(rec {self.fun_name} {self.arg_name}. {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class App(Expr):
     fun: Expr
     arg: Expr
@@ -331,7 +333,7 @@ class App(Expr):
         return f"({self.fun} {self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Unknown(Expr):
     """A logic variable, identified by a small integer."""
 
@@ -341,7 +343,7 @@ class Unknown(Expr):
         return f"?{self.uid}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Inst(Expr):
     """e <- (w1, w2): bias the sum underneath e by integer weights."""
 
@@ -353,7 +355,7 @@ class Inst(Expr):
         return f"({self.arg} <- ({self.w_left}, {self.w_right}))"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Bang(Expr):
     """!e: narrow e, then sample its unknowns to a single concrete value."""
 
@@ -363,7 +365,7 @@ class Bang(Expr):
         return f"!{self.arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class After(Expr):
     """e1 ;' e2: the value of e1, after e2's constraints take effect."""
 
@@ -378,7 +380,7 @@ CMP_OPS = ("==", "/=", "<", "<=", ">", ">=")
 ARITH_OPS = ("+", "-", "*", "/")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Cmp(Expr):
     """Integer comparison producing a boolean."""
 
@@ -390,7 +392,7 @@ class Cmp(Expr):
         return f"({self.lhs} {self.op} {self.rhs})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Arith(Expr):
     op: str
     lhs: Expr
@@ -400,7 +402,7 @@ class Arith(Expr):
         return f"({self.lhs} {self.op} {self.rhs})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MatchFail(Expr):
     """The body of an implicit, always-failing match arm."""
 
@@ -420,7 +422,7 @@ Env = Mapping[str, Expr]
 EMPTY_ENV: Env = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Closure(Expr):
     """The value of a ``rec`` evaluated under an environment."""
 

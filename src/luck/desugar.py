@@ -108,7 +108,7 @@ class LuckTypeError(Exception):
     """A program that parses but cannot be lowered to the core."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SMeta(STy):
     """A unification metavariable for type inference."""
 
@@ -131,7 +131,7 @@ _RESERVED_TYPES = {"Int", "Bool"}
 Mk = Callable[[], Expr]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CompiledQuery:
     """A query lowered to a closed core term over named free variables."""
 

@@ -18,7 +18,7 @@ MAX_INT = 2**62 - 1
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntDomain:
     """An integer domain; immutable."""
 

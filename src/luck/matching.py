@@ -55,7 +55,6 @@ typechecker.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 from typing import Callable
 
 from .constraints import ConstraintSet, ContractViolation
@@ -231,7 +230,7 @@ def _compile(e: Expr):
                 if isinstance(v, Closure):
                     raise ContractViolation("cannot match a function value")
                 return cs.unify(v, p)
-    object.__setattr__(e, "_match", code)
+    e._match = code
     return code
 
 
@@ -392,10 +391,10 @@ def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
     if ls and rs:
         side = ctx.pick_weighted(n1, n2)
         if not ctx.local_backtracking:
-            ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
+            ctx.record(side, 2, n2 if side else n1, n1 + n2)
             return run(side)
         marker = ctx.mark()
-        ctx.record(side, 2, Fraction(n1 if side == 0 else n2, n1 + n2))
+        ctx.record(side, 2, n2 if side else n1, n1 + n2)
         try:
             got = run(side)
             if not got.failed:
@@ -405,7 +404,7 @@ def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
         ctx.rollback(marker)
         ctx.local_backtracks += 1
         other = 1 - side
-        ctx.record(other, 2, Fraction(n1 if other == 0 else n2, n1 + n2))
+        ctx.record(other, 2, n2 if other else n1, n1 + n2)
         return run(other)
     if ls:
         return run(0)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import replace
-from fractions import Fraction
 
 from .constraints import ConstraintSet, ContractViolation, RFold, RPair, RSum
 from .core import (
@@ -228,7 +227,7 @@ def _compile(e: Expr):
             def code(cs, ctx, env):
                 ctx.tick()
                 raise ContractViolation(message)
-    object.__setattr__(e, "_narrow", code)
+    e._narrow = code
     return code
 
 
@@ -342,8 +341,7 @@ def choose(w_left: int, left: bool, w_right: int, right: bool,
     ls, rs = left and w_left > 0, right and w_right > 0
     if ls and rs:
         side = ctx.pick_weighted(w_left, w_right)
-        q = Fraction(w_left if side == 0 else w_right, w_left + w_right)
-        ctx.record(side, 2, q)
+        ctx.record(side, 2, w_right if side else w_left, w_left + w_right)
         return side
     if ls:
         return 0
@@ -386,7 +384,7 @@ def sample_value(v: Expr, cs: ConstraintSet, ctx: RunCtx):
                 k = 0
             else:
                 k = ctx.pick(m)
-                ctx.record(k, m, Fraction(1, m))
+                ctx.record(k, m, 1, m)
             i = k  # the k-th index not excluded
             for x in excluded:
                 if x > i:

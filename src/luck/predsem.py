@@ -232,7 +232,7 @@ def _compile(e: Expr):
             def code(fuel, env):
                 fuel.tick()
                 raise EvalFailure(message)
-    object.__setattr__(e, "_pred", code)
+    e._pred = code
     return code
 
 

@@ -40,7 +40,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Token:
     kind: str  # int, lower, upper, wild, op, a keyword, or eof
     text: str
@@ -79,12 +79,12 @@ def tokenize(text: str) -> list[Token]:
 # Surface AST
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STy:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STVar(STy):
     """A type variable from a datatype or signature parameter list."""
 
@@ -94,7 +94,7 @@ class STVar(STy):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STCon(STy):
     """A named type, possibly applied: Int, Bool, Tree Int."""
 
@@ -107,7 +107,7 @@ class STCon(STy):
         return " ".join([self.name] + [_ty_atom(a) for a in self.args])
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STList(STy):
     """List sugar [T]."""
 
@@ -117,7 +117,7 @@ class STList(STy):
         return f"[{self.elem}]"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STTuple(STy):
     """Tuple type (T1, T2, ...)."""
 
@@ -127,7 +127,7 @@ class STTuple(STy):
         return "(" + ", ".join(str(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STFun(STy):
     """Function arrow, right-associated."""
 
@@ -145,18 +145,18 @@ def _ty_atom(t: STy) -> str:
     return str(t)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SPat:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PWild(SPat):
     def __str__(self) -> str:
         return "_"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PVar(SPat):
     name: str
 
@@ -164,7 +164,7 @@ class PVar(SPat):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PInt(SPat):
     value: int
 
@@ -172,7 +172,7 @@ class PInt(SPat):
         return str(self.value) if self.value >= 0 else f"({self.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PCon(SPat):
     """Constructor pattern, fully applied: Node x l r."""
 
@@ -185,7 +185,7 @@ class PCon(SPat):
         return " ".join([self.name] + [_pat_atom(p) for p in self.args])
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PTuple(SPat):
     items: tuple[SPat, ...]
 
@@ -193,7 +193,7 @@ class PTuple(SPat):
         return "(" + ", ".join(str(p) for p in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PCons(SPat):
     """h:t list pattern."""
 
@@ -205,7 +205,7 @@ class PCons(SPat):
         return f"{h}:{self.tail}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PList(SPat):
     """[p1, p2, ...] pattern; [] is the empty list."""
 
@@ -221,18 +221,18 @@ def _pat_atom(p: SPat) -> str:
     return str(p)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SVar(SExpr):
     name: str
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SCon(SExpr):
     """A constructor used as an expression, applied via SApp."""
 
@@ -240,20 +240,20 @@ class SCon(SExpr):
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SInt(SExpr):
     value: int
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SApp(SExpr):
     fun: SExpr
     arg: SExpr
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SBin(SExpr):
     """Binary operator: arithmetic, comparison, cons, && or ||."""
 
@@ -263,7 +263,7 @@ class SBin(SExpr):
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SIf(SExpr):
     cond: SExpr
     then: SExpr
@@ -271,7 +271,7 @@ class SIf(SExpr):
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SBang(SExpr):
     """e !x — evaluate e, then sample the unknown bound to x."""
 
@@ -280,19 +280,19 @@ class SBang(SExpr):
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STupleE(SExpr):
     items: tuple[SExpr, ...]
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SListE(SExpr):
     items: tuple[SExpr, ...] = ()
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SArm:
     """One case arm: | weight % pattern -> body (weight optional)."""
 
@@ -301,20 +301,20 @@ class SArm:
     body: SExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SCase(SExpr):
     scrut: SExpr
     arms: tuple[SArm, ...]
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SCtor:
     name: str
     args: tuple[STy, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SData:
     name: str
     params: tuple[str, ...]
@@ -322,7 +322,7 @@ class SData:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SFun:
     name: str
     params: tuple[str, ...]
@@ -331,7 +331,7 @@ class SFun:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SurfaceProgram:
     data_decls: tuple[SData, ...] = ()
     fun_decls: tuple[SFun, ...] = ()

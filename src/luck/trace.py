@@ -1,10 +1,13 @@
 """Choice traces, rational probabilities, and replayable choice sources.
 
 Every random decision a generator makes is recorded as a (index, arity)
-pair; the product of 1/arity-weighted branch probabilities is carried as
-an exact Fraction.  A recorded trace doubles as a script: replaying it
-through ReplaySource reproduces the identical run, and the enumeration
-source drives systematic exploration of every trace prefix.
+pair, and beside it the integer weight of the branch taken and the total
+weight it was drawn against.  The probability q of a run is the product of
+these w/total factors; it is formed as one exact Fraction from the two
+integer products when it is read, so a choice does no rational
+arithmetic.  A recorded trace doubles as a script: replaying it through
+ReplaySource reproduces the identical run, and the enumeration source
+drives systematic exploration of every trace prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 from .predsem import DEFAULT_FUEL, EvalTimeout
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Choice:
     """One random decision: which of `arity` branches was taken."""
 
@@ -183,7 +186,7 @@ class RunCtx:
                  local_backtracking: bool = True) -> None:
         self.source = source
         self.trace: list[Choice] = []
-        self.q: Fraction = Fraction(1)
+        self.weights: list[tuple[int, int]] = []  # (w, total) per choice
         self.fuel = fuel
         self.local_backtracking = local_backtracking
         self.local_backtracks = 0
@@ -193,9 +196,20 @@ class RunCtx:
         if self.fuel < 0:
             raise EvalTimeout()
 
-    def record(self, index: int, arity: int, q_factor: Fraction) -> None:
+    def record(self, index: int, arity: int, w: int, total: int) -> None:
+        """Record taking branch `index` of `arity` with probability
+        w/total."""
         self.trace.append(Choice(index, arity))
-        self.q *= q_factor
+        self.weights.append((w, total))
+
+    @property
+    def q(self) -> Fraction:
+        """The probability of the recorded choices."""
+        num = den = 1
+        for w, total in self.weights:
+            num *= w
+            den *= total
+        return Fraction(num, den)
 
     def pick(self, arity: int) -> int:
         return self.source.pick(arity)
@@ -203,14 +217,13 @@ class RunCtx:
     def pick_weighted(self, w_left: int, w_right: int) -> int:
         return self.source.pick_weighted(w_left, w_right)
 
-    def mark(self):
-        """A rollback point: (trace length, probability so far)."""
-        return len(self.trace), self.q
+    def mark(self) -> int:
+        """A rollback point: the number of choices recorded so far."""
+        return len(self.trace)
 
-    def rollback(self, mark) -> None:
-        length, q = mark
-        del self.trace[length:]
-        self.q = q
+    def rollback(self, mark: int) -> None:
+        del self.trace[mark:]
+        del self.weights[mark:]
 
 
 def enumerate_traces(run):

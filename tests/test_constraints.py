@@ -382,6 +382,17 @@ def test_random_stores_agree_with_oracle(seed):
     _check_store(cs, uids)
 
 
+def test_random_int_stores_agree_with_oracle():
+    # random_store almost never stores a binary constraint; these stores
+    # do, so the oracle also checks the comparisons kept in `cons`
+    with_cons = 0
+    for seed in range(120):
+        cs, uids = random_int_store(random.Random(seed))
+        _check_store(cs, uids)
+        with_cons += not cs.failed and any(cs.cons.values())
+    assert with_cons >= 50
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_random_unify_filters(seed):
     rng = random.Random(1000 + seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -42,6 +43,12 @@ from luck.core import (
     typecheck,
     unfold_mu,
 )
+from luck.constraints import Constraint, ConstraintSet, RSum
+from luck.intdomain import IntDomain
+from luck.matching import match_eval
+from luck.narrow import narrow
+from luck.predsem import pred_eval
+from luck.trace import Choice, RunCtx, ScriptedSource
 
 import pytest
 
@@ -190,3 +197,53 @@ def test_a_kept_type_hash_is_left_out_of_pickles():
                          input=pickle.dumps(list_ty), env=env,
                          capture_output=True, check=True)
     assert out.stdout.split() == [b"True", b"True", b"True", b"1"]
+
+
+def _expr_classes(cls=Expr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _expr_classes(sub)
+
+
+def test_every_core_node_is_a_dataclass():
+    classes = [Expr, *_expr_classes()]
+    assert len(classes) >= 21
+    for cls in classes:
+        assert dataclasses.is_dataclass(cls)
+        assert [f.name for f in dataclasses.fields(cls)] == \
+            list(cls.__dataclass_fields__)
+
+
+def _used_copies():
+    """(fresh, used) pairs: each used copy came out of the machinery that
+    hashes, compares and, for a core node, compiles it."""
+    node = Inl(Unit(), BOOL)
+    ctx = RunCtx(ScriptedSource([]))
+    narrow(node, ConstraintSet(), ctx)
+    match_eval(node, TRUE, ConstraintSet(), ctx)
+    pred_eval(node)
+    assert node._narrow and node._match and node._pred
+    unknown = Unknown(3)
+    narrow(unknown, ConstraintSet().fresh([BOOL] * 4)[0], ctx)
+    assert unknown._narrow
+    ctx.record(0, 2, 1, 2)
+    cs = ConstraintSet(int_bounds=(0, 3))
+    cs, (a, b) = cs.fresh([TInt(), TInt()])
+    domain = cs.resolve(a)[1]
+    cs = cs.post_cmp("<", Unknown(a), Unknown(b))
+    bs, (u,) = ConstraintSet().fresh([BOOL])
+    bs, root, level = bs.expand(u)
+    bs = bs.keep_side(root, level, True)
+    return [(Inl(Unit(), BOOL), node), (Unknown(3), unknown),
+            (Choice(0, 2), ctx.trace[0]),
+            (Constraint("<", 0, 1), cs.cons[cs.find(a)][0]),
+            (IntDomain.bounded(0, 3), domain),
+            (RSum(1, None, BOOL), bs.resolve(u)[1])]
+
+
+def test_a_used_object_equals_and_hashes_as_a_fresh_one():
+    for fresh, used in _used_copies():
+        assert fresh is not used
+        assert fresh == used and used == fresh
+        assert hash(fresh) == hash(used)
+        assert {fresh: 1}[used] == 1

@@ -60,6 +60,18 @@ def test_generation_and_recheck_never_call_the_typechecker(monkeypatch):
             assert r.ok and r.discards == 0
 
 
+def test_a_compiled_target_equals_and_hashes_as_a_fresh_lowering():
+    query = "isRBT 2 0 20 Black t = True"
+    prep = prepare(load("rbt.luck"), query, int_bound=(0, 20))
+    for seed in range(3):
+        assert run_prepared(prep, seed=seed, check=True).ok
+    target = prep.target
+    assert target._match is not None and target._pred is not None
+    fresh = load("rbt.luck").compile_query(query).target
+    assert fresh._match is None and fresh is not target
+    assert target == fresh and hash(target) == hash(fresh)
+
+
 def matched_stores(monkeypatch):
     """The store each attempt's match returns over the benchmark runs."""
     match_eval = driver.match_eval

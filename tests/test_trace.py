@@ -131,20 +131,41 @@ def test_scripted_source_checks_prefix_arity():
 
 def test_run_ctx_accumulates():
     ctx = RunCtx(ScriptedSource([]))
-    ctx.record(0, 3, Fraction(1, 3))
-    ctx.record(1, 2, Fraction(1, 2))
+    ctx.record(0, 3, 1, 3)
+    ctx.record(1, 2, 1, 2)
     assert ctx.trace == [Choice(0, 3), Choice(1, 2)]
     assert ctx.q == Fraction(1, 6)
 
 
 def test_run_ctx_mark_rollback():
     ctx = RunCtx(ScriptedSource([]))
-    ctx.record(0, 2, Fraction(1, 2))
+    ctx.record(0, 2, 1, 2)
     marker = ctx.mark()
-    ctx.record(1, 4, Fraction(1, 4))
+    ctx.record(1, 4, 1, 4)
     ctx.rollback(marker)
     assert ctx.trace == [Choice(0, 2)]
     assert ctx.q == Fraction(1, 2)
+
+
+def test_run_ctx_q_is_normalized_after_a_rollback():
+    # the later weights are written unreduced, 2/38 for 1/19, so q is
+    # right only if it is reduced when it is formed
+    ctx = RunCtx(ScriptedSource([]))
+    for i in range(30):
+        ctx.record(i % 19, 19, 1, 19)
+    marker = ctx.mark()
+    for i in range(30):
+        ctx.record(i % 19, 19, 2, 38)
+    assert ctx.q == Fraction(1, 19**60)
+    ctx.rollback(marker)
+    assert len(ctx.trace) == len(ctx.weights) == 30
+    assert ctx.q == Fraction(1, 19**30)
+    for i in range(7):
+        ctx.record(18 - i, 19, 2, 38)
+    q = ctx.q
+    assert (q.numerator, q.denominator) == (1, 19**37)
+    assert len(ctx.trace) == len(ctx.weights) == 37
+    assert ctx.trace[30:] == [Choice(18 - i, 19) for i in range(7)]
 
 
 def test_run_ctx_fuel():
