@@ -55,7 +55,6 @@ from .core import (
     Unit,
     Var,
     is_flat,
-    subst,
     unfold_mu,
 )
 from .patterns import (
@@ -68,7 +67,6 @@ from .patterns import (
     Leaf,
     Tree,
     expand_case,
-    leaf_masses,
     normalize_pat,
 )
 from .surface import (
@@ -412,29 +410,6 @@ class Program:
             unknowns[u] = ct
             surface[u] = st
         return CompiledQuery(target, unknowns, expect_true, text, surface)
-
-    def expand_fun_case(self, fname: str) -> Tree:
-        """The expansion tree of a function whose body is one case."""
-        f = self.funs.get(fname)
-        if f is None:
-            raise LuckTypeError(f"unknown function {fname}")
-        tvs = tyvars_of(f.sig)
-        inst = sub_ty(f.sig, {v: _INT for v in tvs})
-        param_tys, _ = _split_sig(inst, len(f.params), fname)
-        if not (isinstance(f.body, SCase) and isinstance(f.body.scrut, SVar)
-                and f.body.scrut.name in f.params):
-            raise LuckTypeError(f"{fname} is not a single case on a "
-                                "parameter")
-        lw = _Lower(self)
-        sty = param_tys[f.params.index(f.body.scrut.name)]
-        for arm in f.body.arms:
-            lw.unify_pat(normalize_pat(arm.pat), sty, fname)
-        return expand_case((f.body.scrut, sty), list(f.body.arms),
-                           lw.oracle, self.fresh)
-
-    def fun_case_masses(self, fname: str):
-        """Exact per-leaf probabilities of a function's top-level case."""
-        return leaf_masses(self.expand_fun_case(fname))
 
     # -- unification ------------------------------------------------------
 
@@ -901,11 +876,11 @@ class _Lower:
                     return payload_eq()
                 if k == 1:
                     # a single field: the payload is the field itself
-                    return subst(payload_eq(), names[0], cur) \
-                        if isinstance(cur, Var) else \
-                        App(Rec(self.p.fresh("eqf"), names[0],
-                                self.p.core_type(arg_tys[0]),
-                                payload_eq(), BOOL), cur)
+                    if cur == Var(names[0]):
+                        return payload_eq()
+                    return App(Rec(self.p.fresh("eqf"), names[0],
+                                   self.p.core_type(arg_tys[0]),
+                                   payload_eq(), BOOL), cur)
                 return _case_pairs(payload_eq(), cur, names,
                                    [self.fresh("er") for _ in range(k - 2)],
                                    self.p.core_type(STTuple(tuple(arg_tys))))
@@ -918,9 +893,12 @@ class _Lower:
                 def go(cur: Expr, i: int) -> Expr:
                     if i == n - 1:
                         return payload_body(cur)
-                    ln = names[0] if (i == pos and len(names) == 1) \
+                    # a one-field payload arrives under the field's name
+                    one = len(names) == 1
+                    ln = names[0] if one and i == pos \
                         else self.p.fresh("el")
-                    rn = self.p.fresh("es")
+                    rn = names[0] if one and i + 1 == pos == n - 1 \
+                        else self.p.fresh("es")
                     if i == pos:
                         left = payload_body(Var(ln))
                         right: Expr = FALSE
@@ -959,6 +937,12 @@ class _Lower:
                                self.fresh)
         except ExpandError as ex:
             raise LuckTypeError(f"{where}: {ex}") from None
+        # only the root needs mass: an inner split whose literal weights
+        # are all 0 lies under a child its parent gives weight 0
+        if isinstance(tree, CaseNode) and all(
+                isinstance(c.weight, Fraction) for c in tree.children) \
+                and sum(c.weight for c in tree.children) == 0:
+            raise LuckTypeError(f"{where}: no weight mass")
         rmeta = self.p.meta()
         body = self.lower_tree(tree, env0, rmeta)
         if let is None:
@@ -1099,8 +1083,6 @@ class _Lower:
     def _weights(self, kids: list[Child], env: dict) -> list[Mk]:
         ws = [c.weight for c in kids]
         if all(isinstance(w, Fraction) for w in ws):
-            if sum(ws) == 0:
-                raise LuckTypeError("case expression has no weight mass")
             denom = 1
             for w in ws:
                 denom = denom * w.denominator // gcd(denom, w.denominator)

@@ -122,7 +122,7 @@ def prepare(prog: Program, query: str, *,
     if int_bound is None and any(_mentions_int(t)
                                  for t in q.unknowns.values()):
         raise DriverError("the queried unknowns contain integers; "
-                          "explicit bounds are required (--int-bound LO HI)")
+                          "explicit bounds are required (--int-bound LO..HI)")
     if int_bound is not None and int_bound[0] > int_bound[1]:
         raise DriverError(f"no value fits the empty integer bounds "
                           f"{int_bound[0]}..{int_bound[1]}")

@@ -47,9 +47,8 @@ both sides and keep one store (``either``): the only live one, or one
 picked by a recorded 1:1 choice.  Stores are never joined, so the kept
 store is exact and every valuation it leads to satisfies the predicate.
 
-The fresh unknowns take their types from the node: lowering gives every
-case and unfold the type of its scrutinee, so matching never calls the
-typechecker.
+The fresh unknowns take their types from the node: lowering fixes the
+type of every case's and unfold's scrutinee on the node itself.
 """
 
 from __future__ import annotations

@@ -302,30 +302,3 @@ def _fill_bodies(tree: Tree, arms: list[SArm]) -> None:
     elif isinstance(tree, CaseNode):
         for child in tree.children:
             _fill_bodies(child.sub, arms)
-
-
-def leaf_masses(tree: Tree) -> list[tuple[tuple[str, ...], Optional[int],
-                                          Fraction]]:
-    """Exact probability of reaching each leaf, keyed by constructor path.
-
-    Only defined when every weight is a literal (all masses Fractions).
-    A tuple's unnamed constructor adds nothing to the path.
-    """
-    out = []
-
-    def walk(node: Tree, path: tuple[str, ...], mass: Fraction):
-        if isinstance(node, Leaf):
-            out.append((path, node.arm, mass))
-        elif isinstance(node, Fail):
-            out.append((path, None, mass))
-        else:
-            ws = [c.weight for c in node.children]
-            if not all(isinstance(w, Fraction) for w in ws):
-                raise ExpandError("leaf masses need literal weights")
-            total = sum(ws, Fraction(0))
-            for c in node.children:
-                share = mass * c.weight / total if total else Fraction(0)
-                walk(c.sub, path + (c.ctor,) if c.ctor else path, share)
-
-    walk(tree, (), Fraction(1))
-    return out

@@ -2,12 +2,13 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
-from luck.cli import main, parse_bound
+from luck.cli import _BOUND_RE, main, parse_bound
 from luck.driver import prepare
 from luck.trace import parse_trace
 
@@ -206,6 +207,14 @@ def test_empty_int_bound_is_a_configuration_error(capsys):
                              "--int-bound", "5..1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "no value" in err
+
+
+def test_the_advice_for_a_missing_int_bound_is_a_form_the_cli_accepts(capsys):
+    code, out, err = run_cli(capsys, BST, "bst 3 0 10 t = True")
+    assert code == 1 and out == ""
+    advised = re.search(r"\(--int-bound (\S+)\)", err).group(1)
+    assert advised == "LO..HI"
+    assert _BOUND_RE.match(advised.replace("LO", "0").replace("HI", "9"))
 
 
 def test_unsupported_arithmetic_is_an_error_line(capsys, tmp_path):

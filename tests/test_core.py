@@ -9,7 +9,6 @@ from luck.core import (
     BOOL,
     FALSE,
     TRUE,
-    After,
     App,
     Arith,
     Bang,
@@ -36,11 +35,8 @@ from luck.core import (
     Unit,
     Unknown,
     Var,
-    erase,
     is_flat,
     subst,
-    type_eq,
-    typecheck,
     unfold_mu,
 )
 from luck.constraints import Constraint, ConstraintSet, RSum
@@ -49,6 +45,8 @@ from luck.matching import match_eval
 from luck.narrow import narrow
 from luck.predsem import pred_eval
 from luck.trace import Choice, RunCtx, ScriptedSource
+
+from .typecheck import type_eq, typecheck
 
 import pytest
 
@@ -169,11 +167,6 @@ def test_typecheck_cmp_and_arith():
     assert type_eq(typecheck(Arith("+", IntLit(1), IntLit(2))), TInt())
     with pytest.raises(TypeCheckError):
         typecheck(Cmp("<", Unit(), IntLit(2)))
-
-
-def test_erase_strips_annotations():
-    e = After(Inst(Bang(Unknown(0)), IntLit(1), IntLit(1)), TRUE)
-    assert erase(e) == Unknown(0)
 
 
 def test_a_kept_type_hash_is_left_out_of_pickles():

@@ -20,15 +20,14 @@ from luck.core import (
     TSum,
     TUnit,
     TVar,
-    type_eq,
-    typecheck,
 )
 from luck.desugar import LuckTypeError, Program
-from luck.driver import prepare, recheck, run_prepared
+from luck.driver import enumerate_query, prepare, recheck, run_prepared
 from luck.predsem import pred_eval
 from luck.surface import LuckSyntaxError, STCon, STTuple
 
 from .test_cli import CORPUS_SWEEP
+from .typecheck import type_eq, typecheck
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -317,6 +316,45 @@ def test_a_tuple_case_checks_its_weights(weight, match):
         Program.from_source(f"""
 sig f :: (Int, Int) -> Bool
 fun f p = case p of | {weight} % (a, b) -> a < b end
+""")
+
+
+# the N arms weigh 0, so the split on N's tail weighs 0 on both sides
+ZERO_UNDER_ZERO = """
+data T = L | N Int T
+sig f :: T -> Bool
+fun f t = case t of
+  | 1 % L -> True
+  | 0 % N x L -> True
+  | 0 % N x (N y r) -> False
+  end
+"""
+
+
+def test_a_split_under_a_zero_weight_arm_may_weigh_zero():
+    prog = Program.from_source(ZERO_UNDER_ZERO)
+    prep = prepare(prog, "f t = True", int_bound=(0, 2), depth=3)
+    for seed in range(10):
+        r = run_prepared(prep, seed=seed, check=True)
+        assert r.ok and prog.show_value(r.values["t"], STCon("T")) == "L"
+
+
+def test_a_zero_weight_inner_split_enumerates_only_the_weighted_arm():
+    rows = list(enumerate_query(Program.from_source(ZERO_UNDER_ZERO),
+                                "f t = True", int_bound=(0, 2), depth=3))
+    assert sum(q for _, q, _ in rows) == 1
+    assert {shown["t"] for _, _, shown in rows if shown} == {"L"}
+
+
+def test_a_case_whose_arms_all_weigh_zero_names_its_line():
+    with pytest.raises(LuckTypeError, match="^line 4: case: no weight mass"):
+        Program.from_source("""
+data T = L | N Int T
+sig f :: T -> Bool
+fun f t = case t of
+  | 0 % L -> True
+  | 0 % N x r -> False
+  end
 """)
 
 

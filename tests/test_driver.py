@@ -1,5 +1,6 @@
 """Driver: seeded generation, retries, replay, and exhaustive enumeration."""
 
+import ast
 import gc
 import json
 import pickle
@@ -12,6 +13,7 @@ import pytest
 
 from luck import core, driver
 from luck.constraints import RFold, RPair, RSum
+from luck.core import BOOL
 from luck.desugar import Program
 from luck.driver import (
     DriverError,
@@ -24,6 +26,8 @@ from luck.driver import (
     run_query,
 )
 from luck.trace import Choice, parse_int
+
+from .typecheck import type_eq, typecheck
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -49,15 +53,20 @@ def benchmark_runs():
                      int_bound=(0, 10), depth=12), range(100))]
 
 
-def test_generation_and_recheck_never_call_the_typechecker(monkeypatch):
-    def no_typechecking(*args):
-        raise AssertionError("the typechecker ran during generation")
-
-    monkeypatch.setattr(core, "_tc", no_typechecking)
-    for prep, seeds in benchmark_runs():
-        for seed in seeds:
-            r = run_prepared(prep, seed=seed, check=True)
-            assert r.ok and r.discards == 0
+def test_the_package_ships_no_typechecker_and_imports_no_tests():
+    # the typechecker is a test helper; a package module that imported it,
+    # or anything else under tests/, would break the installed package
+    for path in Path(driver.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            for mod in mods:
+                assert mod.split(".")[0] != "tests", f"{path.name}: {mod}"
+    assert not hasattr(core, "typecheck")
 
 
 def test_a_compiled_target_equals_and_hashes_as_a_fresh_lowering():
@@ -367,7 +376,13 @@ def theorem_id(case):
                          ids=[theorem_id(c) for c in THEOREM_QUERIES])
 def test_enumeration_is_sound_complete_and_sums_to_one(file, query, bound,
                                                        depth):
-    prog = load(file)
+    assert enumerated_successes_satisfy(load(file), query, bound, depth)
+
+
+def enumerated_successes_satisfy(prog, query, bound, depth):
+    """Check that the q of the enumeration sums to one and that its
+    successes are exactly the valuations within the bounds that satisfy
+    the predicate; return that set."""
     prep = prepare(prog, query, int_bound=bound, depth=depth)
     (name, uid), = prep.uids.items()
     ty = prep.compiled.surface_types[name]
@@ -377,7 +392,29 @@ def test_enumeration_is_sound_complete_and_sums_to_one(file, query, bound,
     rows = list(enumerate_query(prog, query, int_bound=bound, depth=depth))
     assert sum(q for _, q, _ in rows) == 1
     assert {shown[name] for _, _, shown in rows if shown} == satisfying
-    assert satisfying
+    return satisfying
+
+
+# Structural equality against a constructor of one field, where lowering
+# binds the field itself, not a tuple of fields: a first, a last and an
+# only constructor, and a field of list type.
+ONE_FIELD = {
+    "first": ("data C = A Int | B | D Int", "c == A 2"),
+    "last": ("data C = A Int | B | D Int", "c == D 1"),
+    "only": ("data W = W Int", "w == W 3"),
+    "list": ("data R = R (List Int)", "r == R [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("source,query", [
+    pytest.param(source, f"{eq} = {want}", id=f"{shape}-{want}")
+    for shape, (source, eq) in ONE_FIELD.items()
+    for want in ("True", "False")])
+def test_equality_against_a_one_field_constructor(source, query):
+    prog = Program.from_source(source)
+    q = prog.compile_query(query)
+    assert type_eq(typecheck(q.target, dict(q.unknowns)), BOOL)
+    enumerated_successes_satisfy(prog, query, (0, 2), 3)
 
 
 # Exact output distributions at small bounds: for each shown valuation, the

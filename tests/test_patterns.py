@@ -5,22 +5,77 @@ from pathlib import Path
 
 import pytest
 
-from luck.desugar import LuckTypeError, Program
+from luck.desugar import (
+    _INT,
+    LuckTypeError,
+    Program,
+    _Lower,
+    _split_sig,
+    sub_ty,
+    tyvars_of,
+)
 from luck.patterns import (
     CaseNode,
     ExpandError,
     Fail,
     Leaf,
-    leaf_masses,
+    expand_case,
     normalize_pat,
 )
-from luck.surface import PCon, PInt, PList, PVar, SBin, SInt, SVar
+from luck.surface import PCon, PInt, PList, PVar, SBin, SCase, SInt, SVar
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def load(name):
     return Program.from_source((CORPUS / name).read_text())
+
+
+def expand_fun_case(prog, fname):
+    """The expansion tree of a function whose body is one case on a
+    parameter, with its type variables taken as Int."""
+    f = prog.funs[fname]
+    inst = sub_ty(f.sig, {v: _INT for v in tyvars_of(f.sig)})
+    param_tys, _ = _split_sig(inst, len(f.params), fname)
+    assert isinstance(f.body, SCase) and isinstance(f.body.scrut, SVar)
+    lw = _Lower(prog)
+    sty = param_tys[f.params.index(f.body.scrut.name)]
+    for arm in f.body.arms:
+        lw.unify_pat(normalize_pat(arm.pat), sty, fname)
+    return expand_case((f.body.scrut, sty), list(f.body.arms), lw.oracle,
+                       prog.fresh)
+
+
+def leaf_masses(tree):
+    """Exact probability of reaching each leaf, keyed by constructor path,
+    as (path, arm, mass) rows; a failing leaf has arm None.
+
+    Only defined when every weight is a literal (all masses Fractions).
+    A tuple's unnamed constructor adds nothing to the path.
+    """
+    out = []
+
+    def walk(node, path, mass):
+        if isinstance(node, Leaf):
+            out.append((path, node.arm, mass))
+        elif isinstance(node, Fail):
+            out.append((path, None, mass))
+        else:
+            ws = [c.weight for c in node.children]
+            if not all(isinstance(w, Fraction) for w in ws):
+                raise ExpandError("leaf masses need literal weights")
+            total = sum(ws, Fraction(0))
+            for c in node.children:
+                share = mass * c.weight / total if total else Fraction(0)
+                walk(c.sub, path + (c.ctor,) if c.ctor else path, share)
+
+    walk(tree, (), Fraction(1))
+    return out
+
+
+def fun_case_masses(prog, fname):
+    """Exact per-leaf probabilities of a function's top-level case."""
+    return leaf_masses(expand_fun_case(prog, fname))
 
 
 def leaves(tree):
@@ -56,7 +111,7 @@ def test_integer_literal_patterns_are_rejected():
 
 
 def test_redex_root_and_inner_weights():
-    tree = load("redex.luck").expand_fun_case("isRedex")
+    tree = expand_fun_case(load("redex.luck"), "isRedex")
     assert isinstance(tree, CaseNode)
     assert [c.ctor for c in tree.children] == ["Var", "Lam", "App"]
     assert [c.weight for c in tree.children] == [
@@ -68,9 +123,8 @@ def test_redex_root_and_inner_weights():
 
 
 def test_redex_leaf_masses():
-    got = {(path, arm): mass
-           for path, arm, mass in load("redex.luck").fun_case_masses(
-               "isRedex")}
+    got = {(path, arm): mass for path, arm, mass
+           in fun_case_masses(load("redex.luck"), "isRedex")}
     assert got == {
         (("Var",), 1): Fraction(1, 9),
         (("Lam",), 1): Fraction(1, 9),
@@ -91,7 +145,7 @@ def test_redex_leaf_masses():
 ])
 def test_leaf_masses_sum_to_declared_arm_odds(fname, source):
     prog = load(source)
-    rows = prog.fun_case_masses(fname)
+    rows = fun_case_masses(prog, fname)
     assert sum(mass for _, _, mass in rows) == Fraction(1)
     arms = prog.funs[fname].body.arms
     declared = [Fraction(1) if a.weight is None else Fraction(a.weight.value)
@@ -110,7 +164,8 @@ data Opt a = None | Some a
 sig f :: Opt (Opt Int) -> Bool
 fun f m = case m of | 3 % Some (Some x) -> True | 1 % _ -> False end
 """)
-    got = {(path, arm): mass for path, arm, mass in prog.fun_case_masses("f")}
+    got = {(path, arm): mass
+           for path, arm, mass in fun_case_masses(prog, "f")}
     assert got == {
         (("None",), 1): Fraction(1, 8),
         (("Some", "None"), 1): Fraction(1, 8),
@@ -123,7 +178,8 @@ def test_missing_constructor_gets_a_zero_mass_failing_leaf():
 sig h :: [Int] -> Bool
 fun h l = case l of | x:t -> True end
 """)
-    got = {path: (arm, mass) for path, arm, mass in prog.fun_case_masses("h")}
+    got = {path: (arm, mass)
+           for path, arm, mass in fun_case_masses(prog, "h")}
     assert got[("Nil",)] == (None, Fraction(0))
     assert got[("Cons",)] == (0, Fraction(1))
 
@@ -136,7 +192,7 @@ def test_tuple_patterns_destructure_before_dispatch():
 sig f :: (Int, Bool) -> Bool
 fun f p = case p of | (x, True) -> 0 < x | (_, False) -> True end
 """)
-    tree = prog.expand_fun_case("f")
+    tree = expand_fun_case(prog, "f")
     # a tuple is the one constructor of its type: one child, which
     # carries the mass of both arms
     assert isinstance(tree, CaseNode)
@@ -164,7 +220,7 @@ data T = A | B Int
 sig f :: Int -> T -> Bool
 fun f n t = case t of | 1 % A -> True | n % B x -> 0 < x end
 """)
-    tree = prog.expand_fun_case("f")
+    tree = expand_fun_case(prog, "f")
     wa, wb = (c.weight for c in tree.children)
     assert isinstance(wa, SInt) and wa.value == 1
     assert isinstance(wb, SVar) and wb.name == "n"
@@ -178,7 +234,7 @@ data T = A | B | C Int
 sig g :: Int -> T -> Bool
 fun g n t = case t of | n % C x -> True | 1 % _ -> False end
 """)
-    tree = prog.expand_fun_case("g")
+    tree = expand_fun_case(prog, "g")
     wa, wb, wc = (c.weight for c in tree.children)
     # the wildcard arm can never fire for a C value, so its mass fans
     # over A and B only: (1/2 : 1/2 : n), cleared to (1 : 1 : 2n)
@@ -202,7 +258,7 @@ fun g n t =
   | 1 % _ -> False
   end
 """)
-    tree = prog.expand_fun_case("g")
+    tree = expand_fun_case(prog, "g")
     wa, wb, wc = (c.weight for c in tree.children)
     # true odds (n + 1/2) : 2 : 1/2, cleared by the node-wide scale 2
     assert isinstance(wb, SInt) and wb.value == 4
