@@ -1,10 +1,20 @@
 """Surface-to-core lowering.
 
-Datatypes become sums of products (recursive ones behind a fold/unfold
-isomorphism), pattern matches become cascades of weighted binary
-choices, boolean connectives and structural equality turn into plain
-sum cases, and polymorphic functions are specialized to the concrete
-types of each use.
+The core has only sums, products and iso-recursive types, so every
+tuple and datatype value has one layout:
+- the k-th of n constructors sits under k `Inr`s, with an `Inl` on top
+  unless it is the last;
+- its fields are right-nested pairs, or unit when it has none;
+- the whole value is a fold when the datatype mentions itself.
+A tuple is the one constructor, named "", of its type, and Bool is the
+prelude datatype `True | False`, as List is `Nil | Cons a [a]`.
+`Program._data_type` lays out the types; `Program.construct` builds a
+value, `Program.destruct` reads one back, and `_Lower.dispatch` takes
+one apart along its sum spine.
+
+Pattern matches become cascades of weighted binary choices, boolean
+connectives and structural equality turn into plain sum cases, and
+polymorphic functions are specialized to the concrete types of each use.
 
 Lowering is two-phase: walking an expression type-checks it against
 a set of mutable type metavariables and returns a *builder* closure;
@@ -21,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .core import (
     App,
@@ -119,11 +129,17 @@ class SMeta(STy):
 _INT = STCon("Int")
 _BOOL = STCon("Bool")
 
-_LIST_DECL = SData("List", ("a",),
-                   (SCtor("Nil"),
-                    SCtor("Cons", (STVar("a"), STList(STVar("a"))))))
+_PRELUDE = {"Bool": SData("Bool", (), (SCtor("True"), SCtor("False"))),
+            "List": SData("List", ("a",),
+                          (SCtor("Nil"),
+                           SCtor("Cons", (STVar("a"), STList(STVar("a"))))))}
+_PRELUDE_CTORS = {c.name: (d.name, i) for d in _PRELUDE.values()
+                  for i, c in enumerate(d.ctors)}
 
-_RESERVED_TYPES = {"Int", "Bool"}
+# a constructor with the types of its fields
+Ctor = tuple[str, list[STy]]
+# the fields of one constructor arm, each a binder name with its type
+Fields = Sequence[tuple[str, STy]]
 
 # A builder: call after unification to emit the core expression.
 Mk = Callable[[], Expr]
@@ -190,15 +206,17 @@ class Program:
 
     def __init__(self, surface: SurfaceProgram):
         self.surface = surface
-        self.datas: dict[str, SData] = {"List": _LIST_DECL}
-        self.ctors: dict[str, tuple[str, int]] = {
-            "Nil": ("List", 0), "Cons": ("List", 1)}
+        self.datas: dict[str, SData] = dict(_PRELUDE)
+        self.ctors: dict[str, tuple[str, int]] = dict(_PRELUDE_CTORS)
         self.funs: dict[str, SFun] = {}
         self._sol: dict[int, STy] = {}
         self._meta_n = 0
         self._fresh_n = 0
-        self._ctype_memo: dict[STy, Type] = {}
-        self._ctype_building: dict[tuple[str, tuple[STy, ...]], bool] = {}
+        # Bool's layout is the core's own BOOL, shared by every program
+        self._ctype_memo: dict[STy, Type] = {_BOOL: BOOL}
+        self._ctype_building: dict[STCon, bool] = {}
+        self._ctors_memo: dict[STCon, list[Ctor]] = {}
+        self._levels_memo: dict[tuple[Type, int], list[Type]] = {}
         # datatypes `_data_type` found to mention themselves and wrapped
         # in a mu type; see `folds`
         self._folded: set[str] = set()
@@ -218,7 +236,7 @@ class Program:
 
     def _install(self) -> None:
         for d in self.surface.data_decls:
-            if d.name in _RESERVED_TYPES or d.name in self.datas:
+            if d.name == "Int" or d.name in self.datas:
                 raise LuckTypeError(f"type name {d.name} is reserved")
             self.datas[d.name] = d
         for d in self.surface.data_decls:
@@ -242,7 +260,7 @@ class Program:
                 raise LuckTypeError(
                     f"type variable {t.name} is not a parameter of {d.name}")
         elif isinstance(t, STCon):
-            if t.name in _RESERVED_TYPES:
+            if t.name == "Int":
                 arity = 0
             elif t.name in self.datas:
                 arity = len(self.datas[t.name].params)
@@ -262,10 +280,8 @@ class Program:
 
     def _check_all(self) -> None:
         """Lower every datatype and function once, at Int instantiations."""
-        for name, d in self.datas.items():
-            if name == "List":
-                continue
-            self.core_type(STCon(name, (_INT,) * len(d.params)))
+        for d in self.surface.data_decls:
+            self.core_type(STCon(d.name, (_INT,) * len(d.params)))
         for name, f in self.funs.items():
             tyargs = (_INT,) * len(tyvars_of(f.sig))
             self.lower_fun(name, tyargs)
@@ -276,12 +292,82 @@ class Program:
         """
         return isinstance(t, STCon) and t.name in self._folded
 
-    def ctor_arg_tys(self, cname: str, t: STCon) -> list[STy]:
-        """The field types of a constructor at a concrete instantiation."""
-        dname, pos = self.ctors[cname]
-        d = self.datas[dname]
-        m = dict(zip(d.params, t.args))
-        return [sub_ty(a, m) for a in d.ctors[pos].args]
+    def constructors(self, t: STy) -> Optional[list[Ctor]]:
+        """The constructors of the resolved tuple or datatype type t, with
+        their field types at its arguments; None for any other type."""
+        if isinstance(t, STTuple):
+            return [("", list(t.items))]
+        if not isinstance(t, STCon) or t.name == "Int":
+            return None
+        out = self._ctors_memo.get(t)
+        if out is None:
+            d = self.datas.get(t.name)
+            if d is None:
+                raise LuckTypeError(f"unknown type {t.name}")
+            if len(t.args) != len(d.params):
+                raise LuckTypeError(f"type {t.name} expects {len(d.params)} "
+                                    f"arguments, got {len(t.args)}")
+            m = dict(zip(d.params, t.args))
+            out = [(c.name, [sub_ty(a, m) for a in c.args]) for c in d.ctors]
+            self._ctors_memo[t] = out
+        return out
+
+    def sum_levels(self, t: STy) -> tuple[Type, list[Type]]:
+        """The core type of a tuple or datatype type and the sums along
+        its spine: level i holds constructor i on its left and the
+        constructors after it on its right.  Kept per core type, since
+        unfolding a mu type substitutes through all of it."""
+        full = self.core_type(t)
+        n = len(self.datas[t.name].ctors) if isinstance(t, STCon) else 1
+        levels = self._levels_memo.get((full, n))
+        if levels is None:
+            level = unfold_mu(full) if isinstance(full, TMu) else full
+            levels = []
+            for _ in range(n - 1):
+                levels.append(level)
+                level = level.right
+            self._levels_memo[full, n] = levels
+        return full, levels
+
+    def unfolded(self, v: Expr, t: STy) -> Expr:
+        """A value of type t with its fold, if it has one, taken off."""
+        return Unfold(v, self.core_type(t)) if self.folds(t) else v
+
+    def construct(self, t: STy, pos: int, fields: list[Expr]) -> Expr:
+        """Constructor pos of the tuple or datatype t over its fields."""
+        v = fields[-1] if fields else Unit()
+        for x in reversed(fields[:-1]):
+            v = Pair(x, v)
+        full, levels = self.sum_levels(t)
+        if pos < len(levels):
+            v = Inl(v, levels[pos])
+        for level in reversed(levels[:pos]):
+            v = Inr(v, level)
+        return Fold(v, full) if self.folds(t) else v
+
+    def destruct(self, v: Expr, t: STy) -> tuple[str, list[STy], list[Expr]]:
+        """A value of the tuple or datatype t read back: the name of its
+        constructor and the types and values of its fields."""
+        ctors = self.constructors(t)
+        if ctors is None:
+            raise LuckTypeError(f"cannot display a value of type {t}")
+        if self.folds(t):
+            v = v.arg
+        n = len(ctors)
+        pos = 0
+        while pos < n - 1 and isinstance(v, Inr):
+            pos += 1
+            v = v.arg
+        if pos < n - 1:
+            v = v.arg
+        name, tys = ctors[pos]
+        vals = []
+        for _ in tys[1:]:
+            vals.append(v.fst)
+            v = v.snd
+        if tys:
+            vals.append(v)
+        return name, tys, vals
 
     def show_value(self, v: Expr, t: STy) -> str:
         """Render a core value as a surface term of the given type."""
@@ -293,50 +379,19 @@ class Program:
             if v.value < 0 and level > 0:
                 return f"({v.value})"
             return str(v.value)
-        if isinstance(t, STCon) and t.name == "Bool":
-            return "True" if isinstance(v, Inl) else "False"
-        if isinstance(t, STTuple):
-            parts = []
-            cur = v
-            for it in t.items[:-1]:
-                parts.append(self._show(cur.fst, it, 0))
-                cur = cur.snd
-            parts.append(self._show(cur, t.items[-1], 0))
-            return "(" + ", ".join(parts) + ")"
-        if isinstance(t, STCon) and t.name == "List":
+        name, tys, vals = self.destruct(v, t)
+        if name in ("Nil", "Cons"):
             elems = []
-            cur = v
-            while True:
-                node = cur.arg  # unwrap the fold
-                if isinstance(node, Inl):
-                    break
-                pay = node.arg
-                elems.append(self._show(pay.fst, t.args[0], 0))
-                cur = pay.snd
+            while name == "Cons":
+                elems.append(self._show(vals[0], tys[0], 0))
+                name, tys, vals = self.destruct(vals[1], t)
             return "[" + ", ".join(elems) + "]"
-        if isinstance(t, STCon) and t.name in self.datas:
-            d = self.datas[t.name]
-            node = v.arg if self.folds(t) else v
-            k = len(d.ctors)
-            idx = 0
-            while idx < k - 1 and isinstance(node, Inr):
-                idx += 1
-                node = node.arg
-            if idx < k - 1:
-                node = node.arg
-            cname = d.ctors[idx].name
-            arg_tys = self.ctor_arg_tys(cname, t)
-            if not arg_tys:
-                return cname
-            args = []
-            cur = node
-            for at in arg_tys[:-1]:
-                args.append(self._show(cur.fst, at, 1))
-                cur = cur.snd
-            args.append(self._show(cur, arg_tys[-1], 1))
-            text = " ".join([cname] + args)
-            return f"({text})" if level > 0 else text
-        raise LuckTypeError(f"cannot display a value of type {t}")
+        parts = [self._show(x, ty, 1 if name else 0)
+                 for x, ty in zip(vals, tys)]
+        if not name:
+            return "(" + ", ".join(parts) + ")"
+        text = " ".join([name] + parts)
+        return f"({text})" if level > 0 and parts else text
 
     # -- functions, linking, queries --------------------------------------
 
@@ -497,53 +552,45 @@ class Program:
             return self._ctype_memo[t]
         if isinstance(t, STVar):
             raise LuckTypeError(f"uninstantiated type variable {t.name}")
-        if isinstance(t, STTuple):
-            out = self._prod([self._core_type(a) for a in t.items])
-        elif isinstance(t, STFun):
+        if isinstance(t, STFun):
             out = TFun(self._core_type(t.arg), self._core_type(t.res))
         elif isinstance(t, STCon) and t.name == "Int":
             out = TInt()
-        elif isinstance(t, STCon) and t.name == "Bool":
-            out = BOOL
-        elif isinstance(t, STCon):
-            out = self._data_type(t)
         else:
-            raise LuckTypeError(f"cannot lower type {t}")
+            out = self._data_type(t)
         if not self._ctype_building:
             # while a datatype is built, its recursive uses are open TVars
             self._ctype_memo[t] = out
         return out
 
-    def _prod(self, parts: list[Type]) -> Type:
-        if not parts:
-            return TUnit()
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = TProd(p, out)
-        return out
-
-    def _data_type(self, t: STCon) -> Type:
-        if t.name not in self.datas:
-            raise LuckTypeError(f"unknown type {t.name}")
-        d = self.datas[t.name]
-        if len(t.args) != len(d.params):
-            raise LuckTypeError(f"type {t.name} expects {len(d.params)} "
-                                f"arguments, got {len(t.args)}")
-        key = (t.name, t.args)
-        if key in self._ctype_building:
-            self._ctype_building[key] = True
-            return TVar(str(t))
-        self._ctype_building[key] = False
-        m = dict(zip(d.params, t.args))
-        payloads = [self._prod([self._core_type(sub_ty(a, m))
-                                for a in c.args]) for c in d.ctors]
+    def _data_type(self, t: STy) -> Type:
+        """The layout of a tuple or datatype: a sum spine over its
+        constructors' payloads, behind a mu type when a datatype mentions
+        itself (a tuple never does)."""
+        ctors = self.constructors(t)
+        if ctors is None:
+            raise LuckTypeError(f"cannot lower type {t}")
+        nominal = isinstance(t, STCon)
+        if nominal:
+            if t in self._ctype_building:
+                self._ctype_building[t] = True
+                return TVar(str(t))
+            self._ctype_building[t] = False
+        payloads = []
+        for _, tys in ctors:
+            parts = [self._core_type(a) for a in tys]
+            payload = parts[-1] if parts else TUnit()
+            for part in reversed(parts[:-1]):
+                payload = TProd(part, payload)
+            payloads.append(payload)
         spine = payloads[-1]
         for p in reversed(payloads[:-1]):
             spine = TSum(p, spine)
-        used = self._ctype_building.pop(key)
-        others = {str(STCon(n, a)) for n, a in self._ctype_building}
-        loose = _tvar_names(spine) & others
-        if loose:
+        if not nominal:
+            return spine
+        used = self._ctype_building.pop(t)
+        others = {str(k) for k in self._ctype_building}
+        if others and _tvar_names(spine) & others:
             raise LuckTypeError(
                 f"datatype {t.name} is recursive through another type; "
                 "only direct recursion is supported")
@@ -551,18 +598,6 @@ class Program:
             return spine
         self._folded.add(t.name)
         return TMu(str(t), spine)
-
-
-def _sum_levels(full: Type, n: int) -> list[Type]:
-    """The n - 1 sums along the spine of a type of n constructors whose
-    core type is full: level i holds constructor i on its left and the
-    constructors after it on its right."""
-    level = unfold_mu(full) if isinstance(full, TMu) else full
-    levels = []
-    for _ in range(n - 1):
-        levels.append(level)
-        level = level.right
-    return levels
 
 
 def _tvar_names(t: Type) -> set[str]:
@@ -596,18 +631,12 @@ class _Lower:
 
     def oracle(self, t: STy):
         t = self.p.resolve(t)
-        if t == _BOOL:
-            return DATA, [("True", []), ("False", [])]
         if t == _INT:
             return ATOM, None
-        if isinstance(t, STTuple):
-            return DATA, [("", list(t.items))]
-        if isinstance(t, STCon) and t.name in self.p.datas:
-            d = self.p.datas[t.name]
-            m = dict(zip(d.params, t.args))
-            return DATA, [(c.name, [sub_ty(a, m) for a in c.args])
-                          for c in d.ctors]
-        raise ExpandError(f"cannot match on a value of type {t}")
+        ctors = self.p.constructors(t)
+        if ctors is None:
+            raise ExpandError(f"cannot match on a value of type {t}")
+        return DATA, ctors
 
     # -- entry ------------------------------------------------------------
 
@@ -644,15 +673,8 @@ class _Lower:
         if isinstance(e, STupleE):
             parts = [self.des(x, env) for x in e.items]
             mks = [mk for mk, _ in parts]
-
-            def mk_tuple() -> Expr:
-                vals = [m() for m in mks]
-                out = vals[-1]
-                for v in reversed(vals[:-1]):
-                    out = Pair(v, out)
-                return out
-
-            return mk_tuple, STTuple(tuple(t for _, t in parts))
+            ty = STTuple(tuple(t for _, t in parts))
+            return (lambda: self.p.construct(ty, 0, [m() for m in mks])), ty
         if isinstance(e, SListE):
             elem = self.p.meta()
             where = f"line {e.line}: list element"
@@ -695,49 +717,32 @@ class _Lower:
 
         return mk, inst
 
-    def ctor(self, cname: str, args: list[tuple[Mk, STy]],
-             where: str) -> tuple[Mk, STy]:
-        if cname in ("True", "False"):
-            if args:
-                raise LuckTypeError(f"{where}: {cname} takes no arguments")
-            v = TRUE if cname == "True" else FALSE
-            return (lambda: v), _BOOL
+    def instance(self, cname: str, nargs: int,
+                 where: str) -> tuple[STy, int, list[STy]]:
+        """A fresh instance of a constructor's type, with its position and
+        field types; "" is the tuple constructor of nargs fields."""
+        if not cname:
+            metas = [self.p.meta() for _ in range(nargs)]
+            return STTuple(tuple(metas)), 0, metas
         if cname not in self.p.ctors:
             raise LuckTypeError(f"{where}: unknown constructor {cname}")
         dname, pos = self.p.ctors[cname]
         d = self.p.datas[dname]
-        arity = len(d.ctors[pos].args)
-        if len(args) != arity:
-            raise LuckTypeError(f"{where}: constructor {cname} takes "
-                                f"{arity} arguments, got {len(args)}")
         metas = [self.p.meta() for _ in d.params]
-        dty = STCon(dname, tuple(metas))
         m = dict(zip(d.params, metas))
-        for (_, got), want in zip(args, d.ctors[pos].args):
-            self.unify(got, sub_ty(want, m), where)
-        arg_mks = [mk for mk, _ in args]
-        n = len(d.ctors)
+        fields = [sub_ty(a, m) for a in d.ctors[pos].args]
+        if len(fields) != nargs:
+            raise LuckTypeError(f"{where}: constructor {cname} takes "
+                                f"{len(fields)} arguments, got {nargs}")
+        return STCon(dname, tuple(metas)), pos, fields
 
-        def mk() -> Expr:
-            full = self.p.core_type(dty)
-            vals = [m_() for m_ in arg_mks]
-            if not vals:
-                v: Expr = Unit()
-            else:
-                v = vals[-1]
-                for x in reversed(vals[:-1]):
-                    v = Pair(x, v)
-            # nest the payload at its position along the sum spine: the
-            # k-th constructor sits under k Inr wrappers, with an Inl on
-            # top unless it is the last constructor
-            levels = _sum_levels(full, n)
-            if pos < n - 1:
-                v = Inl(v, levels[pos])
-            for i in range(pos - 1, -1, -1):
-                v = Inr(v, levels[i])
-            return Fold(v, full) if self.p.folds(dty) else v
-
-        return mk, dty
+    def ctor(self, cname: str, args: list[tuple[Mk, STy]],
+             where: str) -> tuple[Mk, STy]:
+        dty, pos, fields = self.instance(cname, len(args), where)
+        for (_, got), want in zip(args, fields):
+            self.unify(got, want, where)
+        mks = [mk for mk, _ in args]
+        return (lambda: self.p.construct(dty, pos, [m() for m in mks])), dty
 
     def app(self, e: SApp, env: dict) -> tuple[Mk, STy]:
         head, spine = _spine(e)
@@ -825,92 +830,33 @@ class _Lower:
 
     def match_term(self, occ: Mk, term: SExpr, t: STy, env: dict,
                    where: str) -> Mk:
-        """A matcher for  occ == term  with term built from constructors."""
+        """A matcher for  occ == term  with term built from constructors;
+        lowering has unified the two sides' types, so the term fits t."""
         t = self.p.resolve(t)
         if t == _INT:
             (tmk, tty) = self.des(term, env)
             self.unify(tty, _INT, where)
             return lambda: Cmp("==", occ(), tmk())
-        if t == _BOOL:
-            if not (isinstance(term, SCon) and term.name in ("True", "False")):
-                raise LuckTypeError(f"{where}: expected True or False")
-            if term.name == "True":
+        if t == _BOOL:  # x == True is x, and x == False is not x
+            if term == SCon("True"):
                 return occ
             return lambda: CaseSum(occ(), "_", FALSE, "_", TRUE, BOOL)
-        if isinstance(t, STTuple):
-            if not (isinstance(term, STupleE)
-                    and len(term.items) == len(t.items)):
-                raise LuckTypeError(f"{where}: tuple arity mismatch")
-            names = [self.fresh("e") for _ in t.items]
-            parts = [self.match_term((lambda nm=nm: Var(nm)), item, ti,
-                                     env, where)
-                     for nm, item, ti in zip(names, term.items, t.items)]
-            body = _conj(parts)
-
-            rests = [f"{nm}r" for nm in names[:-2]]
-            return lambda: _case_pairs(body(), occ(), names, rests,
-                                       self.p.core_type(t))
-        if isinstance(t, STCon) and t.name in self.p.datas:
-            cname, args = _term_spine(term)
-            if cname is None or cname not in self.p.ctors:
-                raise LuckTypeError(f"{where}: expected a constructor term "
-                                    f"of type {t.name}")
-            dname, pos = self.p.ctors[cname]
-            if dname != t.name:
-                raise LuckTypeError(f"{where}: constructor {cname} does not "
-                                    f"belong to {t.name}")
-            arg_tys = self.p.ctor_arg_tys(cname, t)
-            if len(args) != len(arg_tys):
-                raise LuckTypeError(f"{where}: constructor {cname} takes "
-                                    f"{len(arg_tys)} arguments")
-            n = len(self.p.datas[dname].ctors)
-            names = [self.fresh("e") for _ in arg_tys]
-            parts = [self.match_term((lambda nm=nm: Var(nm)), a, ti,
-                                     env, where)
-                     for nm, a, ti in zip(names, args, arg_tys)]
-            payload_eq = _conj(parts) if parts else (lambda: TRUE)
-
-            def payload_body(cur: Expr) -> Expr:
-                k = len(names)
-                if k == 0:
-                    return payload_eq()
-                if k == 1:
-                    # a single field: the payload is the field itself
-                    if cur == Var(names[0]):
-                        return payload_eq()
-                    return App(Rec(self.p.fresh("eqf"), names[0],
-                                   self.p.core_type(arg_tys[0]),
-                                   payload_eq(), BOOL), cur)
-                return _case_pairs(payload_eq(), cur, names,
-                                   [self.fresh("er") for _ in range(k - 2)],
-                                   self.p.core_type(STTuple(tuple(arg_tys))))
-
-            def mk() -> Expr:
-                full = self.p.core_type(t)
-                levels = _sum_levels(full, n)
-                cur = Unfold(occ(), full) if self.p.folds(t) else occ()
-                # walk the sum spine to the constructor's position
-                def go(cur: Expr, i: int) -> Expr:
-                    if i == n - 1:
-                        return payload_body(cur)
-                    # a one-field payload arrives under the field's name
-                    one = len(names) == 1
-                    ln = names[0] if one and i == pos \
-                        else self.p.fresh("el")
-                    rn = names[0] if one and i + 1 == pos == n - 1 \
-                        else self.p.fresh("es")
-                    if i == pos:
-                        left = payload_body(Var(ln))
-                        right: Expr = FALSE
-                    else:
-                        left = FALSE
-                        right = go(Var(rn), i + 1)
-                    return CaseSum(cur, ln, left, rn, right, levels[i])
-
-                return go(cur, 0)
-
-            return mk
-        raise LuckTypeError(f"{where}: cannot compare values of type {t}")
+        ctors = self.p.constructors(t)
+        cname, args = _ctor_spine(term)
+        pos = [c for c, _ in ctors].index(cname)
+        tys = ctors[pos][1]
+        if len(ctors) == 1 and len(tys) == 1:
+            # the lone field of a lone constructor is the value itself
+            return self.match_term(lambda: self.p.unfolded(occ(), t),
+                                   args[0], tys[0], env, where)
+        names = [self.fresh("e") for _ in tys]
+        eq = _conj([self.match_term((lambda nm=nm: Var(nm)), a, ty, env,
+                                    where)
+                    for nm, a, ty in zip(names, args, tys)])
+        fields = list(zip(names, tys))
+        dead = [((), FALSE)] * pos
+        return lambda: self.dispatch(occ(), t, dead + [(fields, eq())],
+                                     blank=lambda: self.fresh("e"))
 
     # -- case lowering -------------------------------------------------------
 
@@ -959,35 +905,11 @@ class _Lower:
     def unify_pat(self, p: SPat, t: STy, where: str) -> None:
         if isinstance(p, (PWild, PVar)):
             return
-        if isinstance(p, PTuple):
-            metas = [self.p.meta() for _ in p.items]
-            self.unify(t, STTuple(tuple(metas)), where)
-            for sub, m in zip(p.items, metas):
-                self.unify_pat(sub, m, where)
-            return
-        if isinstance(p, PCon):
-            if p.name in ("True", "False"):
-                if p.args:
-                    raise LuckTypeError(f"{where}: {p.name} takes no "
-                                        "arguments")
-                self.unify(t, _BOOL, where)
-                return
-            if p.name not in self.p.ctors:
-                raise LuckTypeError(f"{where}: unknown constructor {p.name}")
-            dname, pos = self.p.ctors[p.name]
-            d = self.p.datas[dname]
-            metas = [self.p.meta() for _ in d.params]
-            self.unify(t, STCon(dname, tuple(metas)), where)
-            want = d.ctors[pos].args
-            if len(p.args) != len(want):
-                raise LuckTypeError(
-                    f"{where}: constructor {p.name} takes {len(want)} "
-                    f"arguments, pattern has {len(p.args)}")
-            m = dict(zip(d.params, metas))
-            for sub, a in zip(p.args, want):
-                self.unify_pat(sub, sub_ty(a, m), where)
-            return
-        raise LuckTypeError(f"{where}: unsupported pattern")
+        cname, subs = _ctor_spine(p)
+        pty, _, fields = self.instance(cname, len(subs), where)
+        self.unify(t, pty, where)
+        for sub, ft in zip(subs, fields):
+            self.unify_pat(sub, ft, where)
 
     def lower_tree(self, node: Tree, env: dict, rmeta: STy) -> Mk:
         if isinstance(node, Leaf):
@@ -1003,82 +925,77 @@ class _Lower:
 
     def lower_node(self, node: CaseNode, env: dict, rmeta: STy) -> Mk:
         t = self.p.resolve(node.ty)
-        occ_core = env[node.occ.name][1]
+        occ = env[node.occ.name][1]
         kids = node.children
-        n = len(kids)
         wmks = self._weights(kids, env)
-
-        def payload(child: Child, cur: Optional[Expr]) -> tuple[str, Mk]:
-            """Binder name and body builder for one constructor child.
-
-            cur is the payload expression for single-constructor types,
-            where no sum dispatch wraps the payload; otherwise the
-            payload arrives through the returned binder.
-            """
-            argvars = list(child.argvars)
-            if not argvars:
-                return "_", self.lower_tree(child.sub, env, rmeta)
+        if len(kids) == 1 and len(kids[0].argvars) == 1:
+            # the lone field of a lone constructor is the value itself,
+            # bound in place, so its type is read before unification ends
+            ((nm, ty),) = kids[0].argvars
+            return self.lower_tree(
+                kids[0].sub, {**env, nm: (ty, self.p.unfolded(occ, t))},
+                rmeta)
+        arms = []
+        for kid in kids:
             env2 = dict(env)
-            for nm, ty in argvars:
+            for nm, ty in kid.argvars:
                 env2[nm] = (ty, Var(nm))
-            if len(argvars) == 1:
-                nm = argvars[0][0]
-                if cur is not None:
-                    env2[nm] = (argvars[0][1], cur)
-                    return "_", self.lower_tree(child.sub, env2, rmeta)
-                return nm, self.lower_tree(child.sub, env2, rmeta)
-            sub = self.lower_tree(child.sub, env2, rmeta)
-            names = [nm for nm, _ in argvars]
-            pname = self.fresh("p")
-            rests = [self.fresh("t") for _ in range(len(names) - 2)]
-            top = cur if cur is not None else Var(pname)
-            ty = STTuple(tuple(st for _, st in argvars))
-            return pname, lambda: _case_pairs(sub(), top, names, rests,
-                                              self.p.core_type(ty))
+            arms.append((kid.argvars, self.lower_tree(kid.sub, env2, rmeta)))
+        return lambda: self.dispatch(
+            occ, t, [(fields, body()) for fields, body in arms], wmks)
 
-        if n == 1:
-            # no sum to dispatch on: the payload is bound in place, so its
-            # type is read before unification ends
-            full = self.p.core_type(t)
-            if self.p.folds(t):
-                occ_core = Unfold(occ_core, full)
-            _, body = payload(kids[0], occ_core)
-            return body
-
-        def add(a: Expr, b: Expr) -> Expr:
-            if isinstance(a, IntLit) and isinstance(b, IntLit):
-                return IntLit(a.value + b.value)
-            return Arith("+", a, b)
-
-        rest_mks: list[Optional[Mk]] = [None] * n
-        rest_mks[n - 2] = wmks[n - 1]
-        for i in range(n - 3, -1, -1):
-            nxt, acc = wmks[i + 1], rest_mks[i + 1]
-            rest_mks[i] = (lambda a=nxt, b=acc: add(a(), b()))
-
-        def cascade(i: int) -> Callable[[Expr, list[Type]], Expr]:
-            """Constructors i.. as a builder over scrutinee and levels."""
-            lname, lbody = payload(kids[i], None)
-            if i == n - 2:
-                rname, last = payload(kids[i + 1], None)
-                rest = lambda levels: last()
+    def dispatch(self, cur: Expr, t: STy, arms: list[tuple[Fields, Expr]],
+                 weights: Optional[list[Mk]] = None,
+                 blank: Callable[[], str] = lambda: "_") -> Expr:
+        """Take cur, a value of the tuple or datatype t, apart along its
+        sum spine.  arms[i] = (fields, body) is constructor i's arm, whose
+        body reads each field under its name; past the last arm given,
+        the spine's rest is FALSE.  With weights, one per constructor,
+        each level is an instantiation weighted by its left constructor
+        against all the constructors after it.  A binder no body reads
+        comes from blank.  A lone field arrives under its own name, or is
+        cur itself when t has one constructor, bound in place by the
+        caller."""
+        full, levels = self.p.sum_levels(t)
+        cur = Unfold(cur, full) if self.p.folds(t) else cur
+        if not levels:
+            return self._unpack(*arms[0], cur)
+        lefts = []
+        for fields, body in arms:
+            if not fields:
+                left = blank()
+            elif len(fields) == 1:
+                left = fields[0][0]
             else:
-                rname = self.fresh("r")
-                inner = cascade(i + 1)
-                rest = lambda levels: inner(Var(rname), levels)
-            wl, wr = wmks[i], rest_mks[i]
-            return (lambda cur, levels: CaseSum(
-                Inst(cur, wl(), wr()), lname, lbody(), rname, rest(levels),
-                levels[i]))
+                left = self.fresh("p")
+                body = self._unpack(fields, body, Var(left))
+            lefts.append((left, body))
+        if len(arms) > len(levels):
+            # the last constructor is the right side of the last level
+            right, out = lefts.pop()
+        else:
+            right, out = blank(), FALSE
+        rights = [self.fresh("r") for _ in lefts[1:]] + [right]
+        for i in range(len(lefts) - 1, -1, -1):
+            scrut = cur if i == 0 else Var(rights[i - 1])
+            if weights is not None:
+                rest = weights[-1]()
+                for w in reversed(weights[i + 1:-1]):
+                    rest = _add(w(), rest)
+                scrut = Inst(scrut, weights[i](), rest)
+            out = CaseSum(scrut, *lefts[i], rights[i], out, levels[i])
+        return out
 
-        build = cascade(0)
-
-        def mk() -> Expr:
-            full = self.p.core_type(t)
-            cur = Unfold(occ_core, full) if self.p.folds(t) else occ_core
-            return build(cur, _sum_levels(full, n))
-
-        return mk
+    def _unpack(self, fields: Fields, body: Expr, top: Expr) -> Expr:
+        """body with the fields bound to the parts of top, a payload of two
+        or more fields; a lone field is the payload itself."""
+        if len(fields) < 2:
+            return body
+        names = [nm for nm, _ in fields]
+        return _case_pairs(body, top, names,
+                           [self.fresh("t") for _ in names[2:]],
+                           self.p.core_type(STTuple(tuple(
+                               ty for _, ty in fields))))
 
     def _weights(self, kids: list[Child], env: dict) -> list[Mk]:
         ws = [c.weight for c in kids]
@@ -1095,6 +1012,12 @@ class _Lower:
             self.unify(ty, _INT, "case arm weight")
             out.append(mk)
         return out
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, IntLit) and isinstance(b, IntLit):
+        return IntLit(a.value + b.value)
+    return Arith("+", a, b)
 
 
 def _conj(parts: list[Mk]) -> Mk:
@@ -1159,11 +1082,15 @@ def _spine(e: SExpr) -> tuple[SExpr, list[SExpr]]:
     return e, args
 
 
-def _term_spine(e: SExpr) -> tuple[Optional[str], list[SExpr]]:
-    head, args = _spine(e)
-    if isinstance(head, SCon):
-        return head.name, args
-    return None, []
+def _ctor_spine(x) -> tuple[str, list]:
+    """The constructor and arguments of a constructor term or pattern; a
+    tuple's constructor is ""."""
+    if isinstance(x, (STupleE, PTuple)):
+        return "", list(x.items)
+    if isinstance(x, PCon):
+        return x.name, list(x.args)
+    head, args = _spine(x)
+    return head.name, args
 
 
 def _case_pairs(body: Expr, top: Expr, names: list[str],

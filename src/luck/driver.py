@@ -204,15 +204,20 @@ def run_prepared(prep: PreparedQuery, *,
     discards = 0
     attempts = 0
     timeouts = 0  # attempts and rechecks that ran out of fuel
+    failure = ""  # the message of the last GenFailure
     error = None
     for i in range(retries + 1):
         ctx = RunCtx(RandomSource(derive_seed(seed, i)), fuel=fuel)
         attempts = i + 1
         try:
             vals = attempt(prep, ctx)
-        except (GenFailure, EvalTimeout) as ex:
+        except EvalTimeout:
             backtracks += ctx.local_backtracks
-            timeouts += isinstance(ex, EvalTimeout)
+            timeouts += 1
+            continue
+        except GenFailure as ex:
+            backtracks += ctx.local_backtracks
+            failure = str(ex)  # not ex: its traceback holds this frame
             continue
         except RecursionError:
             # every retry would recurse as deep again
@@ -232,13 +237,17 @@ def run_prepared(prep: PreparedQuery, *,
     return GenReport(query, False, seed, None, None, [], Fraction(1),
                      attempts, backtracks, discards,
                      time.perf_counter() - t0,
-                     error=error or _no_success(attempts, timeouts, fuel))
+                     error=error or _no_success(attempts, timeouts, fuel,
+                                                failure))
 
 
-def _no_success(attempts: int, timeouts: int, fuel: int) -> str:
+def _no_success(attempts: int, timeouts: int, fuel: int,
+                failure: str) -> str:
     text = f"no success in {attempts} attempts"
     if timeouts:
         text += f" ({timeouts} ran out of the {fuel}-step fuel)"
+    if failure:
+        text += f"; last failure: {failure}"
     return text
 
 

@@ -384,10 +384,10 @@ def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
     continuation.  When both sides are viable and the chosen side's run
     comes back failed, the sibling is run once from the rollback point;
     the abandoned choices disappear from the trace but are counted on the
-    run context.  Zero-weight sides are never entered.
+    run context.  Otherwise `choose` picks the one available side or
+    says why there is none.
     """
-    ls, rs = left and n1 > 0, right and n2 > 0
-    if ls and rs:
+    if left and n1 > 0 and right and n2 > 0:
         side = ctx.pick_weighted(n1, n2)
         if not ctx.local_backtracking:
             ctx.record(side, 2, n2 if side else n1, n1 + n2)
@@ -405,8 +405,4 @@ def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
         other = 1 - side
         ctx.record(other, 2, n2 if other else n1, n1 + n2)
         return run(other)
-    if ls:
-        return run(0)
-    if rs:
-        return run(1)
-    raise GenFailure("no viable case branch")
+    return run(choose(n1, left, n2, right, ctx))

@@ -153,30 +153,18 @@ class ReplaySource:
         return self.pick(2)
 
 
-class ScriptedSource:
-    """Follows a fixed prefix, then always takes branch 0.
+class ScriptedSource(ReplaySource):
+    """Replays a fixed prefix, then always takes branch 0.
 
     Used by the exhaustive enumerator: the choices made after the prefix
     are visible on the context's trace, which tells the enumerator where
     the next unexplored sibling lies.
     """
 
-    def __init__(self, prefix: list[Choice]) -> None:
-        self._prefix = list(prefix)
-        self._pos = 0
-
     def pick(self, arity: int) -> int:
-        if self._pos < len(self._prefix):
-            c = self._prefix[self._pos]
-            self._pos += 1
-            if c.arity != arity:
-                raise ReplayMismatch(
-                    f"scripted arity {c.arity}, run wants {arity}")
-            return c.index
+        if self._pos < len(self._choices):
+            return super().pick(arity)
         return 0
-
-    def pick_weighted(self, w_left: int, w_right: int) -> int:
-        return self.pick(2)
 
 
 class RunCtx:

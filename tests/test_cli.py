@@ -115,6 +115,21 @@ def test_a_budget_spent_on_fuel_says_so(capsys):
     assert "no success in 4 attempts (4 ran out of the 60-step fuel)" in err
 
 
+def test_a_case_whose_weights_evaluate_to_zero_says_so(capsys, tmp_path):
+    # lowering only rejects literal zero weights; these are zero at run
+    # time, so every attempt fails and the error names the last reason
+    src = tmp_path / "zero.luck"
+    src.write_text("""
+data T = A | B
+sig f :: Int -> T -> Bool
+fun f n t = case t of | n % A -> True | n % B -> False end
+""")
+    code, out, err = run_cli(capsys, str(src), "f 0 t = True", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "no success in 1001 attempts" in err
+    assert "no weight mass" in err
+
+
 def test_configuration_errors_exit_1(capsys):
     cases = [
         (EX35, "a u = True", "--int-bound", "0:9"),

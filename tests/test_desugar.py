@@ -1,5 +1,7 @@
 """Surface-to-core lowering: types, cascades, equality, monomorphization."""
 
+import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,50 @@ fun f m = case m of | Some x -> 0 < x | None -> False end
 """)
     q = prog.compile_query("f u = True")
     assert q.unknowns == {"u": TSum(TUnit(), TInt())}
+
+
+def test_bool_is_a_prelude_datatype():
+    prog = Program.from_source("sig f :: Bool -> Bool\nfun f b = b")
+    assert prog.constructors(STCon("Bool")) == [("True", []), ("False", [])]
+    assert prog._data_type(STCon("Bool")) == BOOL
+    assert prog.construct(STCon("Bool"), 0, []) == TRUE
+    assert prog.construct(STCon("Bool"), 1, []) == FALSE
+
+
+def test_construct_and_show_agree_on_every_layout():
+    prog = Program.from_source("""
+data Opt a = None | Some a
+data T = L | N Int T
+sig f :: Int -> Bool
+fun f x = True
+""")
+    pair = STTuple((STCon("Int"), STCon("Bool")))
+    opt = STCon("Opt", (pair,))
+    ints = STCon("List", (STCon("Int"),))
+    tree = STCon("T")
+
+    def make(t, name, *fields):
+        ctors = [c for c, _ in prog.constructors(prog.resolve(t))]
+        return prog.construct(t, ctors.index(name), list(fields))
+
+    no, yes = make(STCon("Bool"), "False"), make(STCon("Bool"), "True")
+    some = make(opt, "Some", make(pair, "", IntLit(-2), no))
+    nil = make(ints, "Nil")
+    leaf = make(tree, "L")
+    cases = [
+        (make(pair, "", IntLit(1), yes), pair, "(1, True)"),
+        (some, opt, "Some (-2, False)"),
+        (make(opt, "None"), opt, "None"),
+        (make(ints, "Cons", IntLit(3), make(ints, "Cons", IntLit(-4), nil)),
+         ints, "[3, -4]"),
+        (nil, ints, "[]"),
+        (make(tree, "N", IntLit(-1), make(tree, "N", IntLit(5), leaf)), tree,
+         "N (-1) (N 5 L)"),
+        (make(STTuple((opt, tree)), "", some, leaf), STTuple((opt, tree)),
+         "(Some (-2, False), L)"),
+    ]
+    for v, t, text in cases:
+        assert prog.show_value(v, t) == text
 
 
 # -- case cascades -------------------------------------------------------------
@@ -205,6 +251,18 @@ fun g b = b == False
     assert ground(prog, "f 3 = True") == FALSE
     assert ground(prog, "g False = True") == TRUE
     assert ground(prog, "g True = True") == FALSE
+
+
+def test_a_lone_field_of_a_lone_constructor_is_compared_in_place():
+    prog = Program.from_source("""
+data W = W Int
+sig f :: W -> Bool
+fun f w = w == W 3
+""")
+    # the comparison reads w itself: no function binds the field
+    assert nodes(prog.cores["f"], Rec) == [prog.cores["f"]]
+    assert ground(prog, "f (W 3) = True") == TRUE
+    assert ground(prog, "f (W 2) = True") == FALSE
 
 
 def test_equality_between_two_open_terms_is_rejected():
@@ -410,3 +468,62 @@ def test_a_tuple_holding_its_recursive_type_lowers_to_a_closed_type():
     for seed in range(10):
         r = run_prepared(prep, seed=seed)
         assert r.ok and recheck(prep, r.values)
+
+
+# -- pinned lowering -----------------------------------------------------------
+
+# sha256 (first 16 hex digits) of each corpus program's cores and of each
+# CORPUS_SWEEP query's target, with every %-binder renamed in order of
+# first appearance.  A refactor of lowering must keep these terms.
+CORE_DIGESTS = {
+    "bst.luck": "79ebe25a7aa81302",
+    "distinct.luck": "5e47f5c55cefd80a",
+    "ex35.luck": "9bcc273ddfefb841",
+    "length.luck": "05aca3e0106043e0",
+    "member.luck": "58d8f5f41e720594",
+    "rbt.luck": "abfe459fca2545c7",
+    "redex.luck": "c4abc03fa9db7f49",
+    "sorted.luck": "8a8347d937f44e1c",
+}
+
+TARGET_DIGESTS = {
+    "isRedex t = True": "d0e7cf62be56af1a",
+    "length l 30 = True": "dc50f4fed7b4ae27",
+    "length l 100 = True": "ffb38b41028f3cf3",
+    "length l 300 = True": "d8eb7467c2eed8e0",
+    "bst 3 0 10 t = True": "e2069084d39c43f9",
+    "distinct l = True": "2c70121aca2d8255",
+    "b u = True": "d42349a0a9b991c3",
+    "member 3 l = True": "ad112da464d2f8ce",
+    "isRBT 2 0 20 Black t = True": "f39826b98cc87687",
+    "sorted l = True": "3c1b0d065fcdf169",
+}
+
+_BINDER = re.compile(r"%[A-Za-z]+\d+")
+
+
+def _renamed(term):
+    """repr of a term with its %-binders renamed %0, %1, ... in order of
+    first appearance."""
+    seen = {}
+    return _BINDER.sub(
+        lambda m: "%" + str(seen.setdefault(m.group(), len(seen))),
+        repr(term))
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(CORE_DIGESTS))
+def test_corpus_cores_are_pinned(name):
+    cores = load(name).cores
+    assert _digest("\n".join(f"{n} {_renamed(c)}"
+                              for n, c in sorted(cores.items()))) \
+        == CORE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("file,query", [(f, q) for f, q, *_ in CORPUS_SWEEP])
+def test_corpus_targets_are_pinned(file, query):
+    target = load(file).compile_query(query).target
+    assert _digest(_renamed(target)) == TARGET_DIGESTS[query]

@@ -125,8 +125,15 @@ def test_scripted_source_prefix_then_left():
 
 def test_scripted_source_checks_prefix_arity():
     src = ScriptedSource([Choice(1, 2)])
-    with pytest.raises(ReplayMismatch):
+    with pytest.raises(ReplayMismatch, match="recorded arity 2, run wants 3"):
         src.pick(3)
+
+
+def test_scripted_source_checks_prefix_index():
+    # the prefix is replayed with every check a replay makes
+    src = ScriptedSource([Choice(2, 2)])
+    with pytest.raises(ReplayMismatch, match="index 2 out of range"):
+        src.pick(2)
 
 
 def test_run_ctx_accumulates():
