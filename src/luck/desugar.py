@@ -6,8 +6,9 @@ tuple and datatype value has one layout:
   unless it is the last;
 - its fields are right-nested pairs, or unit when it has none;
 - the whole value is a fold when the datatype mentions itself.
-A tuple is the one constructor, named "", of its type, and Bool is the
-prelude datatype `True | False`, as List is `Nil | Cons a [a]`.
+A tuple is the one constructor, named "", of its type, and Bool and
+List are datatypes of `surface.PRELUDE`, which the parser has already
+turned list syntax into.
 `Program._data_type` lays out the types; `Program.construct` builds a
 value, `Program.destruct` reads one back, and `_Lower.dispatch` takes
 one apart along its sum spine.
@@ -77,10 +78,11 @@ from .patterns import (
     Leaf,
     Tree,
     expand_case,
-    normalize_pat,
 )
 from .surface import (
     PCon,
+    PInt,
+    PRELUDE,
     PTuple,
     PVar,
     PWild,
@@ -89,17 +91,14 @@ from .surface import (
     SBin,
     SCase,
     SCon,
-    SCtor,
     SData,
     SExpr,
     SFun,
     SIf,
     SInt,
-    SListE,
     SPat,
     STCon,
     STFun,
-    STList,
     STTuple,
     STVar,
     STupleE,
@@ -129,11 +128,7 @@ class SMeta(STy):
 _INT = STCon("Int")
 _BOOL = STCon("Bool")
 
-_PRELUDE = {"Bool": SData("Bool", (), (SCtor("True"), SCtor("False"))),
-            "List": SData("List", ("a",),
-                          (SCtor("Nil"),
-                           SCtor("Cons", (STVar("a"), STList(STVar("a"))))))}
-_PRELUDE_CTORS = {c.name: (d.name, i) for d in _PRELUDE.values()
+_PRELUDE_CTORS = {c.name: (d.name, i) for d in PRELUDE.values()
                   for i, c in enumerate(d.ctors)}
 
 # a constructor with the types of its fields
@@ -167,8 +162,6 @@ def tyvars_of(t: STy) -> list[str]:
         elif isinstance(t, STCon):
             for a in t.args:
                 walk(a)
-        elif isinstance(t, STList):
-            walk(t.elem)
         elif isinstance(t, STTuple):
             for a in t.items:
                 walk(a)
@@ -186,8 +179,6 @@ def sub_ty(t: STy, m: dict[str, STy]) -> STy:
         return m.get(t.name, t)
     if isinstance(t, STCon):
         return STCon(t.name, tuple(sub_ty(a, m) for a in t.args))
-    if isinstance(t, STList):
-        return STList(sub_ty(t.elem, m))
     if isinstance(t, STTuple):
         return STTuple(tuple(sub_ty(a, m) for a in t.items))
     if isinstance(t, STFun):
@@ -206,7 +197,7 @@ class Program:
 
     def __init__(self, surface: SurfaceProgram):
         self.surface = surface
-        self.datas: dict[str, SData] = dict(_PRELUDE)
+        self.datas: dict[str, SData] = dict(PRELUDE)
         self.ctors: dict[str, tuple[str, int]] = dict(_PRELUDE_CTORS)
         self.funs: dict[str, SFun] = {}
         self._sol: dict[int, STy] = {}
@@ -271,8 +262,6 @@ class Program:
                     f"type {t.name} expects {arity} arguments")
             for a in t.args:
                 self._check_decl_ty(a, d)
-        elif isinstance(t, STList):
-            self._check_decl_ty(t.elem, d)
         elif isinstance(t, (STTuple, STFun)):
             parts = t.items if isinstance(t, STTuple) else (t.arg, t.res)
             for a in parts:
@@ -477,11 +466,9 @@ class Program:
         return f"%{prefix}{self._fresh_n}"
 
     def resolve(self, t: STy) -> STy:
-        """Follow solved metavariables; canonicalize list sugar."""
+        """Follow solved metavariables."""
         while isinstance(t, SMeta) and t.uid in self._sol:
             t = self._sol[t.uid]
-        if isinstance(t, STList):
-            return STCon("List", (t.elem,))
         return t
 
     def resolve_deep(self, t: STy, default: bool = False) -> STy:
@@ -546,8 +533,6 @@ class Program:
         return self._core_type(self.resolve_deep(t, default=True))
 
     def _core_type(self, t: STy) -> Type:
-        if isinstance(t, STList):
-            t = STCon("List", (t.elem,))
         if t in self._ctype_memo:
             return self._ctype_memo[t]
         if isinstance(t, STVar):
@@ -675,17 +660,6 @@ class _Lower:
             mks = [mk for mk, _ in parts]
             ty = STTuple(tuple(t for _, t in parts))
             return (lambda: self.p.construct(ty, 0, [m() for m in mks])), ty
-        if isinstance(e, SListE):
-            elem = self.p.meta()
-            where = f"line {e.line}: list element"
-            out_mk, out_ty = self.ctor("Nil", [], where)
-            self.unify(out_ty, STCon("List", (elem,)), where)
-            for item in reversed(e.items):
-                (imk, ity) = self.des(item, env)
-                self.unify(ity, elem, where)
-                out_mk, out_ty = self.ctor(
-                    "Cons", [(imk, ity), (out_mk, out_ty)], where)
-            return out_mk, out_ty
         if isinstance(e, SCase):
             return self.lower_case(e, env)
         raise LuckTypeError(f"cannot lower expression {e!r}")
@@ -770,11 +744,6 @@ class _Lower:
 
     def binop(self, e: SBin, env: dict) -> tuple[Mk, STy]:
         where = f"line {e.line}: {e.op}"
-        if e.op == ":":
-            h = self.des(e.lhs, env)
-            t = self.des(e.rhs, env)
-            self.unify(t[1], STCon("List", (h[1],)), where)
-            return self.ctor("Cons", [h, t], where)
         (lmk, lt) = self.des(e.lhs, env)
         (rmk, rt) = self.des(e.rhs, env)
         if e.op in ("+", "-", "*", "/"):
@@ -818,12 +787,10 @@ class _Lower:
             return lambda: CaseSum(
                 lmk(), "_", rmk(),
                 "_", CaseSum(rmk(), "_", FALSE, "_", TRUE, BOOL), BOOL)
-        closed_r = _closed_term(e.rhs)
-        closed_l = _closed_term(e.lhs)
-        if closed_r is not None:
-            return self.match_term(lhs[0], closed_r, t, env, where)
-        if closed_l is not None:
-            return self.match_term(rhs[0], closed_l, t, env, where)
+        if _closed(e.rhs):
+            return self.match_term(lhs[0], e.rhs, t, env, where)
+        if _closed(e.lhs):
+            return self.match_term(rhs[0], e.lhs, t, env, where)
         raise LuckTypeError(
             f"{where}: structural equality needs a constructor term "
             "on one side")
@@ -863,12 +830,8 @@ class _Lower:
     def lower_case(self, e: SCase, env: dict) -> tuple[Mk, STy]:
         (smk, sty) = self.des(e.scrut, env)
         where = f"line {e.line}: case"
-        try:
-            pats = [normalize_pat(a.pat) for a in e.arms]
-        except ExpandError as ex:
-            raise LuckTypeError(f"{where}: {ex}") from None
-        for pat in pats:
-            self.unify_pat(pat, sty, where)
+        for arm in e.arms:
+            self.unify_pat(arm.pat, sty, where)
         if isinstance(e.scrut, SVar) and e.scrut.name in env:
             occ: SExpr = e.scrut
             env0 = env
@@ -905,6 +868,9 @@ class _Lower:
     def unify_pat(self, p: SPat, t: STy, where: str) -> None:
         if isinstance(p, (PWild, PVar)):
             return
+        if isinstance(p, PInt):
+            raise LuckTypeError(f"{where}: integer literal patterns are not "
+                                "supported")
         cname, subs = _ctor_spine(p)
         pty, _, fields = self.instance(cname, len(subs), where)
         self.unify(t, pty, where)
@@ -1034,42 +1000,14 @@ def _conj(parts: list[Mk]) -> Mk:
     return mk
 
 
-def _closed_term(e: SExpr) -> Optional[SExpr]:
-    """Normalize an expression built only from constructors and literals."""
-    if isinstance(e, SCon):
-        return e
-    if isinstance(e, SInt):
-        return e
+def _closed(e: SExpr) -> bool:
+    """Whether e is built only from constructors and literals."""
+    if isinstance(e, (SCon, SInt)):
+        return True
     if isinstance(e, SApp):
         head, spine = _spine(e)
-        if not isinstance(head, SCon):
-            return None
-        parts = [_closed_term(a) for a in spine]
-        if any(p is None for p in parts):
-            return None
-        out: SExpr = head
-        for p in parts:
-            out = SApp(out, p)
-        return out
-    if isinstance(e, SBin) and e.op == ":":
-        h, t = _closed_term(e.lhs), _closed_term(e.rhs)
-        if h is None or t is None:
-            return None
-        return SApp(SApp(SCon("Cons"), h), t)
-    if isinstance(e, SListE):
-        parts = [_closed_term(x) for x in e.items]
-        if any(p is None for p in parts):
-            return None
-        out = SCon("Nil")
-        for p in reversed(parts):
-            out = SApp(SApp(SCon("Cons"), p), out)
-        return out
-    if isinstance(e, STupleE):
-        parts = [_closed_term(x) for x in e.items]
-        if any(p is None for p in parts):
-            return None
-        return STupleE(tuple(parts))
-    return None
+        return isinstance(head, SCon) and all(_closed(a) for a in spine)
+    return isinstance(e, STupleE) and all(_closed(x) for x in e.items)
 
 
 def _spine(e: SExpr) -> tuple[SExpr, list[SExpr]]:
@@ -1137,7 +1075,7 @@ def _free_vars_of_call(p: Program, e: SExpr, out: list[str]) -> None:
     elif isinstance(e, SIf):
         for sub in (e.cond, e.then, e.els):
             _free_vars_of_call(p, sub, out)
-    elif isinstance(e, (STupleE, SListE)):
+    elif isinstance(e, STupleE):
         for sub in e.items:
             _free_vars_of_call(p, sub, out)
     elif isinstance(e, SCase):

@@ -205,6 +205,7 @@ def run_prepared(prep: PreparedQuery, *,
     attempts = 0
     timeouts = 0  # attempts and rechecks that ran out of fuel
     failure = ""  # the message of the last GenFailure
+    final = False  # whether the last attempt failed without a draw
     error = None
     for i in range(retries + 1):
         ctx = RunCtx(RandomSource(derive_seed(seed, i)), fuel=fuel)
@@ -212,42 +213,49 @@ def run_prepared(prep: PreparedQuery, *,
         try:
             vals = attempt(prep, ctx)
         except EvalTimeout:
-            backtracks += ctx.local_backtracks
+            vals = None
             timeouts += 1
-            continue
         except GenFailure as ex:
-            backtracks += ctx.local_backtracks
+            vals = None
             failure = str(ex)  # not ex: its traceback holds this frame
-            continue
         except RecursionError:
             # every retry would recurse as deep again
             backtracks += ctx.local_backtracks
             error = _too_deep()
             break
         backtracks += ctx.local_backtracks
-        if check:
+        if vals is not None and check:
             confirmed = recheck(prep, vals, fuel)
             if not confirmed:
                 discards += 1
                 timeouts += confirmed is None
-                continue
-        return GenReport(query, True, seed, vals, _show_all(prep, vals),
-                         list(ctx.trace), ctx.q, attempts, backtracks,
-                         discards, time.perf_counter() - t0)
+                vals = None
+        if vals is not None:
+            return GenReport(query, True, seed, vals, _show_all(prep, vals),
+                             list(ctx.trace), ctx.q, attempts, backtracks,
+                             discards, time.perf_counter() - t0)
+        if not ctx.draws:
+            # the source is the only randomness, so every retry would
+            # fail the same way
+            final = True
+            break
     return GenReport(query, False, seed, None, None, [], Fraction(1),
                      attempts, backtracks, discards,
                      time.perf_counter() - t0,
                      error=error or _no_success(attempts, timeouts, fuel,
-                                                failure))
+                                                failure, final))
 
 
 def _no_success(attempts: int, timeouts: int, fuel: int,
-                failure: str) -> str:
+                failure: str, final: bool) -> str:
     text = f"no success in {attempts} attempts"
     if timeouts:
         text += f" ({timeouts} ran out of the {fuel}-step fuel)"
     if failure:
         text += f"; last failure: {failure}"
+    if final:
+        text += ("; the last attempt drew no random choice, so the failure "
+                 "does not depend on the seed")
     return text
 
 

@@ -8,6 +8,11 @@ owns at least one leaf, so the total mass of an arm's leaves stays
 proportional to its declared weight.  Weights are exact fractions when
 every declared weight is an integer literal; otherwise they stay
 symbolic and the per-split division is folded into integer multipliers.
+
+Patterns arrive as the parser built them, with list patterns already
+`Nil` and `Cons` constructor patterns, and lowering has rejected integer
+literals; so a pattern is a variable, a wildcard, a constructor or a
+tuple.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ from typing import Callable, Optional, Union
 
 from .surface import (
     PCon,
-    PCons,
-    PInt,
-    PList,
     PTuple,
     PVar,
     PWild,
@@ -81,24 +83,6 @@ class CaseNode:
 
 
 Tree = Union[Leaf, Fail, CaseNode]
-
-
-def normalize_pat(p: SPat) -> SPat:
-    """Rewrite list sugar into Nil/Cons constructor patterns."""
-    if isinstance(p, PCons):
-        return PCon("Cons", (normalize_pat(p.head), normalize_pat(p.tail)))
-    if isinstance(p, PList):
-        out: SPat = PCon("Nil")
-        for item in reversed(p.items):
-            out = PCon("Cons", (normalize_pat(item), out))
-        return out
-    if isinstance(p, PCon):
-        return PCon(p.name, tuple(normalize_pat(a) for a in p.args))
-    if isinstance(p, PTuple):
-        return PTuple(tuple(normalize_pat(a) for a in p.items))
-    if isinstance(p, PInt):
-        raise ExpandError("integer literal patterns are not supported")
-    return p
 
 
 @dataclass
@@ -275,8 +259,7 @@ def expand_case(scrut: tuple[SExpr, STy], arms: list[SArm],
     arms that can never match.
     """
     exp = _Expander(oracle, fresh)
-    rows = [_Row([normalize_pat(arm.pat)], i, []) for i, arm in
-            enumerate(arms)]
+    rows = [_Row([arm.pat], i, []) for i, arm in enumerate(arms)]
     tree = exp.build([scrut], rows)
     for i, arm in enumerate(arms):
         if i not in exp.reached:

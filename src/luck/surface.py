@@ -5,8 +5,15 @@ signatures, and ``fun`` definitions.  Case arms may carry branch
 weights (``| 3 % Node x l r -> ...``); ``e !x`` samples the unknown
 bound to ``x`` after checking ``e``.  Line comments start with ``--``.
 
-The printer emits a canonical layout with minimal parentheses; parsing
-its output reproduces the same AST.
+Lists are the prelude datatype ``List a = Nil | Cons a [a]``, and the
+parser is the only place that knows their syntax: ``[T]`` parses to
+``List T``, and ``[]``, ``[e1, e2]`` and ``h : t``, as expressions or
+patterns, to ``Nil`` and ``Cons``.  ``PRELUDE`` declares List and Bool
+for the scope checker and for lowering alike.
+
+The printer emits a canonical layout with minimal parentheses and writes
+``List T``, ``Nil`` and a two-field ``Cons`` back as list syntax;
+parsing its output reproduces the same AST.
 """
 
 from __future__ import annotations
@@ -96,25 +103,13 @@ class STVar(STy):
 
 @dataclass(unsafe_hash=True)
 class STCon(STy):
-    """A named type, possibly applied: Int, Bool, Tree Int."""
+    """A named type, possibly applied: Int, Bool, Tree Int, List Int."""
 
     name: str
     args: tuple[STy, ...] = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return " ".join([self.name] + [_ty_atom(a) for a in self.args])
-
-
-@dataclass(unsafe_hash=True)
-class STList(STy):
-    """List sugar [T]."""
-
-    elem: STy
-
-    def __str__(self) -> str:
-        return f"[{self.elem}]"
+        return type_text(self)
 
 
 @dataclass(unsafe_hash=True)
@@ -124,7 +119,7 @@ class STTuple(STy):
     items: tuple[STy, ...]
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(t) for t in self.items) + ")"
+        return type_text(self)
 
 
 @dataclass(unsafe_hash=True)
@@ -135,14 +130,28 @@ class STFun(STy):
     res: STy
 
     def __str__(self) -> str:
-        a = f"({self.arg})" if isinstance(self.arg, STFun) else str(self.arg)
-        return f"{a} -> {self.res}"
+        return type_text(self)
 
 
-def _ty_atom(t: STy) -> str:
-    if isinstance(t, (STCon,)) and t.args or isinstance(t, STFun):
-        return f"({t})"
-    return str(t)
+def type_text(t: STy, lists: bool = False, atom: bool = False) -> str:
+    """t as source text, in parentheses when atom is set and t is an
+    applied type or an arrow.  Lowering names types and functions after
+    this text with List T written out; the printer sets lists to write
+    it as [T]."""
+    if isinstance(t, STTuple):
+        return "(" + ", ".join(type_text(a, lists) for a in t.items) + ")"
+    if isinstance(t, STFun):
+        text = (f"{type_text(t.arg, lists, isinstance(t.arg, STFun))} -> "
+                f"{type_text(t.res, lists)}")
+    elif not isinstance(t, STCon):
+        return str(t)
+    elif not t.args:
+        return t.name
+    elif lists and t.name == "List" and len(t.args) == 1:
+        return f"[{type_text(t.args[0], lists)}]"
+    else:
+        text = " ".join([t.name] + [type_text(a, lists, True) for a in t.args])
+    return f"({text})" if atom else text
 
 
 @dataclass(unsafe_hash=True)
@@ -180,6 +189,10 @@ class PCon(SPat):
     args: tuple[SPat, ...] = ()
 
     def __str__(self) -> str:
+        if self.name == "Nil" and not self.args:
+            return "[]"
+        if self.name == "Cons" and len(self.args) == 2:
+            return f"{_pat_atom(self.args[0])}:{self.args[1]}"
         if not self.args:
             return self.name
         return " ".join([self.name] + [_pat_atom(p) for p in self.args])
@@ -193,30 +206,8 @@ class PTuple(SPat):
         return "(" + ", ".join(str(p) for p in self.items) + ")"
 
 
-@dataclass(unsafe_hash=True)
-class PCons(SPat):
-    """h:t list pattern."""
-
-    head: SPat
-    tail: SPat
-
-    def __str__(self) -> str:
-        h = _pat_atom(self.head) if isinstance(self.head, PCons) else str(self.head)
-        return f"{h}:{self.tail}"
-
-
-@dataclass(unsafe_hash=True)
-class PList(SPat):
-    """[p1, p2, ...] pattern; [] is the empty list."""
-
-    items: tuple[SPat, ...] = ()
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(p) for p in self.items) + "]"
-
-
 def _pat_atom(p: SPat) -> str:
-    if isinstance(p, PCon) and p.args or isinstance(p, PCons):
+    if isinstance(p, PCon) and p.args:
         return f"({p})"
     return str(p)
 
@@ -255,7 +246,7 @@ class SApp(SExpr):
 
 @dataclass(unsafe_hash=True)
 class SBin(SExpr):
-    """Binary operator: arithmetic, comparison, cons, && or ||."""
+    """Binary operator: arithmetic, comparison, && or ||."""
 
     op: str
     lhs: SExpr
@@ -283,12 +274,6 @@ class SBang(SExpr):
 @dataclass(unsafe_hash=True)
 class STupleE(SExpr):
     items: tuple[SExpr, ...]
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(unsafe_hash=True)
-class SListE(SExpr):
-    items: tuple[SExpr, ...] = ()
     line: int = field(default=0, compare=False)
 
 
@@ -335,6 +320,21 @@ class SFun:
 class SurfaceProgram:
     data_decls: tuple[SData, ...] = ()
     fun_decls: tuple[SFun, ...] = ()
+
+
+def _list_of(t: STy) -> STy:
+    return STCon("List", (t,))
+
+
+def _cons(head: SExpr, tail: SExpr, line: int) -> SExpr:
+    return SApp(SApp(SCon("Cons", line), head, line), tail, line)
+
+
+# The datatypes every program starts with, by name.
+PRELUDE = {"Bool": SData("Bool", (), (SCtor("True"), SCtor("False"))),
+           "List": SData("List", ("a",),
+                         (SCtor("Nil"),
+                          SCtor("Cons", (STVar("a"), _list_of(STVar("a"))))))}
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ class _Parser:
             self.next()
             elem = self.type_()
             self.expect("]")
-            return STList(elem)
+            return _list_of(elem)
         if t.kind == "(":
             self.next()
             items = [self.type_()]
@@ -573,7 +573,7 @@ class _Parser:
         left = self.add()
         if self.at(":"):
             t = self.next()
-            return SBin(":", left, self.cons(), t.line)
+            return _cons(left, self.cons(), t.line)
         return left
 
     def add(self) -> SExpr:
@@ -616,16 +616,23 @@ class _Parser:
             self.expect(")")
             return items[0] if len(items) == 1 else STupleE(tuple(items), t.line)
         if t.kind == "[":
-            self.next()
-            items = []
-            if not self.at("]"):
-                items.append(self.expr())
-                while self.at(","):
-                    self.next()
-                    items.append(self.expr())
-            self.expect("]")
-            return SListE(tuple(items), t.line)
+            out: SExpr = SCon("Nil", t.line)
+            for item in reversed(self.list_items(self.expr)):
+                out = _cons(item, out, t.line)
+            return out
         self.error("expected an expression")
+
+    def list_items(self, item) -> list:
+        """The items of [x1, x2, ...], each parsed by item."""
+        self.expect("[")
+        items = []
+        if not self.at("]"):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect("]")
+        return items
 
     # -- patterns -----------------------------------------------------------------
 
@@ -633,7 +640,7 @@ class _Parser:
         left = self.pat_app()
         if self.at(":"):
             self.next()
-            return PCons(left, self.pattern())
+            return PCon("Cons", (left, self.pattern()))
         return left
 
     def pat_app(self) -> SPat:
@@ -667,15 +674,10 @@ class _Parser:
             self.expect(")")
             return items[0] if len(items) == 1 else PTuple(tuple(items))
         if t.kind == "[":
-            self.next()
-            items = []
-            if not self.at("]"):
-                items.append(self.pattern())
-                while self.at(","):
-                    self.next()
-                    items.append(self.pattern())
-            self.expect("]")
-            return PList(tuple(items))
+            out: SPat = PCon("Nil")
+            for item in reversed(self.list_items(self.pattern)):
+                out = PCon("Cons", (item, out))
+            return out
         self.error("expected a pattern")
 
 
@@ -701,12 +703,11 @@ def parse_query(text: str):
 # Scope checking
 
 BUILTIN_FUNS = {"not"}
-BUILTIN_CTORS = {"True", "False"}
 
 
 def check_scopes(prog: SurfaceProgram) -> None:
     """Reject unbound variables and undeclared constructors."""
-    ctors = set(BUILTIN_CTORS)
+    ctors = {c.name for d in PRELUDE.values() for c in d.ctors}
     for d in prog.data_decls:
         for c in d.ctors:
             if c.name in ctors:
@@ -715,23 +716,18 @@ def check_scopes(prog: SurfaceProgram) -> None:
             ctors.add(c.name)
     funs = set(BUILTIN_FUNS)
 
-    def pat_vars(p: SPat, acc: set[str]):
+    def pat_vars(p: SPat, acc: set[str], line: int):
         if isinstance(p, PVar):
             acc.add(p.name)
         elif isinstance(p, PCon):
             if p.name not in ctors:
-                raise LuckSyntaxError(f"undeclared constructor {p.name}", 0, 0)
+                raise LuckSyntaxError(f"undeclared constructor {p.name}",
+                                      line, 1)
             for a in p.args:
-                pat_vars(a, acc)
+                pat_vars(a, acc, line)
         elif isinstance(p, PTuple):
             for a in p.items:
-                pat_vars(a, acc)
-        elif isinstance(p, PCons):
-            pat_vars(p.head, acc)
-            pat_vars(p.tail, acc)
-        elif isinstance(p, PList):
-            for a in p.items:
-                pat_vars(a, acc)
+                pat_vars(a, acc, line)
 
     later = {f.name for f in prog.fun_decls}
 
@@ -762,7 +758,7 @@ def check_scopes(prog: SurfaceProgram) -> None:
             walk(e.expr, env)
             if e.var not in env:
                 raise LuckSyntaxError(f"unbound variable {e.var}", e.line, 1)
-        elif isinstance(e, (STupleE, SListE)):
+        elif isinstance(e, STupleE):
             for item in e.items:
                 walk(item, env)
         elif isinstance(e, SCase):
@@ -771,7 +767,7 @@ def check_scopes(prog: SurfaceProgram) -> None:
                 if arm.weight is not None:
                     walk(arm.weight, env)
                 bound: set[str] = set()
-                pat_vars(arm.pat, bound)
+                pat_vars(arm.pat, bound, e.line)
                 walk(arm.body, env | bound)
 
     for f in prog.fun_decls:
@@ -783,8 +779,9 @@ def check_scopes(prog: SurfaceProgram) -> None:
 # Pretty-printer
 
 _LEVEL = {"||": 1, "&&": 2, "==": 4, "/=": 4, "<": 4, "<=": 4, ">": 4,
-          ">=": 4, ":": 5, "+": 6, "-": 6, "*": 7, "/": 7}
-_RIGHT = {"||", "&&", ":"}
+          ">=": 4, "+": 6, "-": 6, "*": 7, "/": 7}
+_RIGHT = {"||", "&&"}
+_CONS = SCon("Cons")
 
 
 def pretty_expr(e: SExpr, level: int = 0, indent: int = 0) -> str:
@@ -794,13 +791,14 @@ def pretty_expr(e: SExpr, level: int = 0, indent: int = 0) -> str:
     if isinstance(e, SVar):
         return e.name
     if isinstance(e, SCon):
-        return e.name
+        return "[]" if e.name == "Nil" else e.name
     if isinstance(e, SInt):
         return str(e.value) if e.value >= 0 else f"({e.value})"
     if isinstance(e, STupleE):
         return "(" + ", ".join(pretty_expr(x, 0, indent) for x in e.items) + ")"
-    if isinstance(e, SListE):
-        return "[" + ", ".join(pretty_expr(x, 0, indent) for x in e.items) + "]"
+    if isinstance(e, SApp) and isinstance(e.fun, SApp) and e.fun.fun == _CONS:
+        return wrap(f"{pretty_expr(e.fun.arg, 6, indent)} : "
+                    f"{pretty_expr(e.arg, 5, indent)}", 5)
     if isinstance(e, SApp):
         return wrap(f"{pretty_expr(e.fun, 8, indent)} "
                     f"{pretty_expr(e.arg, 9, indent)}", 8)
@@ -836,14 +834,14 @@ def pretty_program(prog: SurfaceProgram) -> str:
     chunks = []
     for d in prog.data_decls:
         ctors = " | ".join(
-            " ".join([c.name] + [_ty_atom(a) for a in c.args])
+            " ".join([c.name] + [type_text(a, True, True) for a in c.args])
             for c in d.ctors)
         head = " ".join([d.name] + list(d.params))
         chunks.append(f"data {head} = {ctors}")
     for f in prog.fun_decls:
         lines = []
         if f.sig is not None:
-            lines.append(f"sig {f.name} :: {f.sig}")
+            lines.append(f"sig {f.name} :: {type_text(f.sig, True)}")
         head = " ".join([f.name] + list(f.params))
         lines.append(f"fun {head} = {pretty_expr(f.body, 0, 0)}")
         chunks.append("\n".join(lines))

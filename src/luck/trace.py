@@ -178,6 +178,8 @@ class RunCtx:
         self.fuel = fuel
         self.local_backtracking = local_backtracking
         self.local_backtracks = 0
+        # draws from the source; unlike the trace, a rollback keeps them
+        self.draws = 0
 
     def tick(self) -> None:
         self.fuel -= 1
@@ -200,9 +202,11 @@ class RunCtx:
         return Fraction(num, den)
 
     def pick(self, arity: int) -> int:
+        self.draws += 1
         return self.source.pick(arity)
 
     def pick_weighted(self, w_left: int, w_right: int) -> int:
+        self.draws += 1
         return self.source.pick_weighted(w_left, w_right)
 
     def mark(self) -> int:

@@ -100,7 +100,7 @@ def test_histogram_flag_equals_output_histogram(capsys):
 
 
 def test_exhausted_budget_exits_2_with_diagnostics(capsys):
-    code, out, err = run_cli(capsys, EX35, "a u = True", "--seed", "3",
+    code, out, err = run_cli(capsys, EX35, "b u = True", "--seed", "3",
                              "--int-bound", "5..9", "--retries", "4")
     assert code == 2 and out == ""
     assert "no success in 5 attempts" in err
@@ -117,7 +117,7 @@ def test_a_budget_spent_on_fuel_says_so(capsys):
 
 def test_a_case_whose_weights_evaluate_to_zero_says_so(capsys, tmp_path):
     # lowering only rejects literal zero weights; these are zero at run
-    # time, so every attempt fails and the error names the last reason
+    # time, so the first attempt fails before it draws, and that is final
     src = tmp_path / "zero.luck"
     src.write_text("""
 data T = A | B
@@ -126,8 +126,9 @@ fun f n t = case t of | n % A -> True | n % B -> False end
 """)
     code, out, err = run_cli(capsys, str(src), "f 0 t = True", "--seed", "1")
     assert code == 2 and out == ""
-    assert "no success in 1001 attempts" in err
+    assert "no success in 1 attempts" in err
     assert "no weight mass" in err
+    assert "the failure does not depend on the seed" in err
 
 
 def test_configuration_errors_exit_1(capsys):

@@ -527,3 +527,40 @@ def test_corpus_cores_are_pinned(name):
 def test_corpus_targets_are_pinned(file, query):
     target = load(file).compile_query(query).target
     assert _digest(_renamed(target)) == TARGET_DIGESTS[query]
+
+
+# sorted.luck and member.luck spelled without list syntax
+TWINS = {
+    "sorted.luck": """
+sig sorted :: List Int -> Bool
+fun sorted l =
+  case l of
+  | Cons x (Cons y t) -> x < y && sorted (Cons y t)
+  | _ -> True
+  end
+""",
+    "member.luck": """
+sig member :: Int -> List Int -> Bool
+fun member x l =
+  case l of
+  | Cons h t -> x == h || member x t
+  | _ -> False
+  end
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_explicit_nil_and_cons_lower_like_list_syntax(name):
+    twin = Program.from_source(TWINS[name])
+    assert _digest("\n".join(f"{n} {_renamed(c)}"
+                              for n, c in sorted(twin.cores.items()))) \
+        == CORE_DIGESTS[name]
+    sugar, explicit = {
+        "sorted.luck": ("sorted (1 : l) = True",
+                        "sorted (Cons 1 l) = True"),
+        "member.luck": ("member x [1, 3] = True",
+                        "member x (Cons 1 (Cons 3 Nil)) = True"),
+    }[name]
+    assert _renamed(load(name).compile_query(sugar).target) \
+        == _renamed(twin.compile_query(explicit).target)

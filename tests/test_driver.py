@@ -18,6 +18,7 @@ from luck.desugar import Program
 from luck.driver import (
     DriverError,
     GenReport,
+    attempt,
     enumerate_query,
     prepare,
     recheck,
@@ -25,7 +26,7 @@ from luck.driver import (
     run_prepared,
     run_query,
 )
-from luck.trace import Choice, parse_int
+from luck.trace import Choice, RandomSource, RunCtx, parse_int
 
 from .typecheck import type_eq, typecheck
 
@@ -241,9 +242,46 @@ def test_depth_bound_limits_structure():
 
 
 def test_unsatisfiable_query_exhausts_its_retries():
+    # b samples u before it checks u < 4, so every attempt draws
+    prog = load("ex35.luck")
+    r = run_query(prog, "b u = True", seed=1, int_bound=(5, 9), retries=3)
+    assert not r.ok and r.attempts == 4 and r.values is None
+    assert r.error == ("no success in 4 attempts; last failure: the query "
+                       "admits no refinement on this path")
+
+
+def test_a_failure_that_drew_nothing_is_final():
+    # a's bounds empty the store before any draw, so no seed can succeed
     prog = load("ex35.luck")
     r = run_query(prog, "a u = True", seed=1, int_bound=(5, 9), retries=3)
-    assert not r.ok and r.attempts == 4 and r.values is None
+    assert not r.ok and r.attempts == 1 and r.values is None
+    assert r.error.endswith("; the last attempt drew no random choice, so "
+                            "the failure does not depend on the seed")
+    zero = Program.from_source("""
+data T = A | B
+sig f :: Int -> T -> Bool
+fun f n t = case t of | n % A -> True | n % B -> False end
+""")
+    r = run_query(zero, "f 0 t = True", seed=1)
+    assert r.attempts == 1
+    assert r.error == (
+        "no success in 1 attempts; last failure: no weight mass on the "
+        "satisfiable branches; the last attempt drew no random choice, so "
+        "the failure does not depend on the seed")
+
+
+def test_an_attempt_counts_the_draws_a_rollback_removes():
+    # local backtracking rolls failed sides out of the trace, not out of
+    # the draw count
+    prep = prepare(load("rbt.luck"), "isRBT 2 0 20 Black t = True",
+                   int_bound=(0, 20))
+    for seed in range(20):
+        ctx = RunCtx(RandomSource(seed))
+        attempt(prep, ctx)
+        if ctx.local_backtracks:
+            assert ctx.draws > len(ctx.trace)
+            return
+    raise AssertionError("no seed backtracked")
 
 
 def test_multiple_unknowns_are_all_reported():

@@ -20,9 +20,8 @@ from luck.patterns import (
     Fail,
     Leaf,
     expand_case,
-    normalize_pat,
 )
-from luck.surface import PCon, PInt, PList, PVar, SBin, SCase, SInt, SVar
+from luck.surface import SBin, SCase, SInt, SVar
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -41,7 +40,7 @@ def expand_fun_case(prog, fname):
     lw = _Lower(prog)
     sty = param_tys[f.params.index(f.body.scrut.name)]
     for arm in f.body.arms:
-        lw.unify_pat(normalize_pat(arm.pat), sty, fname)
+        lw.unify_pat(arm.pat, sty, fname)
     return expand_case((f.body.scrut, sty), list(f.body.arms), lw.oracle,
                        prog.fresh)
 
@@ -86,18 +85,20 @@ def leaves(tree):
             yield from leaves(child.sub)
 
 
-# -- pattern normalization ------------------------------------------------
-
-
-def test_list_sugar_normalizes_to_constructor_patterns():
-    p = normalize_pat(PList((PVar("a"), PVar("b"))))
-    assert p == PCon("Cons", (PVar("a"),
-                              PCon("Cons", (PVar("b"), PCon("Nil")))))
+# -- unsupported patterns ---------------------------------------------------
 
 
 def test_integer_literal_patterns_are_rejected():
-    with pytest.raises(ExpandError, match="integer literal"):
-        normalize_pat(PInt(3))
+    src = """
+sig f :: Int -> Bool
+fun f n = case n of
+  | 3 -> True
+  | _ -> False
+  end
+"""
+    with pytest.raises(LuckTypeError, match="^line 3: case: integer literal "
+                       "patterns are not supported$"):
+        Program.from_source(src)
 
 
 # -- the redex audit (hand-derived, frozen) ---------------------------------

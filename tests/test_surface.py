@@ -5,13 +5,18 @@ from pathlib import Path
 import pytest
 
 from luck.surface import (
+    PCon,
+    PTuple,
+    PVar,
+    PWild,
     LuckSyntaxError,
     SApp,
     SBang,
     SBin,
     SCon,
     SInt,
-    SListE,
+    STCon,
+    STVar,
     SVar,
     check_scopes,
     parse_program,
@@ -83,10 +88,65 @@ def test_boolean_operators_nest_right_and_rank_below_comparison():
     assert e.op == "||" and e.lhs.op == "&&" and e.lhs.lhs.op == "<"
 
 
+def cons(h, t):
+    return SApp(SApp(SCon("Cons"), h), t)
+
+
 def test_cons_is_right_associative():
     e = pe("1 : 2 : []")
-    assert e.op == ":" and e.rhs.op == ":"
-    assert isinstance(e.rhs.rhs, SListE) and e.rhs.rhs.items == ()
+    assert e == cons(SInt(1), cons(SInt(2), SCon("Nil")))
+    # 1 : 2 : [] is 1 : (2 : []), not (1 : 2) : []
+    assert e.fun.arg == SInt(1) and e.arg.fun.arg == SInt(2)
+
+
+def test_cons_ranks_between_comparison_and_addition():
+    assert pe("x + 1 : l == m") == SBin(
+        "==", cons(SBin("+", SVar("x"), SInt(1)), SVar("l")), SVar("m"))
+
+
+# -- list syntax is the prelude's List --------------------------------------
+
+
+def test_list_types_parse_to_the_prelude_list():
+    (f,) = parse_program("sig f :: [[a]] -> [Int]\nfun f x = x").fun_decls
+    assert f.sig.arg == STCon("List", (STCon("List", (STVar("a"),)),))
+    assert f.sig.res == STCon("List", (STCon("Int"),))
+    # a list type reads as List T, which names lowered types and functions
+    assert str(f.sig) == "List (List a) -> List Int"
+
+
+def test_list_expressions_parse_to_nil_and_cons():
+    assert pe("[]") == SCon("Nil")
+    assert pe("[x, 2]") == cons(SVar("x"), cons(SInt(2), SCon("Nil")))
+    assert pe("h : t") == cons(SVar("h"), SVar("t"))
+    assert pe("[[]]") == cons(SCon("Nil"), SCon("Nil"))
+
+
+def arm_pattern(text):
+    (f,) = parse_program(
+        f"sig f :: Int -> Bool\nfun f l = case l of | {text} -> True end"
+    ).fun_decls
+    return f.body.arms[0].pat
+
+
+def test_list_patterns_parse_to_nil_and_cons():
+    assert arm_pattern("[]") == PCon("Nil")
+    assert arm_pattern("[a, _]") == PCon(
+        "Cons", (PVar("a"), PCon("Cons", (PWild(), PCon("Nil")))))
+    assert arm_pattern("x:y:t") == PCon(
+        "Cons", (PVar("x"), PCon("Cons", (PVar("y"), PVar("t")))))
+    assert arm_pattern("(h:t, [])") == PTuple(
+        (PCon("Cons", (PVar("h"), PVar("t"))), PCon("Nil")))
+
+
+def test_the_printer_writes_list_syntax_back():
+    src = ("sig f :: List (List Int) -> Bool\n"
+           "fun f l = case l of | Cons (Cons x Nil) t -> f (Cons Nil t)"
+           " | _ -> False end")
+    printed = pretty_program(parse_program(src))
+    assert "sig f :: [[Int]] -> Bool" in printed
+    assert "| (x:[]):t -> f ([] : t)" in printed
+    assert parse_program(printed) == parse_program(src)
 
 
 def test_comparisons_do_not_chain():
@@ -147,6 +207,24 @@ def test_unbound_variable_is_a_scope_error():
 def test_undeclared_constructor_is_a_scope_error():
     prog = parse_program("sig f :: Int -> Bool\nfun f x = Leaf")
     with pytest.raises(LuckSyntaxError, match="undeclared constructor Leaf"):
+        check_scopes(prog)
+
+
+def test_an_undeclared_pattern_constructor_names_the_line_of_its_case():
+    prog = parse_program("sig k :: Int -> Bool\nfun k n =\n"
+                         "  case n of | Foo -> True end")
+    with pytest.raises(LuckSyntaxError,
+                       match="^line 3, col 1: undeclared constructor Foo$"):
+        check_scopes(prog)
+
+
+def test_the_prelude_constructors_are_in_scope():
+    check_scopes(parse_program("""
+sig f :: [Int] -> Bool
+fun f l = case l of | Nil -> True | Cons h t -> f (Cons h Nil) end
+"""))  # must not raise
+    prog = parse_program("data T = Nil\nsig f :: Int -> Int\nfun f x = x")
+    with pytest.raises(LuckSyntaxError, match="duplicate constructor Nil"):
         check_scopes(prog)
 
 
