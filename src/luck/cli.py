@@ -6,9 +6,11 @@ Usage:
                       [--output {terms,json,trace,histogram} | --histogram]
                       [--jobs J]
 
-Exit status: 0 on success, 1 on file/parse/type/configuration errors
-and on programs that use what the engine does not support, 2 when any
-requested valuation exhausted its retry budget.  Results go to stdout,
+Exit status: 0 on success, 1 on file/parse/type/configuration errors,
+on programs that use what the engine does not support and on a query
+that holds but names no unknown to show, 2 when any requested valuation
+exhausted its retry budget.  A failure that does not depend on the seed
+ends the run after its one error line.  Results go to stdout,
 diagnostics to stderr.  `LUCK_SEED` is used when --seed is absent.
 """
 
@@ -34,14 +36,13 @@ from .driver import (
     prepare,
     run_prepared,
 )
-from .patterns import ExpandError
 from .surface import LuckSyntaxError
 from .trace import derive_seed
 
 _BOUND_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 _CONFIG_ERRORS = (OSError, LuckSyntaxError, LuckTypeError, TypeCheckError,
-                  ExpandError, DriverError, ContractViolation)
+                  DriverError, ContractViolation)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,6 +193,9 @@ def main(argv=None) -> int:
         failures = 0
         buckets: Counter[str] = Counter()
         for r in reports:
+            if r.ok and not r.shown:
+                raise DriverError(f"the query {ns.query!r} holds but names "
+                                  "no unknown to generate")
             if ns.output == "json":
                 print(r.to_json())
             if not r.ok:
@@ -199,6 +203,8 @@ def main(argv=None) -> int:
                 if ns.output != "json":
                     print(f"error: {r.error} (seed {r.seed})",
                           file=sys.stderr)
+                if r.final:
+                    break  # every other seed would fail the same way
                 continue
             if ns.output == "terms":
                 print(r.result_text())

@@ -13,6 +13,13 @@ turned list syntax into.
 value, `Program.destruct` reads one back, and `_Lower.dispatch` takes
 one apart along its sum spine.
 
+Lowering is the one checker of names and declarations.  `Program`
+rejects a repeated constructor and lays out every datatype at Int, which
+rejects an unknown type, a wrong arity and a type variable that is not a
+parameter.  It then lowers the functions in declaration order, so a body
+names only itself and the functions above it, and a name that does not
+resolve is reported with its line.
+
 Pattern matches become cascades of weighted binary choices, boolean
 connectives and structural equality turn into plain sum cases, and
 polymorphic functions are specialized to the concrete types of each use.
@@ -69,10 +76,8 @@ from .core import (
     unfold_mu,
 )
 from .patterns import (
-    ATOM,
     CaseNode,
     Child,
-    DATA,
     ExpandError,
     Fail,
     Leaf,
@@ -105,7 +110,6 @@ from .surface import (
     STy,
     SVar,
     SurfaceProgram,
-    check_scopes,
     parse_program,
     parse_query,
 )
@@ -113,6 +117,9 @@ from .surface import (
 
 class LuckTypeError(Exception):
     """A program that parses but cannot be lowered to the core."""
+
+
+check_scopes = None  # unused; perfbench traces calls by this name
 
 
 @dataclass(unsafe_hash=True)
@@ -174,9 +181,9 @@ def tyvars_of(t: STy) -> list[str]:
 
 
 def sub_ty(t: STy, m: dict[str, STy]) -> STy:
-    """Substitute type variables by name."""
+    """Substitute type variables by name; m holds every one of them."""
     if isinstance(t, STVar):
-        return m.get(t.name, t)
+        return m[t.name]
     if isinstance(t, STCon):
         return STCon(t.name, tuple(sub_ty(a, m) for a in t.args))
     if isinstance(t, STTuple):
@@ -219,9 +226,7 @@ class Program:
 
     @classmethod
     def from_source(cls, text: str) -> "Program":
-        prog = parse_program(text)
-        check_scopes(prog)
-        return cls(prog)
+        return cls(parse_program(text))
 
     # -- declaration tables ---------------------------------------------
 
@@ -230,50 +235,24 @@ class Program:
             if d.name == "Int" or d.name in self.datas:
                 raise LuckTypeError(f"type name {d.name} is reserved")
             self.datas[d.name] = d
-        for d in self.surface.data_decls:
             for i, c in enumerate(d.ctors):
                 if c.name in self.ctors:
-                    raise LuckTypeError(f"constructor {c.name} is reserved")
+                    raise LuckTypeError(
+                        f"line {d.line}: duplicate constructor {c.name}")
                 self.ctors[c.name] = (d.name, i)
-            for c in d.ctors:
-                for a in c.args:
-                    self._check_decl_ty(a, d)
+
+    def _check_all(self) -> None:
+        """Lay out every datatype and lower every function once, at Int
+        instantiations; a function joins `funs` just before its body."""
+        for d in self.surface.data_decls:
+            self.core_type(STCon(d.name, (_INT,) * len(d.params)))
         for f in self.surface.fun_decls:
             if f.sig is None:
                 raise LuckTypeError(f"function {f.name} needs a sig")
             if len(set(f.params)) != len(f.params):
                 raise LuckTypeError(f"function {f.name} repeats a parameter")
             self.funs[f.name] = f
-
-    def _check_decl_ty(self, t: STy, d: SData) -> None:
-        if isinstance(t, STVar):
-            if t.name not in d.params:
-                raise LuckTypeError(
-                    f"type variable {t.name} is not a parameter of {d.name}")
-        elif isinstance(t, STCon):
-            if t.name == "Int":
-                arity = 0
-            elif t.name in self.datas:
-                arity = len(self.datas[t.name].params)
-            else:
-                raise LuckTypeError(f"unknown type {t.name} in data {d.name}")
-            if len(t.args) != arity:
-                raise LuckTypeError(
-                    f"type {t.name} expects {arity} arguments")
-            for a in t.args:
-                self._check_decl_ty(a, d)
-        elif isinstance(t, (STTuple, STFun)):
-            parts = t.items if isinstance(t, STTuple) else (t.arg, t.res)
-            for a in parts:
-                self._check_decl_ty(a, d)
-
-    def _check_all(self) -> None:
-        """Lower every datatype and function once, at Int instantiations."""
-        for d in self.surface.data_decls:
-            self.core_type(STCon(d.name, (_INT,) * len(d.params)))
-        for name, f in self.funs.items():
-            tyargs = (_INT,) * len(tyvars_of(f.sig))
-            self.lower_fun(name, tyargs)
+            self.lower_fun(f.name, (_INT,) * len(tyvars_of(f.sig)))
 
     def folds(self, t: STy) -> bool:
         """Whether the values of the resolved type t are folds: t is a
@@ -297,7 +276,12 @@ class Program:
                 raise LuckTypeError(f"type {t.name} expects {len(d.params)} "
                                     f"arguments, got {len(t.args)}")
             m = dict(zip(d.params, t.args))
-            out = [(c.name, [sub_ty(a, m) for a in c.args]) for c in d.ctors]
+            try:
+                out = [(c.name, [sub_ty(a, m) for a in c.args])
+                       for c in d.ctors]
+            except KeyError as ex:
+                raise LuckTypeError(f"type variable {ex.args[0]} is not a "
+                                    f"parameter of {t.name}") from None
             self._ctors_memo[t] = out
         return out
 
@@ -338,8 +322,6 @@ class Program:
         """A value of the tuple or datatype t read back: the name of its
         constructor and the types and values of its fields."""
         ctors = self.constructors(t)
-        if ctors is None:
-            raise LuckTypeError(f"cannot display a value of type {t}")
         if self.folds(t):
             v = v.arg
         n = len(ctors)
@@ -392,21 +374,11 @@ class Program:
         mangled = _mangle(fname, tyargs)
         if mangled in self.cores:
             return mangled
-        if (fname, tyargs) in self._fun_stack:
-            other = self._fun_stack[-1][0]
-            raise LuckTypeError(f"mutual recursion between {other} and "
-                                f"{fname} is unsupported")
         if any(g == fname for g, _ in self._fun_stack):
             raise LuckTypeError(f"polymorphic recursion in {fname} is "
                                 "unsupported")
-        f = self.funs.get(fname)
-        if f is None:
-            raise LuckTypeError(f"unknown function {fname}")
-        tvs = tyvars_of(f.sig)
-        if len(tyargs) != len(tvs):
-            raise LuckTypeError(f"function {fname} takes {len(tvs)} type "
-                                f"arguments, got {len(tyargs)}")
-        inst = sub_ty(f.sig, dict(zip(tvs, tyargs)))
+        f = self.funs[fname]
+        inst = sub_ty(f.sig, dict(zip(tyvars_of(f.sig), tyargs)))
         param_tys, result_ty = _split_sig(inst, len(f.params), fname)
         self._fun_stack.append((fname, tyargs))
         try:
@@ -535,8 +507,6 @@ class Program:
     def _core_type(self, t: STy) -> Type:
         if t in self._ctype_memo:
             return self._ctype_memo[t]
-        if isinstance(t, STVar):
-            raise LuckTypeError(f"uninstantiated type variable {t.name}")
         if isinstance(t, STFun):
             out = TFun(self._core_type(t.arg), self._core_type(t.res))
         elif isinstance(t, STCon) and t.name == "Int":
@@ -614,14 +584,10 @@ class _Lower:
     def unify(self, a: STy, b: STy, where: str) -> None:
         self.p.unify(a, b, where)
 
-    def oracle(self, t: STy):
-        t = self.p.resolve(t)
-        if t == _INT:
-            return ATOM, None
-        ctors = self.p.constructors(t)
-        if ctors is None:
-            raise ExpandError(f"cannot match on a value of type {t}")
-        return DATA, ctors
+    def oracle(self, t: STy) -> list[Ctor]:
+        """The constructors of t, which `unify_pat` has made a tuple or
+        datatype type wherever a pattern splits it."""
+        return self.p.constructors(self.p.resolve(t))
 
     # -- entry ------------------------------------------------------------
 
@@ -651,8 +617,7 @@ class _Lower:
         if isinstance(e, SBang):
             (mk, ty) = self.des(e.expr, env)
             if e.var not in env:
-                raise LuckTypeError(f"line {e.line}: cannot sample unbound "
-                                    f"variable {e.var}")
+                raise LuckTypeError(f"line {e.line}: unbound variable {e.var}")
             target = env[e.var][1]
             return (lambda: After(mk(), Bang(target))), ty
         if isinstance(e, STupleE):
@@ -671,7 +636,11 @@ class _Lower:
             raise LuckTypeError(f"{where}: not must be applied "
                                 "to one argument")
         if name not in self.p.funs:
-            raise LuckTypeError(f"{where}: unknown function {name}")
+            if any(f.name == name for f in self.p.surface.fun_decls):
+                raise LuckTypeError(f"{where}: {name} is used before its "
+                                    "declaration; a body names only itself "
+                                    "and the functions above it")
+            raise LuckTypeError(f"{where}: unbound variable {name}")
         sig = self.p.funs[name].sig
         tvs = tyvars_of(sig)
         metas = [self.p.meta() for _ in tvs]
@@ -699,7 +668,7 @@ class _Lower:
             metas = [self.p.meta() for _ in range(nargs)]
             return STTuple(tuple(metas)), 0, metas
         if cname not in self.p.ctors:
-            raise LuckTypeError(f"{where}: unknown constructor {cname}")
+            raise LuckTypeError(f"{where}: undeclared constructor {cname}")
         dname, pos = self.p.ctors[cname]
         d = self.p.datas[dname]
         metas = [self.p.meta() for _ in d.params]
@@ -846,6 +815,11 @@ class _Lower:
                                self.fresh)
         except ExpandError as ex:
             raise LuckTypeError(f"{where}: {ex}") from None
+        if isinstance(tree, Leaf) and e.arms[0].weight is not None:
+            # a lone catch-all arm splits nothing, so no node lowers its
+            # weight
+            (_, wty) = self.des(e.arms[0].weight, env)
+            self.unify(wty, _INT, "case arm weight")
         # only the root needs mass: an inner split whose literal weights
         # are all 0 lies under a child its parent gives weight 0
         if isinstance(tree, CaseNode) and all(

@@ -62,7 +62,9 @@ class PreparedQuery:
 
 @dataclass
 class GenReport:
-    """The outcome of one generation request."""
+    """The outcome of one generation request.  A failed report is final
+    when the failure does not depend on the seed; `to_json` leaves that
+    out."""
 
     query: str
     ok: bool
@@ -76,6 +78,7 @@ class GenReport:
     discards: int
     elapsed_s: float
     error: Optional[str] = None
+    final: bool = False
 
     def result_text(self) -> Optional[str]:
         if self.shown is None:
@@ -243,7 +246,8 @@ def run_prepared(prep: PreparedQuery, *,
                      attempts, backtracks, discards,
                      time.perf_counter() - t0,
                      error=error or _no_success(attempts, timeouts, fuel,
-                                                failure, final))
+                                                failure, final),
+                     final=final)
 
 
 def _no_success(attempts: int, timeouts: int, fuel: int,

@@ -10,9 +10,12 @@ every declared weight is an integer literal; otherwise they stay
 symbolic and the per-split division is folded into integer multipliers.
 
 Patterns arrive as the parser built them, with list patterns already
-`Nil` and `Cons` constructor patterns, and lowering has rejected integer
-literals; so a pattern is a variable, a wildcard, a constructor or a
-tuple.
+`Nil` and `Cons` constructor patterns, and lowering's `unify_pat` has
+checked them against the scrutinee's type: it rejected integer literals,
+undeclared constructors and wrong arities.  So a pattern is a variable, a
+wildcard, or a constructor or tuple with one pattern per field, and the
+type oracle gives the constructors, with their field types, of every
+column a pattern splits.
 """
 
 from __future__ import annotations
@@ -40,12 +43,9 @@ class ExpandError(Exception):
     """A case expression that cannot be expanded."""
 
 
-# A column descriptor returned by the type oracle.  A tuple is data with
-# one constructor, named "", whose fields are its components.
-DATA = "data"      # payload: list of (ctor name, arg types)
-ATOM = "atom"      # payload: None; only var/wild patterns are legal
-
-TypeOracle = Callable[[STy], tuple[str, object]]
+# The constructors of a column's type, each with its field types; a tuple
+# has one constructor, named "", whose fields are its components.
+TypeOracle = Callable[[STy], list[tuple[str, list[STy]]]]
 
 Weight = Union[Fraction, SExpr]
 
@@ -110,11 +110,7 @@ class _Expander:
                     binds.append((pat.name, occ))
             self.reached.add(top.arm)
             return Leaf(top.arm, tuple(binds), None)  # body filled by caller
-        occ, ty = occs[col]
-        kind, info = self.oracle(ty)
-        if kind == DATA:
-            return self._split_data(occs, rows, col, occ, ty, info)
-        raise ExpandError(f"cannot match on a value of type {ty}")
+        return self._split_data(occs, rows, col)
 
     def _pick_column(self, rows: list[_Row]) -> Optional[int]:
         for j, pat in enumerate(rows[0].pats):
@@ -123,9 +119,10 @@ class _Expander:
                     return j
         return None
 
-    def _split_data(self, occs, rows, col, occ, ty, ctors) -> Tree:
+    def _split_data(self, occs, rows, col) -> Tree:
+        occ, ty = occs[col]
         children = []
-        for cname, arg_tys in ctors:
+        for cname, arg_tys in self.oracle(ty):
             names = [self.fresh("v") for _ in arg_tys]
             arg_occs = [(SVar(nm), t) for nm, t in zip(names, arg_tys)]
             new_occs = occs[:col] + arg_occs + occs[col + 1:]
@@ -134,18 +131,10 @@ class _Expander:
                 pat = row.pats[col]
                 binds = list(row.bindings)
                 if isinstance(pat, PTuple):
-                    if len(pat.items) != len(arg_tys):
-                        raise ExpandError(
-                            f"tuple pattern arity {len(pat.items)}, "
-                            f"expected {len(arg_tys)}")
                     parts = list(pat.items)
                 elif isinstance(pat, PCon):
                     if pat.name != cname:
                         continue
-                    if len(pat.args) != len(arg_tys):
-                        raise ExpandError(
-                            f"constructor {cname} takes {len(arg_tys)} "
-                            f"arguments, pattern has {len(pat.args)}")
                     parts = list(pat.args)
                 else:
                     if isinstance(pat, PVar):
@@ -255,8 +244,7 @@ def expand_case(scrut: tuple[SExpr, STy], arms: list[SArm],
                 oracle: TypeOracle, fresh: Callable[[str], str]) -> Tree:
     """Expand one case expression into a single-constructor tree.
 
-    Raises ExpandError for unsupported patterns, arity mismatches, and
-    arms that can never match.
+    Raises ExpandError for an arm that can never match.
     """
     exp = _Expander(oracle, fresh)
     rows = [_Row([arm.pat], i, []) for i, arm in enumerate(arms)]

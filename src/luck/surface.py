@@ -8,8 +8,13 @@ bound to ``x`` after checking ``e``.  Line comments start with ``--``.
 Lists are the prelude datatype ``List a = Nil | Cons a [a]``, and the
 parser is the only place that knows their syntax: ``[T]`` parses to
 ``List T``, and ``[]``, ``[e1, e2]`` and ``h : t``, as expressions or
-patterns, to ``Nil`` and ``Cons``.  ``PRELUDE`` declares List and Bool
-for the scope checker and for lowering alike.
+patterns, to ``Nil`` and ``Cons``.  ``PRELUDE`` declares List and Bool,
+and lowering (``desugar.Program``) starts every program from it.
+
+Besides syntax, the parser checks only that no datatype, definition or
+signature is declared twice and that each signature has a definition.
+There is no scope checker: lowering checks names, constructors and
+types where they are used.
 
 The printer emits a canonical layout with minimal parentheses and writes
 ``List T``, ``Nil`` and a two-field ``Cons`` back as list syntax;
@@ -434,10 +439,6 @@ class _Parser:
         while self.at("|"):
             self.next()
             ctors.append(self.ctor_decl())
-        names = [c.name for c in ctors]
-        if len(set(names)) != len(names):
-            raise LuckSyntaxError(f"duplicate constructor in data {name}",
-                                  t.line, t.col)
         return SData(name, tuple(params), tuple(ctors), t.line)
 
     def ctor_decl(self) -> SCtor:
@@ -697,82 +698,6 @@ def parse_query(text: str):
                               t.line, t.col)
     p.expect("eof", "end of query")
     return call, t.text == "True"
-
-
-# ---------------------------------------------------------------------------
-# Scope checking
-
-BUILTIN_FUNS = {"not"}
-
-
-def check_scopes(prog: SurfaceProgram) -> None:
-    """Reject unbound variables and undeclared constructors."""
-    ctors = {c.name for d in PRELUDE.values() for c in d.ctors}
-    for d in prog.data_decls:
-        for c in d.ctors:
-            if c.name in ctors:
-                raise LuckSyntaxError(f"duplicate constructor {c.name}",
-                                      d.line, 1)
-            ctors.add(c.name)
-    funs = set(BUILTIN_FUNS)
-
-    def pat_vars(p: SPat, acc: set[str], line: int):
-        if isinstance(p, PVar):
-            acc.add(p.name)
-        elif isinstance(p, PCon):
-            if p.name not in ctors:
-                raise LuckSyntaxError(f"undeclared constructor {p.name}",
-                                      line, 1)
-            for a in p.args:
-                pat_vars(a, acc, line)
-        elif isinstance(p, PTuple):
-            for a in p.items:
-                pat_vars(a, acc, line)
-
-    later = {f.name for f in prog.fun_decls}
-
-    def walk(e: SExpr, env: set[str]):
-        if isinstance(e, SVar):
-            if e.name not in env and e.name not in funs:
-                if e.name in later:
-                    raise LuckSyntaxError(
-                        f"{e.name} is used before its declaration; "
-                        "definitions are in scope only below their own "
-                        "(mutual recursion is unsupported)", e.line, 1)
-                raise LuckSyntaxError(f"unbound variable {e.name}", e.line, 1)
-        elif isinstance(e, SCon):
-            if e.name not in ctors:
-                raise LuckSyntaxError(f"undeclared constructor {e.name}",
-                                      e.line, 1)
-        elif isinstance(e, SApp):
-            walk(e.fun, env)
-            walk(e.arg, env)
-        elif isinstance(e, SBin):
-            walk(e.lhs, env)
-            walk(e.rhs, env)
-        elif isinstance(e, SIf):
-            walk(e.cond, env)
-            walk(e.then, env)
-            walk(e.els, env)
-        elif isinstance(e, SBang):
-            walk(e.expr, env)
-            if e.var not in env:
-                raise LuckSyntaxError(f"unbound variable {e.var}", e.line, 1)
-        elif isinstance(e, STupleE):
-            for item in e.items:
-                walk(item, env)
-        elif isinstance(e, SCase):
-            walk(e.scrut, env)
-            for arm in e.arms:
-                if arm.weight is not None:
-                    walk(arm.weight, env)
-                bound: set[str] = set()
-                pat_vars(arm.pat, bound, e.line)
-                walk(arm.body, env | bound)
-
-    for f in prog.fun_decls:
-        funs.add(f.name)  # self-recursion is in scope
-        walk(f.body, set(f.params))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 CORPUS = Path(__file__).parent.parent / "corpus"
 BST = str(CORPUS / "bst.luck")
 EX35 = str(CORPUS / "ex35.luck")
+SORTED = str(CORPUS / "sorted.luck")
 
 
 def run_cli(capsys, *args):
@@ -129,6 +130,28 @@ fun f n t = case t of | n % A -> True | n % B -> False end
     assert "no success in 1 attempts" in err
     assert "no weight mass" in err
     assert "the failure does not depend on the seed" in err
+
+
+def test_a_failure_that_does_not_depend_on_the_seed_is_reported_once(capsys):
+    # the query names no unknown and is false, so its one attempt draws
+    # nothing and every seed fails the same way
+    args = (SORTED, "sorted [3, 1] = True", "--count", "2", "--int-bound",
+            "0..3", "--seed", "1")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "the failure does not depend on the seed" in err
+    code, out, err = run_cli(capsys, *args, "--output", "json")
+    assert code == 2 and err == "" and len(out.splitlines()) == 1
+    assert "final" not in json.loads(out)
+
+
+def test_a_query_that_holds_but_names_no_unknown_exits_1(capsys):
+    code, out, err = run_cli(capsys, SORTED, "sorted [] = True", "--count",
+                             "2", "--int-bound", "0..3", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: the query 'sorted [] = True' holds but names no "
+                   "unknown to generate\n")
 
 
 def test_configuration_errors_exit_1(capsys):

@@ -26,7 +26,7 @@ from luck.core import (
 from luck.desugar import LuckTypeError, Program
 from luck.driver import enumerate_query, prepare, recheck, run_prepared
 from luck.predsem import pred_eval
-from luck.surface import LuckSyntaxError, STCon, STTuple
+from luck.surface import STCon, STTuple
 
 from .test_cli import CORPUS_SWEEP
 from .typecheck import type_eq, typecheck
@@ -313,7 +313,8 @@ def test_recursion_without_parameters_is_rejected():
 def test_mutual_recursion_is_rejected():
     # declaration-order scoping makes a cycle impossible to even write:
     # one of the two bodies must mention a function declared below it
-    with pytest.raises(LuckSyntaxError, match="before its declaration"):
+    with pytest.raises(LuckTypeError,
+                       match="^line 3: isOdd is used before its declaration"):
         Program.from_source("""
 sig isEven :: Int -> Bool
 fun isEven n = if n == 0 then True else isOdd (n - 1)
@@ -331,6 +332,53 @@ fun nest x = nest (x, x)
 
 
 # -- declaration errors --------------------------------------------------------
+
+
+_F = "sig f :: Int -> Int\nfun f x = x\n"
+
+# Lowering is the one checker of names and declarations: each program is
+# rejected, a name in a body with its line, a declaration error with the
+# datatype or type it concerns.
+MALFORMED = {
+    "unbound-variable": ("sig f :: Int -> Int\nfun f x = y",
+                         "^line 2: unbound variable y$"),
+    "unbound-bang": ("sig f :: Int -> Bool\nfun f x = (0 < x) !z",
+                     "^line 2: unbound variable z$"),
+    "undeclared-expression-constructor": (
+        "sig f :: Int -> Bool\nfun f x = Leaf",
+        "^line 2: undeclared constructor Leaf$"),
+    "undeclared-pattern-constructor": (
+        "sig f :: Int -> Bool\nfun f n =\n  case n of | Foo -> True end",
+        "^line 3: case: undeclared constructor Foo$"),
+    "prelude-constructor": ("data T = Cons\n" + _F,
+                            "^line 1: duplicate constructor Cons$"),
+    "constructor-across-datas": ("data T = Mk Int\ndata S = Mk Bool\n" + _F,
+                                 "^line 2: duplicate constructor Mk$"),
+    "constructor-within-a-data": ("data T = A | B | A\n" + _F,
+                                  "^line 1: duplicate constructor A$"),
+    "forward-reference": (
+        "sig f :: Int -> Int\nfun f x = g x\nsig g :: Int -> Int\n"
+        "fun g x = x",
+        "^line 2: g is used before its declaration"),
+    "unbound-weight": (
+        "data T = A | B\nsig f :: T -> Bool\nfun f t = case t of\n"
+        "  | z % A -> True\n  | 1 % B -> False\n  end",
+        "^line 4: unbound variable z$"),
+    "unbound-weight-of-a-lone-arm": (
+        "sig f :: Int -> Bool\nfun f t = case t of | z % u -> True end",
+        "^line 2: unbound variable z$"),
+    "type-variable": ("data T = MkT [b]\n" + _F,
+                      "^type variable b is not a parameter of T$"),
+    "unknown-type": ("data T = MkT Foo\n" + _F, "^unknown type Foo$"),
+    "arity": ("data T a = L | N (T a a)\n" + _F,
+              "^type T expects 1 arguments, got 2$"),
+}
+
+
+@pytest.mark.parametrize("src,match", MALFORMED.values(), ids=MALFORMED)
+def test_a_malformed_program_is_rejected(src, match):
+    with pytest.raises(LuckTypeError, match=match):
+        Program.from_source(src)
 
 
 def test_reserved_type_names_are_rejected():

@@ -1,9 +1,12 @@
-"""Surface syntax: tokenizer, parser, scope checker, pretty-printer."""
+"""Surface syntax: tokenizer, parser, pretty-printer, and the name errors
+lowering reports against it: the parser checks no scopes, so those tests
+build a `Program`."""
 
 from pathlib import Path
 
 import pytest
 
+from luck.desugar import LuckTypeError, Program
 from luck.surface import (
     PCon,
     PTuple,
@@ -18,7 +21,6 @@ from luck.surface import (
     STCon,
     STVar,
     SVar,
-    check_scopes,
     parse_program,
     parse_query,
     pretty_expr,
@@ -45,7 +47,7 @@ def toks(text):
 def test_corpus_round_trips_through_the_printer(path):
     src = path.read_text()
     prog = parse_program(src)
-    check_scopes(prog)
+    Program(prog)
     printed = pretty_program(prog)
     assert toks(printed) == toks(src)
     # and the printed form parses back to the same token stream again
@@ -199,41 +201,37 @@ def test_stray_character_is_a_syntax_error():
 
 
 def test_unbound_variable_is_a_scope_error():
-    prog = parse_program("sig f :: Int -> Int\nfun f x = y")
-    with pytest.raises(LuckSyntaxError, match="unbound variable y"):
-        check_scopes(prog)
+    with pytest.raises(LuckTypeError, match="^line 2: unbound variable y$"):
+        Program.from_source("sig f :: Int -> Int\nfun f x = y")
 
 
 def test_undeclared_constructor_is_a_scope_error():
-    prog = parse_program("sig f :: Int -> Bool\nfun f x = Leaf")
-    with pytest.raises(LuckSyntaxError, match="undeclared constructor Leaf"):
-        check_scopes(prog)
+    with pytest.raises(LuckTypeError,
+                       match="^line 2: undeclared constructor Leaf$"):
+        Program.from_source("sig f :: Int -> Bool\nfun f x = Leaf")
 
 
 def test_an_undeclared_pattern_constructor_names_the_line_of_its_case():
-    prog = parse_program("sig k :: Int -> Bool\nfun k n =\n"
-                         "  case n of | Foo -> True end")
-    with pytest.raises(LuckSyntaxError,
-                       match="^line 3, col 1: undeclared constructor Foo$"):
-        check_scopes(prog)
+    with pytest.raises(LuckTypeError,
+                       match="^line 3: case: undeclared constructor Foo$"):
+        Program.from_source("sig k :: Int -> Bool\nfun k n =\n"
+                            "  case n of | Foo -> True end")
 
 
 def test_the_prelude_constructors_are_in_scope():
-    check_scopes(parse_program("""
+    Program.from_source("""
 sig f :: [Int] -> Bool
 fun f l = case l of | Nil -> True | Cons h t -> f (Cons h Nil) end
-"""))  # must not raise
-    prog = parse_program("data T = Nil\nsig f :: Int -> Int\nfun f x = x")
-    with pytest.raises(LuckSyntaxError, match="duplicate constructor Nil"):
-        check_scopes(prog)
+""")  # must not raise
+    with pytest.raises(LuckTypeError,
+                       match="^line 1: duplicate constructor Nil$"):
+        Program.from_source("data T = Nil\nsig f :: Int -> Int\nfun f x = x")
 
 
 def test_duplicate_constructor_is_rejected():
-    prog = parse_program(
-        "data T = Mk Int\ndata S = Mk Bool\n"
-        "sig f :: Int -> Int\nfun f x = x")
-    with pytest.raises(LuckSyntaxError, match="duplicate constructor Mk"):
-        check_scopes(prog)
+    with pytest.raises(LuckTypeError, match="^line 2: duplicate constructor Mk$"):
+        Program.from_source("data T = Mk Int\ndata S = Mk Bool\n"
+                            "sig f :: Int -> Int\nfun f x = x")
 
 
 def test_case_arms_bind_their_pattern_variables():
@@ -242,13 +240,12 @@ data Box a = Box a
 sig f :: Box Int -> Int
 fun f b = case b of | Box x -> x end
 """
-    check_scopes(parse_program(src))  # must not raise
+    Program.from_source(src)  # must not raise
     bad = src.replace("-> x end", "-> y end")
-    with pytest.raises(LuckSyntaxError, match="unbound variable y"):
-        check_scopes(parse_program(bad))
+    with pytest.raises(LuckTypeError, match="^line 4: unbound variable y$"):
+        Program.from_source(bad)
 
 
 def test_bang_variable_must_be_bound():
-    prog = parse_program("sig f :: Int -> Bool\nfun f x = (0 < x) !z")
-    with pytest.raises(LuckSyntaxError, match="unbound variable z"):
-        check_scopes(prog)
+    with pytest.raises(LuckTypeError, match="^line 2: unbound variable z$"):
+        Program.from_source("sig f :: Int -> Bool\nfun f x = (0 < x) !z")
