@@ -30,15 +30,17 @@ domain per integer bounds (``_full``), and a deferred range unfolds from
 a layout kept per (type, depth, bounds) (``_layout``).  ``type_of``
 reads an unknown's type from its binding.
 
-``sample`` pins one value of a range at a time, on demand, and keeps the
-pin when the store it leaves still has a solution.  One rule decides, at
-any range size: the pin must not fail (its writes ran AC-3), and then
-either the all-least assignment of the constraints linked to the range is
-a solution or ``denote_restricted``, a deliberately naive brute-force
-enumeration of the store's meaning (also the ground truth in tests), finds
-one within a small cap; a check that exceeds its cap keeps the pin.  A
-range of one value that no binary constraint is linked to is not pinned:
-its store already denotes just that value, and comes back as it is.
+``sample`` reads a fixed range with ``index`` in one walk, draws an
+integer from its domain and unranks any other range from a count table.
+It pins one value at a time, on demand, and keeps the pin when the store
+it leaves still has a solution.  One rule decides, at any range size: the
+pin must not fail (its writes ran AC-3), and then either the all-least
+assignment of the constraints linked to the range is a solution or
+``denote_restricted``, a deliberately naive brute-force enumeration of the
+store's meaning (also the ground truth in tests), finds one within a small
+cap; a check that exceeds its cap keeps the pin.  A range of one value
+that no binary constraint is linked to is not pinned: its store already
+denotes just that value, and comes back as it is.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     Expr,
@@ -244,7 +246,7 @@ class ConstraintSet:
         seen = 0
         while True:
             b = self.bindings.get(u)
-            if isinstance(b, Alias):
+            if type(b) is Alias:
                 u = b.target
                 seen += 1
                 if seen > len(self.bindings) + 1:
@@ -475,30 +477,27 @@ class ConstraintSet:
         the result's store is failed instead."""
         if self.failed:
             return self
-        if isinstance(a, Unknown) and isinstance(b, Unknown):
-            return self._unify_uu(a.uid, b.uid)
-        if isinstance(a, Unknown):
+        if type(a) is Unknown:
+            if type(b) is Unknown:
+                return self._unify_uu(a.uid, b.uid)
             return self._unify_uv(a.uid, b)
-        if isinstance(b, Unknown):
+        if type(b) is Unknown:
             return self._unify_uv(b.uid, a)
         return self._unify_vv(a, b)
 
     def _unify_vv(self, a: Expr, b: Expr) -> "ConstraintSet":
-        if isinstance(a, Unit) and isinstance(b, Unit):
+        ta, tb = type(a), type(b)
+        if ta is not tb:
+            if ta in (Inl, Inr) and tb in (Inl, Inr):
+                return self.fail()
+        elif ta is Unit:
             return self
-        if isinstance(a, IntLit) and isinstance(b, IntLit):
+        elif ta is IntLit:
             return self if a.value == b.value else self.fail()
-        if isinstance(a, Pair) and isinstance(b, Pair):
-            out = self.unify(a.fst, b.fst)
-            return out.unify(a.snd, b.snd)
-        if isinstance(a, Inl) and isinstance(b, Inl):
+        elif ta is Pair:
+            return self.unify(a.fst, b.fst).unify(a.snd, b.snd)
+        elif ta is Inl or ta is Inr or ta is Fold:
             return self.unify(a.arg, b.arg)
-        if isinstance(a, Inr) and isinstance(b, Inr):
-            return self.unify(a.arg, b.arg)
-        if isinstance(a, Fold) and isinstance(b, Fold):
-            return self.unify(a.arg, b.arg)
-        if (isinstance(a, (Inl, Inr)) and isinstance(b, (Inl, Inr))):
-            return self.fail()
         raise ContractViolation(f"unify of non-values {a} ~ {b}")
 
     def _unify_uu(self, ua: int, ub: int) -> "ConstraintSet":
@@ -757,8 +756,8 @@ class ConstraintSet:
             return IntLit(b.min()) if b.is_singleton() else None
         if isinstance(b, RPair):
             f = self.index(b.fst)
-            s = self.index(b.snd)
-            return Pair(f, s) if f is not None and s is not None else None
+            s = None if f is None else self.index(b.snd)
+            return None if s is None else Pair(f, s)
         if isinstance(b, RSum):
             if b.left is not None and b.right is not None:
                 return None
@@ -848,7 +847,9 @@ class ConstraintSet:
     def sample(self, u: int) -> "SampleSpace":
         """The unknown's values as a lazy space of (value, pinned store)
         pairs, in structural order (left injections first, integer
-        intervals ascending).
+        intervals ascending): a fixed range's one value, read by ``index``
+        when the store holds no binary constraint, an integer unknown's
+        domain, or any other range unranked from its count table.
 
         Nothing is pinned here.  ``SampleSpace.at`` pins the value it is
         asked for and keeps the pin by one rule, whatever the range size:
@@ -857,34 +858,41 @@ class ConstraintSet:
         or ``denote_restricted`` finds one among at most 4,096 candidate
         assignments (a check past that cap keeps the pin).
         """
-        root = self.find(u)
+        root, b = self.resolve(u)
         if self.failed:
-            return SampleSpace(self, root, 0, [], {})
+            return SampleSpace(self, root, 0, [], None)
+        if not self.cons and (v := self.index(root)) is not None:
+            return SampleSpace(self, root, 1, [], lambda i: v)
+        if type(b) is IntDomain:
+            return SampleSpace(self, root, b.size(), self._linked((root,)),
+                               lambda i: IntLit(b.nth(i)))
         counts = self._count_table(root)
         return SampleSpace(self, root, counts[root], self._linked(counts),
-                           counts)
+                           lambda i: self._unrank(root, i, counts))
 
 
 @dataclass(unsafe_hash=True)
 class SampleSpace:
     """The values of one unknown, each pinned when it is asked for.
 
-    `count` is the size of the unknown's range, ignoring binary
-    constraints (0 for a failed store).  ``at(i)`` unranks value i from
-    `counts`, the range's count table, pins the unknown to it and returns
-    (value, pinned store); the store is failed unless the pin passes the
-    rule of ``ConstraintSet.sample``, and is `cset` itself for a one-value
-    range with nothing linked.  Iteration yields the kept pairs in order.
+    `count` is the size of the unknown's range, ignoring binary constraints,
+    and `value(i)` is its i-th value: a fixed range's one value, an integer
+    domain's i-th integer, or the value unranked from the range's count
+    table (0 and None for a failed store).  ``at(i)`` pins the unknown to
+    value i and returns (value, pinned store); the store is failed unless
+    the pin passes the rule of ``ConstraintSet.sample``, and is `cset`
+    itself, with nothing pinned, for a one-value range with nothing linked.
+    Iteration yields the kept pairs in order.
     """
 
     cset: ConstraintSet
     root: int
     count: int
     linked: list[Constraint]
-    counts: dict[int, int]
+    value: Optional[Callable[[int], Expr]]
 
     def at(self, i: int):
-        v = self.cset._unrank(self.root, i, self.counts)
+        v = self.value(i)
         if self.count == 1 and not self.linked:
             return v, self.cset  # the store already denotes just v
         # unify has run AC-3 from every leaf it wrote

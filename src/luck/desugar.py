@@ -17,8 +17,9 @@ Lowering is the one checker of names and declarations.  `Program`
 rejects a repeated constructor and lays out every datatype at Int, which
 rejects an unknown type, a wrong arity and a type variable that is not a
 parameter.  It then lowers the functions in declaration order, so a body
-names only itself and the functions above it, and a name that does not
-resolve is reported with its line.
+names only itself and the functions above it.  A name that does not
+resolve and a type mismatch are reported with their own line, a
+declaration error with that of the declaration being checked.
 
 Pattern matches become cascades of weighted binary choices, boolean
 connectives and structural equality turn into plain sum cases, and
@@ -129,7 +130,7 @@ class SMeta(STy):
     uid: int
 
     def __str__(self) -> str:
-        return f"?{self.uid}"
+        return "_"  # unsolved: the type is not yet known
 
 
 _INT = STCon("Int")
@@ -193,6 +194,12 @@ def sub_ty(t: STy, m: dict[str, STy]) -> STy:
     return t
 
 
+def _located(what: str, where: str) -> str:
+    """"line N: what in rest" for where "line N: rest", else what in where."""
+    line, _, rest = where.partition(": ")
+    return f"{line}: {what} in {rest}" if rest else f"{what} in {where}"
+
+
 def _mangle(name: str, tyargs: tuple[STy, ...]) -> str:
     if not tyargs:
         return name
@@ -221,6 +228,7 @@ class Program:
         # mangled name -> closed core, its callees' cores linked in
         self.cores: dict[str, Expr] = {}
         self._fun_stack: list[tuple[str, tuple[STy, ...]]] = []
+        self._line = 0  # the line of the declaration being checked
         self._install()
         self._check_all()
 
@@ -233,7 +241,8 @@ class Program:
     def _install(self) -> None:
         for d in self.surface.data_decls:
             if d.name == "Int" or d.name in self.datas:
-                raise LuckTypeError(f"type name {d.name} is reserved")
+                raise LuckTypeError(
+                    f"line {d.line}: type name {d.name} is reserved")
             self.datas[d.name] = d
             for i, c in enumerate(d.ctors):
                 if c.name in self.ctors:
@@ -245,12 +254,16 @@ class Program:
         """Lay out every datatype and lower every function once, at Int
         instantiations; a function joins `funs` just before its body."""
         for d in self.surface.data_decls:
+            self._line = d.line
             self.core_type(STCon(d.name, (_INT,) * len(d.params)))
         for f in self.surface.fun_decls:
+            self._line = f.line
             if f.sig is None:
-                raise LuckTypeError(f"function {f.name} needs a sig")
+                raise LuckTypeError(f"line {f.line}: function {f.name} "
+                                    "needs a sig")
             if len(set(f.params)) != len(f.params):
-                raise LuckTypeError(f"function {f.name} repeats a parameter")
+                raise LuckTypeError(f"line {f.line}: function {f.name} "
+                                    "repeats a parameter")
             self.funs[f.name] = f
             self.lower_fun(f.name, (_INT,) * len(tyvars_of(f.sig)))
 
@@ -271,17 +284,20 @@ class Program:
         if out is None:
             d = self.datas.get(t.name)
             if d is None:
-                raise LuckTypeError(f"unknown type {t.name}")
+                raise LuckTypeError(
+                    f"line {self._line}: unknown type {t.name}")
             if len(t.args) != len(d.params):
-                raise LuckTypeError(f"type {t.name} expects {len(d.params)} "
-                                    f"arguments, got {len(t.args)}")
+                raise LuckTypeError(
+                    f"line {self._line}: type {t.name} expects "
+                    f"{len(d.params)} arguments, got {len(t.args)}")
             m = dict(zip(d.params, t.args))
             try:
                 out = [(c.name, [sub_ty(a, m) for a in c.args])
                        for c in d.ctors]
             except KeyError as ex:
-                raise LuckTypeError(f"type variable {ex.args[0]} is not a "
-                                    f"parameter of {t.name}") from None
+                raise LuckTypeError(
+                    f"line {self._line}: type variable {ex.args[0]} is not "
+                    f"a parameter of {t.name}") from None
             self._ctors_memo[t] = out
         return out
 
@@ -385,7 +401,7 @@ class Program:
             lw = _Lower(self)
             env = {p: (t, Var(p)) for p, t in zip(f.params, param_tys)}
             (bmk, bty) = lw.des(f.body, env)
-            self.unify(bty, result_ty, f"body of {fname}")
+            self.unify(bty, result_ty, f"line {f.line}: body of {fname}")
             body = bmk()
             core_params = [self.core_type(t) for t in param_tys]
             core_res = self.core_type(result_ty)
@@ -477,7 +493,7 @@ class Program:
         if isinstance(a, SMeta) or isinstance(b, SMeta):
             m, t = (a, b) if isinstance(a, SMeta) else (b, a)
             if self._occurs(m.uid, t):
-                raise LuckTypeError(f"infinite type in {where}")
+                raise LuckTypeError(_located("infinite type", where))
             self._sol[m.uid] = t
             return
         if (isinstance(a, STCon) and isinstance(b, STCon)
@@ -494,7 +510,7 @@ class Program:
             self.unify(a.arg, b.arg, where)
             self.unify(a.res, b.res, where)
             return
-        raise LuckTypeError(f"type mismatch in {where}: {a} vs {b}")
+        raise LuckTypeError(_located("type mismatch", where) + f": {a} vs {b}")
 
     # -- core types -------------------------------------------------------
 
@@ -683,7 +699,7 @@ class _Lower:
              where: str) -> tuple[Mk, STy]:
         dty, pos, fields = self.instance(cname, len(args), where)
         for (_, got), want in zip(args, fields):
-            self.unify(got, want, where)
+            self.unify(got, want, f"{where}: argument of {cname}")
         mks = [mk for mk, _ in args]
         return (lambda: self.p.construct(dty, pos, [m() for m in mks])), dty
 
@@ -819,7 +835,7 @@ class _Lower:
             # a lone catch-all arm splits nothing, so no node lowers its
             # weight
             (_, wty) = self.des(e.arms[0].weight, env)
-            self.unify(wty, _INT, "case arm weight")
+            self.unify(wty, _INT, f"{where} arm weight")
         # only the root needs mass: an inner split whose literal weights
         # are all 0 lies under a child its parent gives weight 0
         if isinstance(tree, CaseNode) and all(
@@ -857,7 +873,7 @@ class _Lower:
             for pv, occ in node.bindings:
                 env2[pv] = env[occ.name]
             (bmk, bty) = self.des(node.body, env2)
-            self.unify(bty, rmeta, "case arm result")
+            self.unify(bty, rmeta, f"line {node.body.line}: case arm result")
             return bmk
         if isinstance(node, Fail):
             return lambda: MatchFail(self.p.core_type(rmeta))
@@ -949,7 +965,7 @@ class _Lower:
         for w in ws:
             assert isinstance(w, SExpr)
             (mk, ty) = self.des(w, env)
-            self.unify(ty, _INT, "case arm weight")
+            self.unify(ty, _INT, f"line {w.line}: case arm weight")
             out.append(mk)
         return out
 

@@ -12,6 +12,7 @@ from luck.constraints import (
     RFold,
     RPair,
     RSum,
+    SampleSpace,
 )
 from luck.core import (
     BOOL,
@@ -693,6 +694,88 @@ def test_certified_sample_equals_the_pin_and_filter_reference():
                     for v, k in filtered_sample(cs, u)]
             assert got == want, (str(cs), u)
     assert stores > 900
+
+
+def counted_space(cs, u):
+    """The space every range took before sampling read the kind of its
+    binding: a count table, the constraints linked to any unknown in it,
+    and each value unranked from the table."""
+    root = cs.find(u)
+    if cs.failed:
+        return SampleSpace(cs, root, 0, [], None)
+    counts = cs._count_table(root)
+    return SampleSpace(cs, root, counts[root], cs._linked(counts),
+                       lambda i: cs._unrank(root, i, counts))
+
+
+def space_kind(cs, u):
+    r, b = cs.resolve(u)
+    if cs.failed:
+        return "failed"
+    if not cs.cons and cs.index(r) is not None:
+        return "fixed"
+    return "integer" if isinstance(b, IntDomain) else "counted"
+
+
+def assert_spaces_agree(cs, u):
+    new, old = cs.sample(u), counted_space(cs, u)
+    assert new.count == old.count
+    for i in range(old.count):
+        (v1, k1), (v2, k2) = new.at(i), old.at(i)
+        assert (v1, k1.failed, k1.bindings) == (v2, k2.failed, k2.bindings)
+
+
+def test_each_kind_of_space_matches_the_counted_path():
+    rng = random.Random(11)
+    kinds = {}
+    for _ in range(400):
+        for make in (random_store, random_int_store):
+            cs, uids = make(rng)
+            for u in uids:
+                kind = space_kind(cs, u)
+                kinds[kind] = kinds.get(kind, 0) + 1
+                assert_spaces_agree(cs, u)
+    assert min(kinds[k] for k in ("fixed", "integer", "counted")) > 100
+    # arc-consistent pins without a solution, which random stores seldom make
+    for cs, _ in (holed_store(), pigeonhole_store()):
+        for u in range(cs.next_fresh):
+            assert_spaces_agree(cs, u)
+
+
+def test_a_fixed_tree_in_a_store_with_a_constraint_is_checked(monkeypatch):
+    # the tree's integer leaf is pinned by propagation, so the constraint
+    # that pinned it stays stored and linked to the tree
+    cs, (t, x, b, y) = ConstraintSet(int_bounds=(0, 1)).fresh(
+        [TProd(TInt(), BOOL), TInt(), BOOL, TInt()])
+    cs = cs.unify(Unknown(t), Pair(Unknown(x), Unknown(b)))
+    cs = cs.post_cmp("<", Unknown(x), Unknown(y))
+    cs = cs.unify(Unknown(b), TRUE)
+    assert cs.index(t) == Pair(IntLit(0), TRUE) and cs.cons
+    assert space_kind(cs, t) == "counted"
+    assert_spaces_agree(cs, t)
+    calls = count_unify_calls(monkeypatch)
+    space = cs.sample(t)
+    assert space.count == 1 and space.linked
+    value, pinned = space.at(0)
+    assert value == Pair(IntLit(0), TRUE) and not pinned.failed
+    assert pinned is not cs and calls[0] == (Unknown(t), value)
+
+
+def test_a_fixed_range_with_a_shared_child_yields_its_value():
+    # the count table refuses a range whose children share an unknown;
+    # `index`, which reads a fixed range, does not look for sharing
+    cs, (p, x) = ConstraintSet(int_bounds=(0, 3)).fresh(
+        [TProd(TInt(), TInt()), TInt()])
+    cs = cs.unify(Unknown(p), Pair(Unknown(x), Unknown(x)))
+    with pytest.raises(ContractViolation, match="shared unknown"):
+        cs.sample(p)
+    fixed = cs.unify(Unknown(x), IntLit(2))
+    with pytest.raises(ContractViolation, match="shared unknown"):
+        counted_space(fixed, p)
+    space = fixed.sample(p)
+    assert space.count == 1 and not space.linked
+    assert space.at(0) == (Pair(IntLit(2), IntLit(2)), fixed)
+    assert space.at(0)[1] is fixed
 
 
 def int_store(n):

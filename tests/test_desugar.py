@@ -337,8 +337,9 @@ fun nest x = nest (x, x)
 _F = "sig f :: Int -> Int\nfun f x = x\n"
 
 # Lowering is the one checker of names and declarations: each program is
-# rejected, a name in a body with its line, a declaration error with the
-# datatype or type it concerns.
+# rejected with a line, a name in a body with its own, a declaration error
+# with that of the declaration being checked, and a type mismatch with the
+# line of the expression, an unsolved type printed as _.
 MALFORMED = {
     "unbound-variable": ("sig f :: Int -> Int\nfun f x = y",
                          "^line 2: unbound variable y$"),
@@ -368,10 +369,31 @@ MALFORMED = {
         "sig f :: Int -> Bool\nfun f t = case t of | z % u -> True end",
         "^line 2: unbound variable z$"),
     "type-variable": ("data T = MkT [b]\n" + _F,
-                      "^type variable b is not a parameter of T$"),
-    "unknown-type": ("data T = MkT Foo\n" + _F, "^unknown type Foo$"),
+                      "^line 1: type variable b is not a parameter of T$"),
+    "unknown-type": ("data T = MkT Foo\n" + _F,
+                     "^line 1: unknown type Foo$"),
     "arity": ("data T a = L | N (T a a)\n" + _F,
-              "^type T expects 1 arguments, got 2$"),
+              "^line 1: type T expects 1 arguments, got 2$"),
+    "unknown-type-in-a-sig": (_F + "sig g :: Foo -> Int\nfun g x = 1",
+                              "^line 4: unknown type Foo$"),
+    "arity-in-a-sig": ("data T a = L\n" + _F + "sig g :: T -> Int\n"
+                       "fun g x = 1",
+                       "^line 5: type T expects 1 arguments, got 0$"),
+    "reserved-type-name": ("\ndata Bool = Yes\n" + _F,
+                           "^line 2: type name Bool is reserved$"),
+    "missing-sig": (_F + "fun g x = x", "^line 3: function g needs a sig$"),
+    "repeated-parameter": ("sig f :: Int -> Int -> Int\nfun f x x = x",
+                           "^line 2: function f repeats a parameter$"),
+    "tuple-pattern-mismatch": (
+        "sig f :: (Int, Int) -> Bool\n"
+        "fun f p = case p of | (a, b, c) -> True end",
+        r"^line 2: type mismatch in case: \(Int, Int\) vs \(_, _, _\)$"),
+    "arm-result-mismatch": (
+        "data T = A | B\nsig f :: T -> Int\nfun f t = case t of\n"
+        "  | A -> 1\n  | B -> True\n  end",
+        "^line 5: type mismatch in case arm result: Bool vs Int$"),
+    "body-mismatch": ("sig f :: Int -> Bool\nfun f x = x",
+                      "^line 2: type mismatch in body of f: Int vs Bool$"),
 }
 
 
