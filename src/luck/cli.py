@@ -12,6 +12,7 @@ that holds but names no unknown to show, 2 when any requested valuation
 exhausted its retry budget.  A failure that does not depend on the seed
 ends the run after its one error line.  Results go to stdout,
 diagnostics to stderr.  `LUCK_SEED` is used when --seed is absent.
+--fuel bounds each attempt, and each recheck, to F function applications.
 """
 
 import argparse
@@ -70,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra attempts per valuation before giving up "
                         f"(default {DEFAULT_RETRIES})")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="F",
-                   help="evaluation step budget per attempt "
-                        f"(default {DEFAULT_FUEL})")
+                   help="function applications allowed per attempt and "
+                        f"per recheck (default {DEFAULT_FUEL})")
     p.add_argument("--check", action="store_true",
                    help="re-run the predicate on each result and discard "
                         "any that do not satisfy it")

@@ -19,7 +19,7 @@ rejects an unknown type, a wrong arity and a type variable that is not a
 parameter.  It then lowers the functions in declaration order, so a body
 names only itself and the functions above it.  A name that does not
 resolve and a type mismatch are reported with their own line, a
-declaration error with that of the declaration being checked.
+declaration error with that of the declaration that writes it.
 
 Pattern matches become cascades of weighted binary choices, boolean
 connectives and structural equality turn into plain sum cases, and
@@ -283,23 +283,29 @@ class Program:
         out = self._ctors_memo.get(t)
         if out is None:
             d = self.datas.get(t.name)
-            if d is None:
-                raise LuckTypeError(
-                    f"line {self._line}: unknown type {t.name}")
-            if len(t.args) != len(d.params):
-                raise LuckTypeError(
-                    f"line {self._line}: type {t.name} expects "
-                    f"{len(d.params)} arguments, got {len(t.args)}")
+            if d is None or len(t.args) != len(d.params):
+                raise LuckTypeError(f"line {self._line_naming(t.name)}: " + (
+                    f"unknown type {t.name}" if d is None else
+                    f"type {t.name} expects {len(d.params)} arguments, "
+                    f"got {len(t.args)}"))
             m = dict(zip(d.params, t.args))
             try:
                 out = [(c.name, [sub_ty(a, m) for a in c.args])
                        for c in d.ctors]
             except KeyError as ex:
                 raise LuckTypeError(
-                    f"line {self._line}: type variable {ex.args[0]} is not "
+                    f"line {d.line}: type variable {ex.args[0]} is not "
                     f"a parameter of {t.name}") from None
             self._ctors_memo[t] = out
         return out
+
+    def _line_naming(self, name: str) -> int:
+        """The line of the declaration that writes the type name."""
+        for t in reversed(self._ctype_building):
+            d = self.datas[t.name]
+            if any(_names(a, name) for c in d.ctors for a in c.args):
+                return d.line
+        return self._line
 
     def sum_levels(self, t: STy) -> tuple[Type, list[Type]]:
         """The core type of a tuple or datatype type and the sums along
@@ -390,12 +396,12 @@ class Program:
         mangled = _mangle(fname, tyargs)
         if mangled in self.cores:
             return mangled
-        if any(g == fname for g, _ in self._fun_stack):
-            raise LuckTypeError(f"polymorphic recursion in {fname} is "
-                                "unsupported")
         f = self.funs[fname]
+        if any(g == fname for g, _ in self._fun_stack):
+            raise LuckTypeError(f"line {f.line}: polymorphic recursion in "
+                                f"{fname} is unsupported")
         inst = sub_ty(f.sig, dict(zip(tyvars_of(f.sig), tyargs)))
-        param_tys, result_ty = _split_sig(inst, len(f.params), fname)
+        param_tys, result_ty = _split_sig(inst, f)
         self._fun_stack.append((fname, tyargs))
         try:
             lw = _Lower(self)
@@ -563,12 +569,23 @@ class Program:
         others = {str(k) for k in self._ctype_building}
         if others and _tvar_names(spine) & others:
             raise LuckTypeError(
-                f"datatype {t.name} is recursive through another type; "
-                "only direct recursion is supported")
+                f"line {self.datas[t.name].line}: datatype {t.name} is "
+                "recursive through another type; only direct recursion is "
+                "supported")
         if not used:
             return spine
         self._folded.add(t.name)
         return TMu(str(t), spine)
+
+
+def _names(t: STy, name: str) -> bool:
+    """Whether the surface type t is written with the type name."""
+    if isinstance(t, STCon):
+        return t.name == name or any(_names(a, name) for a in t.args)
+    if isinstance(t, STTuple):
+        return any(_names(a, name) for a in t.items)
+    return isinstance(t, STFun) and (_names(t.arg, name)
+                                     or _names(t.res, name))
 
 
 def _tvar_names(t: Type) -> set[str]:
@@ -1036,13 +1053,13 @@ def _case_pairs(body: Expr, top: Expr, names: list[str],
 # Function lowering, linking, and query compilation
 
 
-def _split_sig(sig: STy, nparams: int, fname: str) -> tuple[list[STy], STy]:
+def _split_sig(sig: STy, f: SFun) -> tuple[list[STy], STy]:
     params = []
     t = sig
-    for _ in range(nparams):
+    for _ in f.params:
         if not isinstance(t, STFun):
-            raise LuckTypeError(f"function {fname} has more parameters "
-                                "than its sig has arrows")
+            raise LuckTypeError(f"line {f.line}: function {f.name} has more "
+                                "parameters than its sig has arrows")
         params.append(t.arg)
         t = t.res
     return params, t

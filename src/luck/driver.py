@@ -158,8 +158,8 @@ def attempt(prep: PreparedQuery, ctx: RunCtx) -> dict[str, Expr]:
 def recheck(prep: PreparedQuery, vals: dict[str, Expr],
             fuel: int = DEFAULT_FUEL) -> Optional[bool]:
     """Confirm a generated valuation by plain predicate evaluation within
-    `fuel` steps; a valuation whose evaluation fails is not confirmed
-    (False), nor one whose evaluation runs out of fuel (None)."""
+    `fuel` function applications: False when that evaluation fails, None
+    when it runs out of fuel."""
     try:
         return pred_eval(prep.target, fuel, vals) == prep.pattern
     except EvalFailure:
@@ -254,7 +254,8 @@ def _no_success(attempts: int, timeouts: int, fuel: int,
                 failure: str, final: bool) -> str:
     text = f"no success in {attempts} attempts"
     if timeouts:
-        text += f" ({timeouts} ran out of the {fuel}-step fuel)"
+        text += (f" ({timeouts} ran out of fuel, {fuel} function "
+                 "applications each)")
     if failure:
         text += f"; last failure: {failure}"
     if final:

@@ -22,7 +22,8 @@ into their parts.  Every other form (a variable, a literal, an unknown,
 a function, arithmetic, a failing arm) is narrowed to its value, which
 is unified with the pattern once; a function value cannot match.
 Values reach matching only through the environment of closed values it
-runs under, as in narrowing.
+runs under, as in narrowing.  As there, one unit of fuel is one function
+application: an application's code charges it, and no other code does.
 
 match_eval returns a refined constraint set, failed when no derivation
 of the pattern exists down this path; the probability accumulated on
@@ -140,7 +141,6 @@ def _compile(e: Expr):
                     ((e.fst, e.snd) if kind is Pair else (e.arg,))]
 
             def code(p, cs, ctx, env):
-                ctx.tick()
                 opened = open_value(p, kind, cs)
                 if opened is None:
                     return cs.fail()
@@ -154,8 +154,7 @@ def _compile(e: Expr):
             opener, arg = _opener(arg, Fold), _code(arg)
 
             def code(p, cs, ctx, env):
-                ctx.tick()
-                opened = opener and opener(cs, ctx, env)
+                opened = opener and opener(cs, env)
                 if opened is None:
                     return arg(Fold(p, ty), cs, ctx, env)
                 (child,), cs = opened
@@ -175,8 +174,7 @@ def _compile(e: Expr):
             scrut, body = _code(scrut), _code(body)
 
             def code(p, cs, ctx, env):
-                ctx.tick()
-                opened = opener and opener(cs, ctx, env)
+                opened = opener and opener(cs, env)
                 if opened is None:
                     cs, (u1, u2) = cs.fresh(parts)
                     fst, snd = Unknown(u1), Unknown(u2)
@@ -194,7 +192,6 @@ def _compile(e: Expr):
             arg = _code(arg)
 
             def code(p, cs, ctx, env):
-                ctx.tick()
                 cs = arg(p, cs, ctx, env)
                 if cs.failed:
                     return cs
@@ -210,14 +207,12 @@ def _compile(e: Expr):
             main = _code(main)
 
             def code(p, cs, ctx, env):
-                ctx.tick()
                 cs = main(p, cs, ctx, env)
                 return cs if cs.failed else narrow(hook, cs, ctx, env)[1]
         case Bang(arg):
             arg = _code(arg)
 
             def code(p, cs, ctx, env):
-                ctx.tick()
                 cs = arg(p, cs, ctx, env)
                 return cs if cs.failed else sample_value(p, cs, ctx)[1]
         case _:
@@ -240,28 +235,16 @@ def _code(e: Expr):
 def _opener(scrut: Expr, kind: type):
     """The code that opens a scrutinee that is an unknown, or a variable
     bound to an unknown or to a `kind` value, in place by
-    ``narrow.open_value``: opener(cs, ctx, env) gives (parts, cs'), or None
-    for any other value.  None for a compound scrutinee, whose parts are
-    not values.
-
-    The opening takes the one step a variable or an unknown takes, and
-    mints nothing when the unknown already has its node.
+    ``narrow.open_value``: opener(cs, env) gives (parts, cs'), or None for
+    any other value; it mints nothing when the unknown already has its
+    node.  None for a compound scrutinee, whose parts are not values.
     """
     match scrut:
         case Var(name):
-            def opener(cs, ctx, env):
-                v = env.get(name)
-                if not isinstance(v, (Unknown, kind)):
-                    return None
-                ctx.tick()
-                return open_value(v, kind, cs)
+            return lambda cs, env: open_value(env.get(name), kind, cs)
         case Unknown():
-            def opener(cs, ctx, env):
-                ctx.tick()
-                return open_value(scrut, kind, cs)
-        case _:
-            return None
-    return opener
+            return lambda cs, env: open_value(scrut, kind, cs)
+    return None
 
 
 def _comparison(op: str, lhs: Expr, rhs: Expr):
@@ -275,7 +258,6 @@ def _comparison(op: str, lhs: Expr, rhs: Expr):
     negated = negate_op(op)
 
     def code(p, cs, ctx, env):
-        ctx.tick()
         l, cs = narrow(lhs, cs, ctx, env)
         r, cs = narrow(rhs, cs, ctx, env)
         if isinstance(l, IntLit) and isinstance(r, IntLit):
@@ -308,7 +290,6 @@ def _plain_case(e: CaseSum):
     lclash, rclash = (isinstance(b, CLASHING) for b in (left_body, right_body))
 
     def code(p, cs, ctx, env):
-        ctx.tick()
         cs0, uids = cs.fresh(mint) if mint else (cs, ())
         vl = Unit() if unit_left else Unknown(uids[0])
         vr = Unit() if unit_right else Unknown(uids[-1])
@@ -352,7 +333,6 @@ def _weighted_case(e: CaseSum):
     arg, w_left, w_right = e.scrut.arg, e.scrut.w_left, e.scrut.w_right
 
     def code(p, cs, ctx, env):
-        ctx.tick()
         v, cs = narrow(arg, cs, ctx, env)
         n1, cs = narrow_weight(w_left, cs, ctx, env)
         n2, cs = narrow_weight(w_right, cs, ctx, env)
@@ -389,11 +369,10 @@ def backtracking_choose(n1: int, left: bool, n2: int, right: bool,
     """
     if left and n1 > 0 and right and n2 > 0:
         side = ctx.pick_weighted(n1, n2)
-        if not ctx.local_backtracking:
-            ctx.record(side, 2, n2 if side else n1, n1 + n2)
-            return run(side)
         marker = ctx.mark()
         ctx.record(side, 2, n2 if side else n1, n1 + n2)
+        if not ctx.local_backtracking:
+            return run(side)
         try:
             got = run(side)
             if not got.failed:

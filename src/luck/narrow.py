@@ -20,9 +20,10 @@ a node's code, compiling it first when it has none.
 Expressions run under an environment of closed values: an application
 runs the function's body under its closure's environment extended with
 the argument, and a case arm under the current one extended with the arm
-variables.  A variable takes one step and yields the value it is bound to
-as it is, whatever that value's size.  Every node's code takes one step
-when it starts, as each visit of the node did before compilation.
+variables.  A variable yields the value it is bound to as it is, whatever
+that value's size.  One unit of fuel is one function application, charged
+by an application's code alone (``RunCtx.tick``): a term repeats work
+only by applying a recursive function, so this bounds every run.
 
 A split of an unknown reads the children of the node the store gives it
 (``open_value`` and ``split_sum``, shared with matching) and mints
@@ -87,7 +88,6 @@ def _compile(e: Expr):
     match e:
         case Var(name):
             def code(cs, ctx, env):
-                ctx.tick()
                 try:
                     return env[name], cs
                 except KeyError:
@@ -96,23 +96,19 @@ def _compile(e: Expr):
             value = replace(e)  # a copy: the code does not refer to e
 
             def code(cs, ctx, env):
-                ctx.tick()
                 return value, cs
         case Rec():
             rec = replace(e)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 return Closure(rec, env), cs
         case MatchFail():
             def code(cs, ctx, env):
-                ctx.tick()
                 raise GenFailure("inexhaustive match")
         case Pair(fst, snd):
             fst, snd = _code(fst), _code(snd)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 f, cs = fst(cs, ctx, env)
                 s, cs = snd(cs, ctx, env)
                 return Pair(f, s), cs
@@ -120,14 +116,12 @@ def _compile(e: Expr):
             make, arg = type(e), _code(arg)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = arg(cs, ctx, env)
                 return make(v, ty), cs
         case Unfold(arg):
             arg = _code(arg)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = arg(cs, ctx, env)
                 opened = open_value(v, Fold, cs)
                 if opened is None:
@@ -150,7 +144,6 @@ def _compile(e: Expr):
             scrut, body = _code(scrut), _code(body)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = scrut(cs, ctx, env)
                 opened = open_value(v, Pair, cs)
                 if opened is None:
@@ -161,7 +154,6 @@ def _compile(e: Expr):
             scrut, left, right = _code(scrut), _code(left), _code(right)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = scrut(cs, ctx, env)
                 if isinstance(v, Inl):
                     return left(cs, ctx, {**env, left_name: v.arg})
@@ -179,7 +171,6 @@ def _compile(e: Expr):
             arg, w_left, w_right = _code(arg), _code(w_left), _code(w_right)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = arg(cs, ctx, env)
                 n1, cs = _weight(*w_left(cs, ctx, env), ctx)
                 n2, cs = _weight(*w_right(cs, ctx, env), ctx)
@@ -195,21 +186,18 @@ def _compile(e: Expr):
             arg = _code(arg)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = arg(cs, ctx, env)
                 return sample_value(v, cs, ctx)
         case After(main, hook):
             main, hook = _code(main), _code(hook)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 v, cs = main(cs, ctx, env)
                 return v, hook(cs, ctx, env)[1]
         case Cmp(op, lhs, rhs):
             lhs, rhs = _code(lhs), _code(rhs)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 l, cs = lhs(cs, ctx, env)
                 r, cs = rhs(cs, ctx, env)
                 return narrow_cmp(op, l, r, cs, ctx)
@@ -217,7 +205,6 @@ def _compile(e: Expr):
             lhs, rhs = _code(lhs), _code(rhs)
 
             def code(cs, ctx, env):
-                ctx.tick()
                 l, cs = lhs(cs, ctx, env)
                 r, cs = rhs(cs, ctx, env)
                 return narrow_arith(op, l, r, cs)
@@ -225,7 +212,6 @@ def _compile(e: Expr):
             message = f"cannot narrow {e!r}"
 
             def code(cs, ctx, env):
-                ctx.tick()
                 raise ContractViolation(message)
     e._narrow = code
     return code
@@ -317,17 +303,16 @@ def narrow_arith(op: str, l: Expr, r: Expr, cs: ConstraintSet):
             raise GenFailure(str(ex)) from None
     # one symbolic operand: only +/- a constant is expressible
     if isinstance(l, Unknown) and isinstance(r, IntLit) and op in ("+", "-"):
-        off = r.value if op == "+" else -r.value
-        cs2, w = cs.fresh_shifted(l.uid, off)
-        if cs2.failed:
-            raise GenFailure("arithmetic out of bounds")
-        return Unknown(w), cs2
-    if isinstance(l, IntLit) and isinstance(r, Unknown) and op == "+":
-        cs2, w = cs.fresh_shifted(r.uid, l.value)
-        if cs2.failed:
-            raise GenFailure("arithmetic out of bounds")
-        return Unknown(w), cs2
-    raise ContractViolation(f"symbolic arithmetic {l} {op} {r} unsupported")
+        u, off = l.uid, (r.value if op == "+" else -r.value)
+    elif isinstance(l, IntLit) and isinstance(r, Unknown) and op == "+":
+        u, off = r.uid, l.value
+    else:
+        raise ContractViolation(f"symbolic arithmetic {l} {op} {r} "
+                                "unsupported")
+    cs, w = cs.fresh_shifted(u, off)
+    if cs.failed:
+        raise GenFailure("arithmetic out of bounds")
+    return Unknown(w), cs
 
 
 def choose(w_left: int, left: bool, w_right: int, right: bool,
@@ -362,7 +347,6 @@ def sample_value(v: Expr, cs: ConstraintSet, ctx: RunCtx):
     over the kept values; only an exhausted range fails.  Only the
     rejected indices are kept, so memory does not grow with the range.
     """
-    ctx.tick()
     if isinstance(v, (Unit, IntLit, Closure)):
         return v, cs
     if isinstance(v, Pair):

@@ -7,8 +7,9 @@ but returns the first.  This evaluator is the ground truth the generators
 are checked against: a produced valuation is correct iff evaluating the
 query under an environment binding each queried name to its value makes
 this evaluator return True.  Bodies run under environments of closed
-values, as in narrowing: a variable takes one step and evaluates to the
-value it is bound to, as it is.
+values, as in narrowing: a variable evaluates to the value it is bound
+to, as it is.  As in narrowing, one unit of fuel is one function
+application, charged by an application's code alone.
 
 A term is compiled once, on its first evaluation, into one closure per
 node that holds its children's closures and the node's fields; a
@@ -17,12 +18,12 @@ on the node (``Expr._pred``) and refers to no node above it, so a term
 built for one check is freed with its code.  This compiler shares no
 rule with narrowing or matching: case selection, comparison and
 instantiation are decided here on their own, so the recheck judges the
-generators independently.  Each node's code takes one step when it
-starts, as each visit of the node did before compilation.
+generators independently.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 from .core import (
@@ -55,9 +56,9 @@ from .core import (
 )
 from .intdomain import eval_op
 
-# evaluation steps one valuation may take; the driver and RunCtx default
-# to the same budget
-DEFAULT_FUEL = 1_000_000
+# function applications one attempt, or one recheck, may make; the driver
+# and RunCtx default to the same budget
+DEFAULT_FUEL = 100_000
 
 
 class EvalFailure(Exception):
@@ -87,8 +88,6 @@ def pred_eval(e: Expr, fuel: int = DEFAULT_FUEL, env: Env = EMPTY_ENV) -> Expr:
     failing match arms) and EvalTimeout if fuel runs out.  Python stack
     exhaustion counts as running out of fuel, not as failure.
     """
-    import sys
-
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 50_000))
     try:
@@ -108,7 +107,6 @@ def _compile(e: Expr):
     match e:
         case Var(name):
             def code(fuel, env):
-                fuel.tick()
                 try:
                     return env[name]
                 except KeyError:
@@ -117,39 +115,32 @@ def _compile(e: Expr):
             value = replace(e)  # a copy: the code does not refer to e
 
             def code(fuel, env):
-                fuel.tick()
                 return value
         case Rec():
             rec = replace(e)
 
             def code(fuel, env):
-                fuel.tick()
                 return Closure(rec, env)
         case Unknown(uid):
             def code(fuel, env):
-                fuel.tick()
                 raise EvalFailure(f"unknown ?{uid} in a closed evaluation")
         case MatchFail():
             def code(fuel, env):
-                fuel.tick()
                 raise EvalFailure("inexhaustive match")
         case Pair(fst, snd):
             fst, snd = _code(fst), _code(snd)
 
             def code(fuel, env):
-                fuel.tick()
                 return Pair(fst(fuel, env), snd(fuel, env))
         case Inl(arg, ty) | Inr(arg, ty) | Fold(arg, ty):
             make, arg = type(e), _code(arg)
 
             def code(fuel, env):
-                fuel.tick()
                 return make(arg(fuel, env), ty)
         case Unfold(arg):
             arg = _code(arg)
 
             def code(fuel, env):
-                fuel.tick()
                 v = arg(fuel, env)
                 if not isinstance(v, Fold):
                     raise EvalFailure(f"unfold of non-fold value {v}")
@@ -158,7 +149,6 @@ def _compile(e: Expr):
             scrut, body = _code(scrut), _code(body)
 
             def code(fuel, env):
-                fuel.tick()
                 v = scrut(fuel, env)
                 if not isinstance(v, Pair):
                     raise EvalFailure(f"pair case over non-pair value {v}")
@@ -167,7 +157,6 @@ def _compile(e: Expr):
             scrut, left, right = _code(scrut), _code(left), _code(right)
 
             def code(fuel, env):
-                fuel.tick()
                 v = scrut(fuel, env)
                 if isinstance(v, Inl):
                     return left(fuel, {**env, left_name: v.arg})
@@ -189,22 +178,16 @@ def _compile(e: Expr):
             arg, w_left, w_right = _code(arg), _code(w_left), _code(w_right)
 
             def code(fuel, env):
-                fuel.tick()
                 for w in (w_left(fuel, env), w_right(fuel, env)):
                     if not isinstance(w, IntLit) or w.value < 0:
                         raise EvalFailure(f"bad instantiation weight {w}")
                 return arg(fuel, env)
         case Bang(arg):
-            arg = _code(arg)
-
-            def code(fuel, env):
-                fuel.tick()
-                return arg(fuel, env)
+            code = _code(arg)
         case After(main, hook):
             main, hook = _code(main), _code(hook)
 
             def code(fuel, env):
-                fuel.tick()
                 v = main(fuel, env)
                 hook(fuel, env)
                 return v
@@ -212,7 +195,6 @@ def _compile(e: Expr):
             lhs, rhs = _code(lhs), _code(rhs)
 
             def code(fuel, env):
-                fuel.tick()
                 l, r = lhs(fuel, env), rhs(fuel, env)
                 if not isinstance(l, IntLit) or not isinstance(r, IntLit):
                     raise EvalFailure("comparison of non-integers")
@@ -221,7 +203,6 @@ def _compile(e: Expr):
             lhs, rhs = _code(lhs), _code(rhs)
 
             def code(fuel, env):
-                fuel.tick()
                 l, r = lhs(fuel, env), rhs(fuel, env)
                 if not isinstance(l, IntLit) or not isinstance(r, IntLit):
                     raise EvalFailure("arithmetic on non-integers")
@@ -230,7 +211,6 @@ def _compile(e: Expr):
             message = f"no rule for {e!r}"
 
             def code(fuel, env):
-                fuel.tick()
                 raise EvalFailure(message)
     e._pred = code
     return code

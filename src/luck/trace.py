@@ -8,6 +8,9 @@ integer products when it is read, so a choice does no rational
 arithmetic.  A recorded trace doubles as a script: replaying it through
 ReplaySource reproduces the identical run, and the enumeration source
 drives systematic exploration of every trace prefix.
+
+A run context also holds the attempt's fuel, of which narrowing and
+matching charge one unit per function application (``RunCtx.tick``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""A bound variable takes one step in every evaluator and yields its value
-as it is; matching meets a value with a pattern by one unification."""
+"""A bound variable yields its value as it is in every evaluator and takes
+no fuel; matching meets a value with a pattern by one unification."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +21,10 @@ from luck.core import (
 )
 from luck.matching import match_eval
 from luck.narrow import narrow
-from luck.predsem import DEFAULT_FUEL, EvalTimeout, pred_eval
+from luck.predsem import pred_eval
 from luck.trace import RunCtx, ScriptedSource
+
+from .calls import counted
 
 INT_BOUNDS = (-3, 3)
 
@@ -54,25 +55,27 @@ TYPED_VALUES = FLAT_TYPES.flatmap(
     lambda ty: values_of(ty).map(lambda v: (ty, v)))
 
 
-def steps(ctx: RunCtx) -> int:
-    return DEFAULT_FUEL - ctx.fuel
+def no_fuel() -> RunCtx:
+    return RunCtx(ScriptedSource([]), fuel=0)
 
 
 @settings(database=None, deadline=None)
 @given(TYPED_VALUES)
-def test_a_bound_variable_takes_one_step_in_every_evaluator(typed):
+def test_a_bound_variable_yields_its_value_without_fuel_in_every_evaluator(
+        typed):
+    # the value itself comes back, and matching unifies it with the
+    # pattern once without opening it: a walk over the value would build
+    # a copy or open its parts
     ty, value = typed
     env = {"x": value}
-    ctx = RunCtx(ScriptedSource([]))
-    got, _ = narrow(Var("x"), ConstraintSet(), ctx, env)
-    assert got is value and steps(ctx) == 1
-    assert pred_eval(Var("x"), 1, env) is value
-    with pytest.raises(EvalTimeout):
-        pred_eval(Var("x"), 0, env)
+    got, _ = narrow(Var("x"), ConstraintSet(), no_fuel(), env)
+    assert got is value
+    assert pred_eval(Var("x"), 0, env) is value
     cs, (u,) = ConstraintSet(int_bounds=INT_BOUNDS).fresh([ty])
-    ctx = RunCtx(ScriptedSource([]))
-    out = match_eval(Var("x"), Unknown(u), cs, ctx, env)
-    assert out.index(u) == value and steps(ctx) == 1
+    with counted() as calls:
+        out = match_eval(Var("x"), Unknown(u), cs, no_fuel(), env)
+    assert out.index(u) == value
+    assert calls == {"unify": 1, "open_value": 0}
 
 
 def close(v, ty, cs):
@@ -108,10 +111,10 @@ def test_a_value_meets_a_pattern_by_one_unification(drawn):
     if isinstance(v, (Unit, IntLit, Unknown)):
         cases.append((v, {}))
     for e, env in cases:
-        ctx = RunCtx(ScriptedSource([]))
-        out = match_eval(e, p, cs, ctx, env)
+        with counted() as calls:
+            out = match_eval(e, p, cs, no_fuel(), env)
         assert out.failed == want.failed and out.bindings == want.bindings
-        assert steps(ctx) == 1
+        assert calls == {"unify": 1, "open_value": 0}
 
 
 def test_a_contradiction_is_a_failed_store():
@@ -120,9 +123,9 @@ def test_a_contradiction_is_a_failed_store():
     assert out.failed
 
 
-def test_arithmetic_is_narrowed_and_unified_in_one_step():
-    # one step for the sum and one for each operand
-    ctx = RunCtx(ScriptedSource([]), fuel=3)
-    out = match_eval(Arith("+", IntLit(1), IntLit(2)), IntLit(3),
-                     ConstraintSet(), ctx)
-    assert not out.failed and ctx.fuel == 0
+def test_arithmetic_is_narrowed_and_unified_once_without_fuel():
+    # no function is applied, so no fuel is taken
+    with counted() as calls:
+        out = match_eval(Arith("+", IntLit(1), IntLit(2)), IntLit(3),
+                         ConstraintSet(), no_fuel())
+    assert not out.failed and calls == {"unify": 1, "open_value": 0}

@@ -110,10 +110,11 @@ def test_exhausted_budget_exits_2_with_diagnostics(capsys):
 
 def test_a_budget_spent_on_fuel_says_so(capsys):
     code, out, err = run_cli(capsys, BST, "bst 3 0 10 t = True", "--seed",
-                             "1", "--int-bound", "0..10", "--fuel", "60",
+                             "1", "--int-bound", "0..10", "--fuel", "10",
                              "--retries", "3")
     assert code == 2 and out == ""
-    assert "no success in 4 attempts (4 ran out of the 60-step fuel)" in err
+    assert ("no success in 4 attempts (4 ran out of fuel, 10 function "
+            "applications each)") in err
 
 
 def test_a_case_whose_weights_evaluate_to_zero_says_so(capsys, tmp_path):

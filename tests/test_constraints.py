@@ -170,6 +170,19 @@ def test_unify_aliases_share_constraints():
     assert cs.denote_restricted([a]) == {(IntLit(4),)}
 
 
+@pytest.mark.parametrize("op,offset,holds", [("<", 1, True), ("==", 1, False),
+                                             ("<=", -1, False),
+                                             ("/=", 2, True)])
+def test_a_constraint_whose_ends_are_unified_reads_its_offset(op, offset,
+                                                              holds):
+    # x op y + offset is stored between two open unknowns; once x and y are
+    # one unknown it holds exactly when 0 op offset does
+    cs, (x, y) = ConstraintSet(int_bounds=(0, 5)).fresh([TInt(), TInt()])
+    cs = cs.post_cmp(op, Unknown(x), Unknown(y), offset)
+    assert cs.cons and not cs.failed
+    assert cs.unify(Unknown(x), Unknown(y)).failed is not holds
+
+
 def test_a_merge_propagates_a_meet_equal_to_the_survivors_domain():
     cs, (x, y, z) = ConstraintSet(int_bounds=(0, 9)).fresh([TInt()] * 3)
     cs = cs.post_cmp(">=", Unknown(x), 1).post_cmp("<=", Unknown(x), 3)

@@ -338,7 +338,7 @@ _F = "sig f :: Int -> Int\nfun f x = x\n"
 
 # Lowering is the one checker of names and declarations: each program is
 # rejected with a line, a name in a body with its own, a declaration error
-# with that of the declaration being checked, and a type mismatch with the
+# with that of the declaration that writes it, and a type mismatch with the
 # line of the expression, an unsolved type printed as _.
 MALFORMED = {
     "unbound-variable": ("sig f :: Int -> Int\nfun f x = y",
@@ -394,6 +394,27 @@ MALFORMED = {
         "^line 5: type mismatch in case arm result: Bool vs Int$"),
     "body-mismatch": ("sig f :: Int -> Bool\nfun f x = x",
                       "^line 2: type mismatch in body of f: Int vs Bool$"),
+    "unknown-type-in-a-later-data": (
+        "data T = MkT S\ndata S = MkS Foo\n" + _F,
+        "^line 2: unknown type Foo$"),
+    "arity-in-a-later-data": (
+        "data T = MkT S\ndata S = MkS (T Int)\n" + _F,
+        "^line 2: type T expects 0 arguments, got 1$"),
+    "unknown-type-through-a-parameter": (
+        "data T = MkT (S Foo)\ndata S a = MkS a\n" + _F,
+        "^line 1: unknown type Foo$"),
+    "unknown-type-argument-in-a-sig": (
+        "data T a = MkT a\n" + _F + "sig g :: T Foo -> Int\nfun g x = 1",
+        "^line 5: unknown type Foo$"),
+    "polymorphic-recursion": (
+        _F + "sig g :: a -> Bool\nfun g x = g (x, x)",
+        "^line 4: polymorphic recursion in g is unsupported$"),
+    "more-parameters-than-arrows": (
+        _F + "sig g :: Int\nfun g x = 1",
+        "^line 4: function g has more parameters than its sig has arrows$"),
+    "recursion-through-another-type": (
+        _F + "data A = MkA B | NA\ndata B = MkB A",
+        "^line 4: datatype B is recursive through another type"),
 }
 
 

@@ -362,26 +362,38 @@ fun g n x = f n && x == 1
 
 
 def test_the_recheck_runs_under_the_given_fuel():
-    # the recheck of g 12 takes 86,014 steps; running out is a discard
+    # the recheck of g 12 applies functions 8,193 times: g twice and f
+    # 2^13 - 1 times; running out is not a confirmation
     prep = prepare(Program.from_source(WIDE), "g 12 x = True",
                    int_bound=(0, 3))
-    assert not recheck(prep, {"x": core.IntLit(1)}, fuel=50_000)
-    assert recheck(prep, {"x": core.IntLit(1)}, fuel=100_000)
+    assert recheck(prep, {"x": core.IntLit(1)}, fuel=8_192) is None
+    assert recheck(prep, {"x": core.IntLit(1)}, fuel=8_193)
 
 
-def test_a_recheck_out_of_fuel_is_counted_in_the_error():
-    # seed 0's first attempt at sorted takes 43 steps and its recheck 46
+def test_a_recheck_out_of_fuel_is_counted_in_the_error(monkeypatch):
+    # seed 1's first attempt at sorted and its recheck each apply functions
+    # 5 times.  A recheck applies no function the attempt that made its
+    # valuation did not, so under the same fuel only a recheck that
+    # recurses past the Python limit runs out; a recheck that raises
+    # EvalTimeout stands in for it
     prep = prepare(load("sorted.luck"), "sorted l = True", int_bound=(0, 20))
-    assert recheck(prep, run_prepared(prep, seed=0, retries=0).values,
-                   fuel=45) is None
-    r = run_prepared(prep, seed=0, retries=0, fuel=45, check=True)
+    vals = run_prepared(prep, seed=1, retries=0, fuel=5).values
+    assert recheck(prep, vals, fuel=5)
+    assert recheck(prep, vals, fuel=4) is None
+
+    def out_of_fuel(*args):
+        raise driver.EvalTimeout()
+
+    monkeypatch.setattr(driver, "pred_eval", out_of_fuel)
+    r = run_prepared(prep, seed=1, retries=0, fuel=5, check=True)
     assert not r.ok and r.discards == 1
-    assert r.error == "no success in 1 attempts (1 ran out of the 45-step fuel)"
+    assert r.error == ("no success in 1 attempts (1 ran out of fuel, 5 "
+                       "function applications each)")
 
 
 def test_enumeration_counts_a_trace_out_of_fuel_as_failure():
     rows = list(enumerate_query(load("bst.luck"), "bst 1 0 3 t = True",
-                                int_bound=(0, 3), depth=3, fuel=20))
+                                int_bound=(0, 3), depth=3, fuel=3))
     assert sum(q for _, q, _ in rows) == 1
     assert rows and all(shown is None for _, _, shown in rows)
 

@@ -37,9 +37,17 @@ from luck.core import (
     Var,
 )
 from luck.matching import either, heads_clash, match_eval
-from luck.narrow import GenFailure
-from luck.predsem import DEFAULT_FUEL
-from luck.trace import Choice, RunCtx, ScriptedSource, enumerate_traces
+from luck.narrow import GenFailure, sample_value
+from luck.predsem import pred_eval
+from luck.trace import (
+    Choice,
+    RandomSource,
+    RunCtx,
+    ScriptedSource,
+    enumerate_traces,
+)
+
+from .calls import counted
 
 NAT = TMu("X", TSum(TUnit(), TVar("X")))
 
@@ -53,6 +61,10 @@ def nat(n):
 
 def ctx_with(*choices):
     return RunCtx(ScriptedSource(list(choices)))
+
+
+def no_fuel():
+    return RunCtx(ScriptedSource([]), fuel=0)
 
 
 def bool_unknowns(n):
@@ -92,6 +104,21 @@ def enumerate_matches(build, lo=0, hi=9):
         return list(ctx.trace), (not out.failed, ctx.q, out.index(u))
 
     return list(enumerate_traces(run))
+
+
+def generated(e, ty, bounds):
+    """The values of x, an unknown of type ty, that matching e against
+    True and then sampling x give over every choice sequence."""
+    def run(source):
+        cs, (u,) = ConstraintSet(int_bounds=bounds).fresh([ty])
+        ctx = RunCtx(source, local_backtracking=False)
+        out = match_eval(e, TRUE, cs, ctx, {"x": Unknown(u)})
+        v = None if out.failed else sample_value(Unknown(u), out, ctx)[0]
+        return list(ctx.trace), v
+
+    values = {v for _, v in enumerate_traces(run)}
+    assert all(pred_eval(e, env={"x": v}) == TRUE for v in values - {None})
+    return values
 
 
 # -- values against patterns --------------------------------------------------
@@ -299,6 +326,20 @@ def test_backtracking_off_lets_failure_stand():
     assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("w1,w2,left,right",
+                         [(1, 0, FALSE, TRUE), (0, 1, TRUE, FALSE)])
+def test_a_zero_weight_arm_is_never_taken_when_its_sibling_fails(
+        w1, w2, left, right):
+    # the arm with weight fails; its sibling has no mass, so neither a
+    # weighted choice nor local backtracking may run it
+    cs, (u,) = bool_unknowns(1)
+    e = weighted_case(u, left, right, w1=w1, w2=w2)
+    for seed in range(4):
+        ctx = RunCtx(RandomSource(seed))
+        assert match_eval(e, TRUE, cs, ctx).failed
+        assert ctx.draws == 0 and ctx.local_backtracks == 0
+
+
 def test_dispatch_on_pinned_scrutinee_skips_dead_branch():
     cs, (u,) = bool_unknowns(1)
     cs = cs.unify(Unknown(u), FALSE)
@@ -320,6 +361,20 @@ def test_plain_case_side_with_clashing_body_consumes_no_randomness():
     assert not out.failed
     assert out.count_values(u) == 1  # only the viable injection survives
     assert ctx.trace == [Choice(0, 2)] and ctx.q == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("int_left", [True, False])
+def test_a_plain_case_mints_each_arm_variable_at_its_own_type(int_left):
+    # case x of inl a -> True | inr b -> True, the arms' fields an Int and
+    # a Bool: no body constrains its variable, so the values x takes are
+    # those of the types its arm variables were minted at (a minted
+    # integer keeps its domain when x's child of another type meets it)
+    ints, bools = [IntLit(0), IntLit(1)], [TRUE, FALSE]
+    lefts, rights = (ints, bools) if int_left else (bools, ints)
+    ty = TSum(TInt(), BOOL) if int_left else TSum(BOOL, TInt())
+    e = CaseSum(Var("x"), "a", TRUE, "b", TRUE, ty)
+    assert generated(e, ty, (0, 1)) == ({Inl(v, ty) for v in lefts}
+                                        | {Inr(v, ty) for v in rights})
 
 
 def test_value_clash_is_structural_and_conservative():
@@ -425,21 +480,23 @@ def test_pair_case_and_unfold_read_a_bound_unknowns_node():
     cs, _, pair = cs.expand(w)
     cs, _, fold = cs.expand(n)
     cs = cs.expand(fold.child)[0]
-    ctx = ctx_with()
-    out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, ctx,
-                     {"x": Unknown(w)})
-    # the arms are the node's children, and the case takes the steps of
-    # the case, the scrutinee, the pair and its two variables
+    with counted() as calls:
+        out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, no_fuel(),
+                         {"x": Unknown(w)})
+    # the arms are the node's children: the case opens the scrutinee and
+    # the body's pair opens the pattern, and each arm variable is unified
+    # with its part of the pattern
     assert out.next_fresh == cs.next_fresh
     assert out.index(pair.fst) == IntLit(3)
     assert out.index(pair.snd) == IntLit(1)
-    assert DEFAULT_FUEL - ctx.fuel == 5
-    ctx = ctx_with()
+    assert calls == {"unify": 2, "open_value": 2}
     zero = Inl(Unit(), TSum(TUnit(), NAT))
-    out = match_eval(Unfold(Var("x"), NAT), zero, cs, ctx, {"x": Unknown(n)})
+    with counted() as calls:
+        out = match_eval(Unfold(Var("x"), NAT), zero, cs, no_fuel(),
+                         {"x": Unknown(n)})
     assert out.next_fresh == cs.next_fresh
     assert out.index(fold.child) == zero and out.index(n) == nat(0)
-    assert DEFAULT_FUEL - ctx.fuel == 2
+    assert calls == {"unify": 1, "open_value": 1}
 
 
 def test_pair_case_opens_an_unbound_product_unknown_once():
@@ -460,18 +517,30 @@ def test_pair_case_and_unfold_open_a_bound_value_in_place():
     cs, (a, b, c) = cs.fresh([TInt(), TInt(), TSum(TUnit(), NAT)])
     cs = cs.expand(c)[0]
     pair = Pair(Unknown(a), Unknown(b))
-    ctx = ctx_with()
-    out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, ctx, {"x": pair})
-    # the arms are the pair's own parts: nothing is minted, and the case
-    # takes the steps of the case, the scrutinee, the pair and its two
-    # variables
+    with counted() as calls:
+        out = match_eval(SWAP, Pair(IntLit(1), IntLit(3)), cs, no_fuel(),
+                         {"x": pair})
+    # the arms are the pair's own parts: nothing is minted, the case
+    # opens the value and the body's pair the pattern, and each arm
+    # variable is unified with its part of the pattern
     assert out.next_fresh == cs.next_fresh
     assert out.index(a) == IntLit(3) and out.index(b) == IntLit(1)
-    assert DEFAULT_FUEL - ctx.fuel == 5
-    ctx = ctx_with()
+    assert calls == {"unify": 2, "open_value": 2}
     zero = Inl(Unit(), TSum(TUnit(), NAT))
-    out = match_eval(Unfold(Var("x"), NAT), zero, cs, ctx,
-                     {"x": Fold(Unknown(c), NAT)})
+    with counted() as calls:
+        out = match_eval(Unfold(Var("x"), NAT), zero, cs, no_fuel(),
+                         {"x": Fold(Unknown(c), NAT)})
     assert out.next_fresh == cs.next_fresh
     assert out.index(c) == zero
-    assert DEFAULT_FUEL - ctx.fuel == 2
+    assert calls == {"unify": 1, "open_value": 1}
+
+
+def test_a_pair_case_over_a_compound_scrutinee_runs_its_body():
+    # case g x of (a, b) -> b < 3, with g y = (y, y + 1): the scrutinee is
+    # matched against fresh unknowns, and the body then constrains them
+    pair = TProd(TInt(), TInt())
+    g = Rec("g", "y", TInt(),
+            Pair(Var("y"), Arith("+", Var("y"), IntLit(1))), pair)
+    e = CasePair(App(g, Var("x")), "a", "b",
+                 Cmp("<", Var("b"), IntLit(3)), pair)
+    assert generated(e, TInt(), (0, 5)) == {IntLit(0), IntLit(1)}

@@ -42,7 +42,14 @@ from luck.core import (
 from luck.desugar import Program
 from luck.driver import DEFAULT_FUEL, attempt, prepare
 from luck.matching import match_eval
-from luck.narrow import GenFailure, narrow, open_value, sample_value, split_sum
+from luck.narrow import (
+    GenFailure,
+    choose,
+    narrow,
+    open_value,
+    sample_value,
+    split_sum,
+)
 from luck.predsem import EvalTimeout, pred_eval
 from luck.trace import (
     Choice,
@@ -124,6 +131,17 @@ def test_unbound_variable_fails():
 def test_match_fail_fails():
     with pytest.raises(GenFailure):
         narrow(MatchFail(BOOL), ConstraintSet(), ctx_with())
+
+
+@pytest.mark.parametrize("sides,message", [
+    ((0, True, 1, False), "no weight mass on the satisfiable branches"),
+    ((1, False, 0, True), "no weight mass on the satisfiable branches"),
+    ((1, False, 1, False), "both branches unsatisfiable"),
+])
+def test_a_choice_with_no_available_side_says_why(sides, message):
+    # a satisfiable side of zero weight is not unsatisfiable
+    with pytest.raises(GenFailure, match=f"^{message}$"):
+        choose(*sides, ctx_with())
 
 
 def test_fuel_exhaustion_is_timeout():
@@ -281,23 +299,21 @@ def test_function_name_shadows_an_argument_of_the_same_name():
     assert v == IntLit(3)
 
 
-# Evaluation steps of one attempt of each query for seeds 0-5 (query,
-# int bound, depth bound), recorded with the evaluators in which a
-# variable takes one step and a pair case or unfold opens a variable-bound
-# value in place.
+# Fuel one attempt of each query takes for seeds 0-5 (query, int bound,
+# depth bound): the function applications it makes, one unit each.
 ATTEMPT_STEPS = [
     ("bst.luck", "bst 3 0 10 t = True", (0, 10), 8,
-     [165, 98, 165, 165, 111, 98]),
+     [20, 12, 20, 20, 12, 12]),
     ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), 8,
-     [746, 1327, 1507, 677, 1427, 1088]),
+     [66, 108, 138, 66, 126, 96]),
     ("distinct.luck", "distinct l = True", (0, 9), 8,
-     [57, 57, 19, 19, 19, 19]),
+     [7, 7, 3, 3, 3, 3]),
     ("sorted.luck", "sorted l = True", (0, 20), 8,
-     [43, 118, 18, 93, 68, 43]),
+     [2, 5, 1, 4, 3, 2]),
     ("member.luck", "member 3 l = True", (0, 5), 8,
-     [168, 171, 172, 171, 172, 173]),
+     [16, 16, 16, 16, 16, 16]),
     ("bst.luck", "bst 3 0 10 t = True", (0, 10), 12,
-     [165, 98, 165, 165, 111, 98]),
+     [20, 12, 20, 20, 12, 12]),
 ]
 
 
@@ -334,7 +350,8 @@ def run_attempt(prep, seed: int, fuel: int):
                               "bst-d12"])
 def test_an_attempt_fits_exactly_its_recorded_steps(file, query, int_bound,
                                                     depth, steps):
-    # the last step comes last: no step is moved past the end or batched
+    # the last application is charged last: none is moved past the end or
+    # batched
     prog = Program.from_source((CORPUS / file).read_text())
     prep = prepare(prog, query, int_bound=int_bound, depth=depth)
     for seed, fuel in enumerate(steps):

@@ -35,7 +35,7 @@ def expand_fun_case(prog, fname):
     parameter, with its type variables taken as Int."""
     f = prog.funs[fname]
     inst = sub_ty(f.sig, {v: _INT for v in tyvars_of(f.sig)})
-    param_tys, _ = _split_sig(inst, len(f.params), fname)
+    param_tys, _ = _split_sig(inst, f)
     assert isinstance(f.body, SCase) and isinstance(f.body.scrut, SVar)
     lw = _Lower(prog)
     sty = param_tys[f.params.index(f.body.scrut.name)]

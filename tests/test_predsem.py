@@ -170,10 +170,10 @@ def test_a_bound_value_is_returned_as_it_is():
     assert pred_eval(Var("x"), env={"x": BOUND.snd}) is BOUND.snd
 
 
-def test_a_bound_value_takes_one_step():
-    assert pred_eval(Var("x"), 1, {"x": BOUND}) is BOUND
-    with pytest.raises(EvalTimeout):
-        pred_eval(Var("x"), 0, {"x": BOUND})
+def test_a_bound_value_is_returned_without_fuel():
+    # no function is applied, so no fuel is taken, and the value is not
+    # rebuilt
+    assert pred_eval(Var("x"), 0, {"x": BOUND}) is BOUND
 
 
 def outcome(e, env=None):
@@ -219,14 +219,14 @@ def test_environment_agrees_with_substitution(file, query, int_bound, depth):
         assert outcome(target, vals) == outcome(closed)
 
 
-# Steps the recheck of the valuation from seeds 0-2 needs, recorded with
-# the evaluator in which a variable takes one step.
+# Fuel the recheck of the valuation from seeds 0-2 needs: the function
+# applications it makes, one unit each.
 RECHECK_STEPS = [
-    ("bst.luck", "bst 3 0 10 t = True", (0, 10), [150, 90, 150]),
-    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), [654, 417, 1070]),
-    ("distinct.luck", "distinct l = True", (0, 9), [58, 58, 19]),
-    ("sorted.luck", "sorted l = True", (0, 20), [46, 127, 19]),
-    ("length.luck", "length l 3 = True", (0, 3), [78, 78, 78]),
+    ("bst.luck", "bst 3 0 10 t = True", (0, 10), [20, 12, 20]),
+    ("rbt.luck", "isRBT 2 0 20 Black t = True", (0, 20), [66, 42, 114]),
+    ("distinct.luck", "distinct l = True", (0, 9), [7, 7, 3]),
+    ("sorted.luck", "sorted l = True", (0, 20), [2, 5, 1]),
+    ("length.luck", "length l 3 = True", (0, 3), [8, 8, 8]),
 ]
 
 
